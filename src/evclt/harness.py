@@ -98,6 +98,8 @@ class ExperimentConfig:
             )
         if "counterexample" in tests and self.design.kind != "gaussian-iid":
             raise ConfigError("the counterexample test needs a gaussian-iid design")
+        if "negligibility" in tests and len(grid) < 2:
+            raise ConfigError("the negligibility trend needs at least 2 grid points")
 
     def to_dict(self) -> dict:
         return {
@@ -329,6 +331,36 @@ def _standardized(
     return z_beta, z_theta
 
 
+def _counterexample_entry(
+    stats: _GridPointStats,
+    design: DesignSequence,
+    spec: EVModelSpec,
+    defaults: HarnessDefaults,
+) -> dict:
+    """Random-regressor attenuation check at one grid point: the slope
+    estimate drifts to the analytic limit beta * V_x / (V_x + sigma1^2) and
+    its standardized version fails normality. Standardizes with the true V
+    whatever the run's variance source."""
+    v_x = design.params["sd"] ** 2
+    sigma1_sq = spec.delta_dist.variance()
+    target = spec.beta * v_x / (v_x + sigma1_sq) if (v_x + sigma1_sq) > 0 else spec.beta
+    z_beta, _ = _standardized(stats, spec, "true")
+    beta_valid = stats.beta_hat[stats.valid]
+    mean_beta = float(np.mean(beta_valid))
+    ks = ks_statistic(z_beta)
+    refuted = ks >= defaults.counterexample_ks_min
+    mean_ok = abs(mean_beta - target) <= defaults.counterexample_mean_tol
+    return {
+        "n": stats.n,
+        "mean_beta_hat": mean_beta,
+        "var_beta_hat": float(np.var(beta_valid, ddof=1)),
+        "attenuation_target": target,
+        "ks_distance_z_beta": ks,
+        "normality_refuted": refuted,
+        "pass": bool(refuted and mean_ok),
+    }
+
+
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
@@ -362,6 +394,7 @@ def run_experiment(
 
     need_latents = "negligibility" in config.tests
     grid_entries: list[dict] = []
+    counterexample_entries: list[dict] = []
     samples: dict[str, dict[int, np.ndarray]] = {"z_beta": {}, "z_theta": {}}
     medians_by_ratio: list[list[float]] = [[], [], []]
     skip_ok = True
@@ -393,6 +426,10 @@ def run_experiment(
         if used < 2:
             raise ConfigError(
                 f"fewer than 2 non-singular replicates at n={n}; design/model degenerate"
+            )
+        if "counterexample" in config.tests:
+            counterexample_entries.append(
+                _counterexample_entry(stats, config.design, config.model, defaults)
             )
         z_beta, z_theta = _standardized(stats, config.model, config.variance_source)
         if collect_samples:
@@ -474,23 +511,10 @@ def run_experiment(
             e["coverage"][name]["pass"] for e in grid_entries for name in gated
         )
     if "negligibility" in config.tests:
-        if len(config.n_grid) < 2:
-            raise ConfigError("the negligibility trend needs at least 2 grid points")
         tests_pass["negligibility"] = all(
             all(a > b for a, b in zip(path, path[1:])) for path in medians_by_ratio
         )
-
-    counterexample_entries = None
     if "counterexample" in config.tests:
-        counterexample_entries = counterexample_run(
-            config.design,
-            config.model,
-            config.n_grid,
-            config.replicates,
-            config.seed,
-            defaults=defaults,
-            workers=workers,
-        )
         tests_pass["counterexample"] = all(e["pass"] for e in counterexample_entries)
 
     overall = all(tests_pass.values()) and skip_ok and identity_ok
@@ -506,7 +530,7 @@ def run_experiment(
         "warnings": report_warnings,
         "pass": overall,
     }
-    if counterexample_entries is not None:
+    if "counterexample" in config.tests:
         report["counterexample"] = counterexample_entries
     return report, (samples if collect_samples else None)
 
@@ -520,54 +544,23 @@ def counterexample_run(
     defaults: HarnessDefaults = HarnessDefaults(),
     workers: int = 1,
 ) -> list[dict]:
-    """Random-regressor attenuation check: the slope estimate drifts to the
-    analytic limit beta * V_x / (V_x + sigma1^2) and its standardized version
-    fails normality.
+    """The counterexample entries of ``run_experiment`` limited to the
+    counterexample test; see ``_counterexample_entry``.
 
     The design realization is fixed by the design seed; replicates vary only
     the error draws, matching the fixed-constants reading of the model.
     """
-    if design.kind != "gaussian-iid":
-        raise ConfigError("counterexample_run needs a gaussian-iid design")
-    if replicates < defaults.min_distributional_replicates:
-        raise ConfigError(
-            f"counterexample needs R >= {defaults.min_distributional_replicates}"
-        )
-    v_x = design.params["sd"] ** 2
-    sigma1_sq = spec.delta_dist.variance()
-    target = spec.beta * v_x / (v_x + sigma1_sq) if (v_x + sigma1_sq) > 0 else spec.beta
-    entries = []
-    x_full = design.generate(max(int(n) for n in n_grid))
-    for n in (int(v) for v in n_grid):
-        x = x_full[:n]
-        stats = _simulate_grid_point(
-            spec=spec,
-            x=x,
-            n=n,
-            replicates=replicates,
-            seed=seed,
-            need_latents=False,
-            chunk_size=defaults.chunk_size,
-            workers=workers,
-        )
-        z_beta, _ = _standardized(stats, spec, "true")
-        beta_valid = stats.beta_hat[stats.valid]
-        mean_beta = float(np.mean(beta_valid))
-        ks = ks_statistic(z_beta)
-        refuted = ks >= defaults.counterexample_ks_min
-        mean_ok = abs(mean_beta - target) <= defaults.counterexample_mean_tol
-        entries.append(
-            {
-                "n": n,
-                "mean_beta_hat": mean_beta,
-                "var_beta_hat": float(np.var(beta_valid, ddof=1)),
-                "attenuation_target": target,
-                "ks_distance_z_beta": ks,
-                "normality_refuted": refuted,
-                "pass": bool(refuted and mean_ok),
-            }
-        )
-    return entries
+    config = ExperimentConfig(
+        design=design,
+        model=spec,
+        n_grid=n_grid,
+        replicates=replicates,
+        seed=seed,
+        tests=("counterexample",),
+        defaults=defaults,
+    )
+    report, _ = run_experiment(config, workers=workers)
+    return report["counterexample"]
 
 
 def report_json_bytes(report: dict) -> bytes:

@@ -251,6 +251,25 @@ def test_counterexample_command(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_counterexample_command_is_the_simulate_path(tmp_path):
+    config = _write_config(
+        tmp_path,
+        _base_config(
+            design={"kind": "gaussian-iid", "seed": 5},
+            grid=[200, 400],
+            replicates=200,
+            tests=["counterexample"],
+        ),
+    )
+    ce, sim = tmp_path / "ce", tmp_path / "sim"
+    ce_code = main(["counterexample", "--config", str(config), "--out", str(ce)])
+    sim_code = main(["simulate", "--config", str(config), "--out", str(sim)])
+    assert ce_code == sim_code
+    assert (ce / "counterexample.csv").read_bytes() == (sim / "counterexample.csv").read_bytes()
+    entries = json.loads((ce / "counterexample.json").read_text())["entries"]
+    assert entries == json.loads((sim / "report.json").read_text())["counterexample"]
+
+
 def test_counterexample_needs_gaussian_design(tmp_path):
     config = _write_config(tmp_path, _base_config(grid=[200]))
     assert main(["counterexample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
+from evclt import harness
 from evclt.design import DesignSequence
 from evclt.errors import ConfigError, ZeroVarianceError
 from evclt.harness import (
@@ -101,6 +103,19 @@ def _config(design, spec, **kwargs):
     return ExperimentConfig(**base)
 
 
+def _count_grid_points(monkeypatch) -> list[int]:
+    """Record the n of every grid-point simulation from here on."""
+    calls: list[int] = []
+    simulate = harness._simulate_grid_point
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["n"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_simulate_grid_point", counted)
+    return calls
+
+
 def test_config_refuses_small_r_for_distributional_tests(linear_design, standard_spec):
     with pytest.raises(ConfigError):
         _config(linear_design, standard_spec, replicates=10)
@@ -118,6 +133,18 @@ def test_config_validation_errors(linear_design, standard_spec):
         _config(linear_design, standard_spec, variance_source="estimated")
     with pytest.raises(ConfigError):
         _config(linear_design, standard_spec, tests=("counterexample",))
+
+
+def test_single_point_negligibility_fails_before_any_simulation(
+    monkeypatch, linear_design, standard_spec
+):
+    calls = _count_grid_points(monkeypatch)
+    single = dict(n_grid=(200,), replicates=100, tests=("negligibility",))
+    with pytest.raises(ConfigError, match="at least 2 grid points"):
+        _config(linear_design, standard_spec, **single)
+    with pytest.raises(ConfigError, match="at least 2 grid points"):
+        run_experiment(_config(linear_design, standard_spec, **single))
+    assert calls == []
 
 
 # --- run_experiment --------------------------------------------------------------------
@@ -288,6 +315,28 @@ def test_run_experiment_with_counterexample_test(standard_spec):
     assert report["counterexample"][0]["pass"] is True
     assert report["tests"]["counterexample"] is True
     assert report["pass"] is True
+
+
+def test_counterexample_reads_the_replicates_of_the_same_run(monkeypatch, standard_spec):
+    design = DesignSequence("gaussian-iid", {"sd": 1.0}, seed=5)
+    config = ExperimentConfig(
+        design=design,
+        model=standard_spec,
+        n_grid=(200, 400),
+        replicates=200,
+        seed=9,
+        tests=("beta-clt", "counterexample"),
+    )
+    calls = _count_grid_points(monkeypatch)
+    report, _ = run_experiment(config)
+    assert calls == [200, 400]  # one simulation pass per grid point
+    assert report["counterexample"] == counterexample_run(
+        design, standard_spec, (200, 400), 200, seed=9
+    )
+    # the counterexample always standardizes with the true V
+    plug_in, _ = run_experiment(dataclasses.replace(config, variance_source="plug-in"))
+    assert plug_in["grid"] != report["grid"]
+    assert plug_in["counterexample"] == report["counterexample"]
 
 
 def test_defaults_roundtrip():
