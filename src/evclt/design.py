@@ -112,6 +112,26 @@ class DesignSequence:
             return p["sd"] * ndtri(u)
         return np.full(n, p["value"])
 
+    def finite_through(self, n: int) -> bool:
+        """Whether the first n values are all finite, without generating them.
+
+        The unbounded kinds peak in magnitude at i = n, so their last value
+        decides; bounded, gaussian-iid and constant designs never overflow.
+        """
+        p, i = self.params, np.float64(n)
+        with np.errstate(over="ignore"):
+            if self.kind == "linear":
+                last = np.multiply(p["slope"], i)
+            elif self.kind == "alternating":
+                last = np.multiply(p["scale"], i)
+            elif self.kind == "power":
+                last = np.power(i, p["exponent"])
+            elif self.kind == "geometric":
+                last = np.power(p["base"], i)
+            else:
+                return True
+        return bool(np.isfinite(last))
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
 

@@ -44,9 +44,10 @@ VarianceSource = Literal["true", "plug-in"]
 _SINGULAR_COEFF = 1e-12
 
 
-def singular_threshold(n: int, xi_mean: float) -> float:
-    """Dispersion floor under which a design is declared singular."""
-    return _SINGULAR_COEFF * n * max(1.0, xi_mean * xi_mean)
+def singular_threshold(n: int, xi_mean: float | np.ndarray) -> float | np.ndarray:
+    """Dispersion floor under which a design is declared singular; elementwise
+    over an array of observed means."""
+    return _SINGULAR_COEFF * n * np.maximum(1.0, xi_mean * xi_mean)
 
 
 @dataclass(frozen=True)

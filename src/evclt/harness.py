@@ -100,6 +100,11 @@ class ExperimentConfig:
             raise ConfigError("the counterexample test needs a gaussian-iid design")
         if "negligibility" in tests and len(grid) < 2:
             raise ConfigError("the negligibility trend needs at least 2 grid points")
+        if not self.design.finite_through(grid[-1]):
+            raise ConfigError(
+                f"design values must be finite up to n = {grid[-1]}, but the "
+                f"{self.design.kind} design overflows float64 there"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -238,22 +243,16 @@ def _simulate_grid_point(
     xi_mean = np.empty(replicates)
     sums = np.empty((replicates, 6)) if need_latents else None
 
+    eta_base = spec.theta + spec.beta * x
+
     def work(lo: int, hi: int):
-        rows = hi - lo
-        xi = np.empty((rows, n))
-        eta = np.empty((rows, n))
-        eps = np.empty((rows, n)) if need_latents else None
-        delta = np.empty((rows, n)) if need_latents else None
-        for k, rep in enumerate(range(lo, hi)):
-            e = spec.eps_dist.sample(uniforms((seed, n, rep, STREAM_EPS), n))
-            d = spec.delta_dist.sample(uniforms((seed, n, rep, STREAM_DELTA), n))
-            xi[k] = x + d
-            eta[k] = spec.theta + spec.beta * x + e
-            if need_latents:
-                eps[k] = e
-                delta[k] = d
+        reps = range(lo, hi)
+        e = spec.eps_dist.sample(uniforms([(seed, n, rep, STREAM_EPS) for rep in reps], n))
+        d = spec.delta_dist.sample(uniforms([(seed, n, rep, STREAM_DELTA) for rep in reps], n))
+        xi = x + d
+        eta = eta_base + e
         fit = kernels.fit_batch(xi, eta)
-        dec = kernels.decompose_batch(x, xi, eps, delta) if need_latents else None
+        dec = kernels.decompose_batch(x, xi, e, d) if need_latents else None
         return lo, hi, fit, dec, xi.mean(axis=1)
 
     spans = [(lo, min(lo + chunk_size, replicates)) for lo in range(0, replicates, chunk_size)]
@@ -269,7 +268,7 @@ def _simulate_grid_point(
             for col, values in enumerate(dec):
                 sums[lo:hi, col] = values
 
-    valid = sxx >= np.array([singular_threshold(n, m) for m in xi_mean])
+    valid = sxx >= singular_threshold(n, xi_mean)
 
     ratios = None
     identity_gap = None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, stats
 from scipy.special import erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
 
 from .design import DesignSequence
@@ -178,6 +177,8 @@ class ErrorDistribution:
         if self.family == "laplace":
             return s**k * math.gamma(k + 1) * float(gammainc(k + 1, c / s))
         if self.family == "student-t":
+            from scipy import integrate, stats
+
             df = self.df
             val, _ = integrate.quad(
                 lambda t: 2.0 * t**k * stats.t.pdf(t, df), 0.0, c / s, epsabs=1e-12
@@ -203,6 +204,8 @@ class ErrorDistribution:
         if self.family == "laplace":
             return math.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
         if self.family == "student-t":
+            from scipy import integrate, stats
+
             df = self.df
             val, _ = integrate.quad(
                 lambda t: 2.0 * t * t * stats.t.pdf(t, df),

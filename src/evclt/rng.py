@@ -5,11 +5,20 @@ is derived from an integer tuple such as (seed, n, replicate, stream id).
 The i-th raw output of a keyed stream is a pure function of (key, i), so
 results do not depend on execution order or worker count, and prefixes are
 stable: the first n draws of a stream never change when more are requested.
+
+A tuple keys the stream ``Philox(SeedSequence(tuple))``. Building one
+``SeedSequence`` per stream costs more than drawing a few thousand values
+from it, so the tuples of a block of streams are hashed together: the
+SeedSequence entropy hash (pool size 4, as in numpy's ``bit_generator.pyx``)
+is written below as uint32 array arithmetic over all tuples of one word
+length at once, and one Philox generator is re-keyed for each row. The
+streams are bit-identical to numpy's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -23,24 +32,111 @@ STREAM_MC_DELTA = 5
 
 _INV_2_53 = 2.0 ** -53
 
-
+_MASK_32 = (1 << 32) - 1
 _MASK_64 = (1 << 64) - 1
 
+# numpy SeedSequence hash constants.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
-def keyed_bit_generator(key: Sequence[int]) -> np.random.Philox:
-    """Philox bit generator keyed by an integer tuple.
 
-    Components are reduced modulo 2^64 (SeedSequence rejects negatives, and
-    config seeds are allowed to be any integer).
-    """
-    return np.random.Philox(np.random.SeedSequence([int(k) & _MASK_64 for k in key]))
+def _words(key: Sequence[int]) -> tuple[int, ...]:
+    """SeedSequence entropy words of a key: each component reduced modulo
+    2^64 (SeedSequence rejects negatives, and config seeds may be any
+    integer), then split into little-endian uint32 words, 0 giving one."""
+    out: list[int] = []
+    for k in key:
+        k = int(k) & _MASK_64
+        out.append(k & _MASK_32)
+        if k >> 32:
+            out.append(k >> 32)
+    return tuple(out)
 
 
-def uniforms(key: Sequence[int], n: int) -> np.ndarray:
+class _HashMix:
+    """``hashmix`` with its running hash constant, over uint32 columns."""
+
+    def __init__(self) -> None:
+        self.const = _INIT_A
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * _MULT_A) & _MASK_32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys, shape (m, 2) uint64, of m entropy rows of equal word
+    length: ``SeedSequence(row).generate_state(2, np.uint64)`` for each."""
+    m, length = entropy.shape
+    hashmix = _HashMix()
+    zeros = np.zeros(m, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    state = np.empty((m, _POOL_SIZE), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(_POOL_SIZE):
+        word = pool[i] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK_32
+        word = word * np.uint32(const)
+        state[:, i] = word ^ (word >> _XSHIFT)
+    # Pairs of words, low word first, as generate_state's little-endian view.
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+def _raw_block(keys: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Raw Philox outputs, shape (len(keys), n): row i is
+    ``Philox(SeedSequence(keys[i])).random_raw(n)``."""
+    words = [_words(key) for key in keys]
+    philox_keys = np.empty((len(words), 2), dtype=np.uint64)
+    by_length: dict[int, list[int]] = {}
+    for row, w in enumerate(words):
+        by_length.setdefault(len(w), []).append(row)
+    for rows in by_length.values():
+        philox_keys[rows] = _philox_keys(np.array([words[r] for r in rows], dtype=np.uint32))
+
+    raw = np.empty((len(words), n), dtype=np.uint64)
+    bit_gen = np.random.Philox(key=0)
+    state = bit_gen.state  # zero counter, empty buffer
+    for row, key in enumerate(philox_keys):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        raw[row] = bit_gen.random_raw(n)
+    return raw
+
+
+def uniforms(key: Sequence[int] | Sequence[Sequence[int]], n: int) -> np.ndarray:
     """n uniforms on the open interval (0, 1) from the keyed stream.
 
     Uses the top 53 bits of each raw Philox output, offset by half an ulp so
     that 0 and 1 are never produced (inverse-CDF transforms stay finite).
+
+    Given a list of keys instead of one key, returns a (len(keys), n) block
+    whose row i is bit-identical to ``uniforms(keys[i], n)``.
     """
-    raw = keyed_bit_generator(key).random_raw(n)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    single = len(key) == 0 or isinstance(key[0], Integral)
+    raw = _raw_block([key] if single else key, n)
+    raw >>= np.uint64(11)
+    out = raw.astype(np.float64)
+    out += 0.5
+    out *= _INV_2_53
+    return out[0] if single else out

@@ -17,6 +17,7 @@ from evclt.estimator import (
     fit,
     identity_gaps,
     negligible_ratios,
+    singular_threshold,
     standardize,
 )
 from evclt.model import ErrorDistribution, EVModelSpec, EVSample, draw_sample
@@ -70,6 +71,14 @@ def test_fit_residuals_orthogonal(standard_spec, linear_design):
     assert abs(np.dot(resid, sample.xi)) <= 1e-9 * float(
         np.sqrt(np.sum(sample.eta**2) * np.sum(sample.xi**2))
     )
+
+
+def test_singular_threshold_over_an_array_matches_each_mean():
+    means = np.array([0.0, -0.5, 0.999, 1.0, -3.25, 1e8])
+    floors = singular_threshold(500, means)
+    for mean, floor in zip(means, floors):
+        assert floor == 1e-12 * 500 * max(1.0, mean * mean)
+        assert floor == singular_threshold(500, float(mean))
 
 
 def test_fit_singular_design_rejected(noiseless_spec):

@@ -147,6 +147,18 @@ def test_single_point_negligibility_fails_before_any_simulation(
     assert calls == []
 
 
+def test_geometric_overflow_fails_before_any_simulation(monkeypatch, standard_spec):
+    calls = _count_grid_points(monkeypatch)
+    design = DesignSequence("geometric", {"base": 2.0})
+    with pytest.raises(ConfigError, match="overflow"):
+        _config(design, standard_spec, n_grid=(100, 1100))
+    with pytest.raises(ConfigError, match="overflow"):
+        run_experiment(_config(design, standard_spec, n_grid=(100, 1024)))
+    assert calls == []
+    # 2^1023 is the largest power of two below the float64 maximum.
+    assert _config(design, standard_spec, n_grid=(100, 1023)).n_grid == (100, 1023)
+
+
 # --- run_experiment --------------------------------------------------------------------
 
 
@@ -172,6 +184,36 @@ def test_run_is_deterministic_and_worker_invariant(linear_design, standard_spec)
     assert report_json_bytes(first) == report_json_bytes(second)
     parallel, _ = run_experiment(config, workers=4)
     assert report_json_bytes(first) == report_json_bytes(parallel)
+
+
+@pytest.mark.parametrize(
+    "eps, delta",
+    [
+        (ErrorDistribution("normal", 1.0), ErrorDistribution("normal", 1.0)),
+        (ErrorDistribution("laplace", 0.7), ErrorDistribution("student-t", 1.0, df=6.0)),
+    ],
+)
+@pytest.mark.parametrize("tests", [("beta-clt", "theta-clt"), ("coverage", "negligibility")])
+def test_report_does_not_depend_on_chunking(eps, delta, tests):
+    spec = EVModelSpec(theta=1.0, beta=2.0, eps_dist=eps, delta_dist=delta)
+    replicates = 100
+    reports = set()
+    for chunk_size in (1, 7, 256, replicates):
+        config = _config(
+            DesignSequence("alternating"),
+            spec,
+            replicates=replicates,
+            n_grid=(60, 120),
+            tests=tests,
+            defaults=HarnessDefaults(chunk_size=chunk_size),
+        )
+        for workers in (1, 2):
+            report, _ = run_experiment(config, workers=workers)
+            if "negligibility" in tests:
+                assert report["identity_ok"] is True
+            del report["config"]
+            reports.add(report_json_bytes(report))
+    assert len(reports) == 1
 
 
 def test_beta_clt_passes_at_moderate_scale(standard_spec):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +268,28 @@ def test_export_sample_csv(tmp_path, noiseless_spec, linear_design):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "i,xi,eta,eps,delta"
     assert len(lines) == 4
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, evclt.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_student_t_truncated_moments_pinned():
+    dist = ErrorDistribution("student-t", 1.5, df=6.0)
+    assert dist.truncated_abs_moment(2.0, 2.0) == pytest.approx(0.79558319024593, rel=1e-12)
+    assert dist.truncated_abs_moment(3.0, 4.0) == pytest.approx(5.438445040888105, rel=1e-12)
+    assert dist.tail_second_moment(2.0) == pytest.approx(2.5794168097540697, rel=1e-12)
+    assert dist.tail_second_moment(10.0) == pytest.approx(0.08589366631823883, rel=1e-12)
