@@ -30,6 +30,7 @@ its verdict must track c6 on every nondegenerate design.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
@@ -295,6 +296,20 @@ def _nu_quadrature_law(spec: EVModelSpec) -> tuple[str, ErrorDistribution | None
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _monte_carlo_nu_abs(spec: EVModelSpec, n: int, mc_budget: int, seed: int) -> np.ndarray:
+    """|nu| for the Monte Carlo Lindeberg sum at one grid point, read-only.
+
+    The draws depend on (spec, n, mc_budget, seed) but not on r, so the
+    calls for each r at one grid point share a single draw.
+    """
+    draws_eps = spec.eps_dist.sample(uniforms((seed, n, STREAM_MC_EPS), mc_budget))
+    draws_delta = spec.delta_dist.sample(uniforms((seed, n, STREAM_MC_DELTA), mc_budget))
+    nu_abs = np.abs(draws_eps - spec.beta * draws_delta)
+    nu_abs.setflags(write=False)
+    return nu_abs
+
+
 def lindeberg_sum(
     design: DesignSequence,
     n: int,
@@ -341,9 +356,7 @@ def lindeberg_sum(
         return LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
                                method="quadrature", stderr=None)
 
-    draws_eps = spec.eps_dist.sample(uniforms((seed, n, STREAM_MC_EPS), mc_budget))
-    draws_delta = spec.delta_dist.sample(uniforms((seed, n, STREAM_MC_DELTA), mc_budget))
-    nu_abs = np.abs(draws_eps - spec.beta * draws_delta)
+    nu_abs = _monte_carlo_nu_abs(spec, n, mc_budget, seed)
     order = np.argsort(thresholds)
     sorted_thr = thresholds[order]
     weight_prefix = np.concatenate([[0.0], np.cumsum((coeff * coeff)[order])])

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
+from scipy.special import beta as beta_function
+from scipy.special import betainc, erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
 
 from .design import DesignSequence
 from .errors import ConfigError
@@ -35,6 +36,26 @@ FAMILIES = (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def _t_beta_arguments(nu: float, m: float) -> tuple[float, float]:
+    """x = m^2 / (nu + m^2) and y = nu / (nu + m^2), each computed directly.
+
+    T^2 / (nu + T^2) ~ Beta(1/2, nu/2) for T ~ t(nu), so the student-t
+    truncated moments are incomplete beta functions at x (or y = 1 - x);
+    see Johnson, Kotz and Balakrishnan, *Continuous Univariate
+    Distributions* vol. 2, ch. 28.
+    """
+    m2 = m * m
+    return m2 / (nu + m2), nu / (nu + m2)
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b), given y = 1 - x; taken as 1 - I_y(b, a) when x > 1/2 so
+    that neither argument is ever formed as 1 minus the other."""
+    if x > 0.5:
+        return 1.0 - float(betainc(b, a, y))
+    return float(betainc(a, b, x))
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,10 @@ class ErrorDistribution:
         return 1.0 if s >= c else 0.0
 
     def truncated_abs_moment(self, order: float, cutoff: float) -> float:
-        """E[|X|^order ; |X| < cutoff] (strict truncation)."""
+        """E[|X|^order ; |X| < cutoff] (strict truncation).
+
+        Closed form for every family; student-t needs order < df.
+        """
         s, c, k = self.scale, float(cutoff), float(order)
         if c <= 0 or s == 0.0:
             return 0.0
@@ -177,13 +201,16 @@ class ErrorDistribution:
         if self.family == "laplace":
             return s**k * math.gamma(k + 1) * float(gammainc(k + 1, c / s))
         if self.family == "student-t":
-            from scipy import integrate, stats
-
-            df = self.df
-            val, _ = integrate.quad(
-                lambda t: 2.0 * t**k * stats.t.pdf(t, df), 0.0, c / s, epsabs=1e-12
-            )
-            return s**k * val
+            if not self.moment_exists(k):
+                raise ConfigError(
+                    f"student-t with df={self.df} has no closed-form truncated moment "
+                    f"of order {k}"
+                )
+            nu = float(self.df)  # type: ignore[arg-type]
+            x, y = _t_beta_arguments(nu, c / s)
+            a, b = (k + 1) / 2, (nu - k) / 2
+            ratio = beta_function(a, b) / beta_function(0.5, nu / 2)
+            return s**k * nu ** (k / 2) * float(ratio) * _regularized_beta(a, b, x, y)
         return s**k if s < c else 0.0
 
     def tail_second_moment(self, cutoff: float) -> float:
@@ -204,16 +231,9 @@ class ErrorDistribution:
         if self.family == "laplace":
             return math.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
         if self.family == "student-t":
-            from scipy import integrate, stats
-
-            df = self.df
-            val, _ = integrate.quad(
-                lambda t: 2.0 * t * t * stats.t.pdf(t, df),
-                c / s,
-                math.inf,
-                epsabs=1e-13,
-            )
-            return s * s * val
+            nu = float(self.df)  # type: ignore[arg-type]
+            x, y = _t_beta_arguments(nu, c / s)
+            return s * s * nu / (nu - 2) * _regularized_beta((nu - 2) / 2, 1.5, y, x)
         return s * s if s > c else 0.0
 
     def to_dict(self) -> dict:

@@ -233,6 +233,18 @@ def test_lindeberg_single_component_quadrature(linear_design):
     assert abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
 
 
+def test_lindeberg_single_law_student_t_quadrature(linear_design):
+    # beta = 0 makes nu = eps; each index's student-t tail is a closed-form
+    # incomplete beta function
+    spec = EVModelSpec(
+        0.0, 0.0, ErrorDistribution("student-t", 1.0, df=6.0), ErrorDistribution("normal", 1.0)
+    )
+    quad = lindeberg_sum(linear_design, 2000, spec, r=0.05)
+    mc = lindeberg_sum(linear_design, 2000, spec, r=0.05, method="monte-carlo", mc_budget=200_000)
+    assert 0.1 < quad.sum_value < 0.9
+    assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
+
+
 def test_lindeberg_unsupported_quadrature_law(linear_design):
     spec = _spec(eps=("laplace", 1.0), delta=("uniform-centered", 1.0), beta=2.0)
     with pytest.raises(QuadratureUnsupportedError):
@@ -265,6 +277,25 @@ def test_petrov_iii_tracks_c6_values(linear_design, standard_spec):
     for got, ref in zip(iii.values[-3:], c6.values[-3:]):
         assert got == pytest.approx(ref, rel=1e-6)
     assert iii.verdict == c6.verdict == VERDICT_SATISFIED
+
+
+def test_petrov_student_t_moments_at_large_n(linear_design):
+    # At n = 1e6 the truncation point S_n^(1/4) ~ 1.7e4 lies far in the
+    # tail, so the truncated moments of delta are its full moments.
+    df = 30.0
+    spec = EVModelSpec(
+        1.0, 2.0, ErrorDistribution("normal", 1.0), ErrorDistribution("student-t", 1.0, df=df)
+    )
+    grid = [1000, 10_000, 100_000, 1_000_000]
+    report = petrov_conditions(linear_design, spec, grid)
+    n = grid[-1]
+    second = df / (df - 2)
+    fourth = 3 * df**2 / ((df - 2) * (df - 4))
+    iii, ii = report.paths["petrov-iii"], report.paths["petrov-ii"]
+    assert iii.values[-1] / report.corollary.values[-1] == pytest.approx(second, rel=1e-12)
+    s_n = n * (n * n - 1) / 12
+    assert ii.values[-1] * s_n / n == pytest.approx(fourth - second**2, rel=1e-9)
+    assert iii.verdict == report.corollary.verdict == VERDICT_SATISFIED
 
 
 def test_petrov_bounded_delta_first_condition_zero(linear_design):

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+from evclt import asymptotics, cli
+from evclt.asymptotics import lindeberg_sum
 from evclt.cli import main
+from evclt.config import load_config
 
 
 @pytest.fixture(autouse=True)
@@ -229,6 +236,81 @@ def test_lindeberg_bounded_zero_case(tmp_path):
 def test_lindeberg_rejects_nonpositive_r(tmp_path):
     config = _write_config(tmp_path, _base_config(lindeberg={"r_grid": [-0.5]}))
     assert main(["lindeberg", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_lindeberg_monte_carlo_draws_once_per_grid_point(tmp_path, monkeypatch):
+    calls = []
+    real_uniforms = asymptotics.uniforms
+
+    def counting_uniforms(*args, **kwargs):
+        calls.append(args)
+        return real_uniforms(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "uniforms", counting_uniforms)
+    config_path = _write_config(
+        tmp_path,
+        _base_config(
+            grid=[100, 200, 500],
+            lindeberg={"r_grid": [0.1, 0.5, 1.0], "method": "monte-carlo", "mc_budget": 20_000},
+        ),
+    )
+    out = tmp_path / "out"
+    asymptotics._monte_carlo_nu_abs.cache_clear()
+    assert main(["lindeberg", "--config", str(config_path), "--out", str(out)]) == 0
+    assert len(calls) == 6  # eps and delta streams, once per grid point
+
+    # the shared draw gives the same reports as a fresh draw for every call
+    config = load_config(config_path)
+    section = config.lindeberg
+    reports = []
+    for n in config.n_grid:
+        for r in section.r_grid:
+            asymptotics._monte_carlo_nu_abs.cache_clear()
+            reports.append(
+                lindeberg_sum(
+                    config.design,
+                    n,
+                    config.model,
+                    r,
+                    method=section.method,
+                    mc_budget=section.mc_budget,
+                    seed=config.seed,
+                ).to_dict()
+            )
+    expected = tmp_path / "expected.json"
+    cli._write_json(expected, {"reports": reports})
+    assert (out / "lindeberg.json").read_bytes() == expected.read_bytes()
+
+
+def test_student_t_diagnose_and_lindeberg_leave_scipy_stats_and_integrate_unloaded(tmp_path):
+    # beta = 0 makes nu = eps, so quadrature runs on the student-t eps law;
+    # Petrov runs on the student-t delta law
+    t_law = {"family": "student-t", "scale": 1.0, "df": 6}
+    config = _write_config(
+        tmp_path,
+        _base_config(
+            model={"theta": 1.0, "beta": 0.0, "eps": t_law, "delta": t_law},
+            diagnose={"petrov": True},
+            lindeberg={"r_grid": [0.1, 0.5], "method": "quadrature"},
+        ),
+    )
+    code = (
+        "import sys; from evclt.cli import main; "
+        "codes = [main([c, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + c]) "
+        "for c in ('diagnose', 'lindeberg')]; "
+        "print(codes, [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "out" / "diagnose" / "petrov.csv").is_file()
 
 
 # --- counterexample --------------------------------------------------------------------

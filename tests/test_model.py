@@ -137,6 +137,9 @@ def test_nonexistent_student_t_moment_rejected():
     with pytest.raises(ConfigError):
         dist.abs_moment(4.5)
     with pytest.raises(ConfigError):
+        # the closed form needs order < df
+        dist.truncated_abs_moment(4.5, 1.0)
+    with pytest.raises(ConfigError):
         # alpha=3 needs order-5 moments, df=4.5 cannot provide them
         EVModelSpec(0.0, 1.0, ErrorDistribution("normal", 1.0), dist, alpha=3.0)
 
@@ -293,3 +296,39 @@ def test_student_t_truncated_moments_pinned():
     assert dist.truncated_abs_moment(3.0, 4.0) == pytest.approx(5.438445040888105, rel=1e-12)
     assert dist.tail_second_moment(2.0) == pytest.approx(2.5794168097540697, rel=1e-12)
     assert dist.tail_second_moment(10.0) == pytest.approx(0.08589366631823883, rel=1e-12)
+
+
+@pytest.mark.parametrize("df", [4.5, 6.0, 30.0, 200.0])
+def test_student_t_truncated_moments_match_incomplete_beta_reference(df):
+    # T^2 / (nu + T^2) ~ Beta(1/2, nu/2): both moments are regularized
+    # incomplete beta functions, evaluated here at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    scale = 2.0  # a power of two, so cutoff / scale is exact
+    dist = ErrorDistribution("student-t", scale, df=df)
+    checked = 0
+    with mpmath.workdps(50):
+        nu, s = mpmath.mpf(df), mpmath.mpf(scale)
+        for cutoff in (0.01, 0.3, 1.0, 3.0, 50.0, 1e4):
+            m = mpmath.mpf(cutoff) / s
+            x = m**2 / (nu + m**2)
+            y = nu / (nu + m**2)
+            refs = {}
+            for k in (2, 3, 4):
+                if k >= df:
+                    continue
+                a, b = mpmath.mpf(k + 1) / 2, (nu - k) / 2
+                pre = s**k * nu ** (mpmath.mpf(k) / 2) * mpmath.beta(a, b) / mpmath.beta(0.5, nu / 2)
+                refs[f"truncated k={k}"] = (
+                    pre * mpmath.betainc(a, b, 0, x, regularized=True),
+                    dist.truncated_abs_moment(float(k), cutoff),
+                )
+            refs["tail"] = (
+                s**2 * nu / (nu - 2) * mpmath.betainc((nu - 2) / 2, 1.5, 0, y, regularized=True),
+                dist.tail_second_moment(cutoff),
+            )
+            for label, (ref, got) in refs.items():
+                if ref < mpmath.mpf("1e-290"):
+                    continue
+                assert got == pytest.approx(float(ref), rel=1e-13), (label, cutoff)
+                checked += 1
+    assert checked >= 20
