@@ -2,7 +2,6 @@
 decomposition, asymptotic-condition diagnostics, and a seeded Monte Carlo
 harness that checks the standardized estimators against the normal limit."""
 
-from ._backend import active_backend
 from .design import DesignSequence, DesignSummary, generate_design, summarize, summary_path
 from .estimator import (
     Decomposition,
@@ -43,6 +42,5 @@ __all__ = [
     "decompose",
     "standardize",
     "negligible_ratios",
-    "active_backend",
     "__version__",
 ]

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .design import DesignSequence, DesignSummary, summary_path
+from .design import DesignSequence, DesignSummary, summarize, summary_path
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from .model import ErrorDistribution, EVModelSpec
 from .rng import STREAM_MC_DELTA, STREAM_MC_EPS, uniforms
@@ -76,13 +76,7 @@ class ConditionPath:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_grid": list(self.n_grid),
-            "values": list(self.values),
-            "target": self.target,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,13 +88,7 @@ class LindebergReport:
     stderr: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "sum_value": self.sum_value,
-            "method": self.method,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,13 +102,7 @@ class HierarchyReport:
     flagged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "n_over_root_s": list(self.n_over_root_s),
-            "root_s_over_maxdev_sq": list(self.root_s_over_maxdev_sq),
-            "maxdev_sq_over_s": list(self.maxdev_sq_over_s),
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -328,12 +310,12 @@ def lindeberg_sum(
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
     x = design.generate(n)
-    dev = x - np.mean(x)
-    s_n = float(np.sum(dev * dev))
-    if s_n <= 0.0:
+    summary = summarize(x)
+    if summary.s_n <= 0.0:
         raise DegenerateDesignError("Lindeberg array needs S_n > 0")
 
-    coeff = np.abs(dev) / math.sqrt(s_n * variance)  # X_{n,i} = coeff_i * nu_i
+    # X_{n,i} = coeff_i * nu_i
+    coeff = np.abs(x - summary.mean) / math.sqrt(summary.s_n * variance)
     active = coeff > 0.0
     coeff = coeff[active]
     bound = spec.nu_bound()

@@ -52,38 +52,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .asymptotics import CONDITION_IDS, TrendRule
-from .design import DesignSequence
+from .design import DesignSequence, check_grid
 from .errors import ConfigError
-from .harness import ExperimentConfig, HarnessDefaults, TEST_KINDS
+from .harness import ExperimentConfig, HarnessDefaults, check_tests
 from .model import ErrorDistribution, EVModelSpec
 
 DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
 DEFAULT_LINDEBERG_R_GRID = (0.1, 0.5, 1.0)
 
-_TREND_KEYS = {
-    "trend_tail_k": ("tail_k", int),
-    "trend_to_zero_threshold": ("to_zero_threshold", float),
-    "trend_to_infinity_threshold": ("to_infinity_threshold", float),
-    "trend_plateau_rel_change": ("plateau_rel_change", float),
-}
-_HARNESS_KEYS = {
-    "ks_critical_coefficient": float,
-    "ks_absolute_slack": float,
-    "coverage_nominal": float,
-    "coverage_slack": float,
-    "counterexample_mean_tol": float,
-    "counterexample_ks_min": float,
-    "max_skip_fraction": float,
-    "min_distributional_replicates": int,
-    "identity_gap_max": float,
-    "chunk_size": int,
-}
+# The ``defaults`` section: config key -> field; each value is cast to the
+# type of the field's default.
+_TREND_KEYS = {f"trend_{f.name}": f for f in fields(TrendRule)}
+_HARNESS_KEYS = {f.name: f for f in fields(HarnessDefaults)}
 
 
 @dataclass(frozen=True)
@@ -93,11 +79,7 @@ class DiagnoseSection:
     petrov: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "conditions": list(self.conditions),
-            "hierarchy": self.hierarchy,
-            "petrov": self.petrov,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,7 @@ class LindebergSection:
     mc_budget: int = 1_000_000
 
     def to_dict(self) -> dict:
-        return {"r_grid": list(self.r_grid), "method": self.method, "mc_budget": self.mc_budget}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -140,24 +122,12 @@ class AppConfig:
         return replace(self, seed=int(seed))
 
     def canonical(self) -> dict:
-        return {
-            "seed": self.seed,
-            "design": self.design.to_dict(),
-            "model": self.model.to_dict(),
-            "grid": list(self.n_grid),
-            "replicates": self.replicates,
-            "variance_source": self.variance_source,
-            "tests": list(self.tests),
-            "trend_rule": {
-                "tail_k": self.trend_rule.tail_k,
-                "to_zero_threshold": self.trend_rule.to_zero_threshold,
-                "to_infinity_threshold": self.trend_rule.to_infinity_threshold,
-                "plateau_rel_change": self.trend_rule.plateau_rel_change,
-            },
-            "defaults": self.harness.to_dict(),
-            "diagnose": self.diagnose.to_dict(),
-            "lindeberg": self.lindeberg.to_dict(),
-        }
+        """The fields under their config-file names; ``config_hash`` hashes it."""
+        out = asdict(self)
+        out["model"] = self.model.to_dict()
+        out["grid"] = out.pop("n_grid")
+        out["defaults"] = out.pop("harness")
+        return out
 
 
 def config_hash(config: AppConfig) -> str:
@@ -234,15 +204,11 @@ def _parse_variance_source(value) -> str:
 def _parse_defaults(node) -> tuple[TrendRule, HarnessDefaults]:
     node = _require_mapping(node, "defaults")
     _check_keys(node, set(_TREND_KEYS) | set(_HARNESS_KEYS), "defaults")
-    trend_kwargs = {}
-    for key, (attr, cast) in _TREND_KEYS.items():
-        if key in node:
-            trend_kwargs[attr] = cast(node[key])
-    harness_kwargs = {}
-    for key, cast in _HARNESS_KEYS.items():
-        if key in node:
-            harness_kwargs[key] = cast(node[key])
-    return TrendRule(**trend_kwargs), HarnessDefaults(**harness_kwargs)
+
+    def kwargs(keys: dict) -> dict:
+        return {f.name: type(f.default)(node[key]) for key, f in keys.items() if key in node}
+
+    return TrendRule(**kwargs(_TREND_KEYS)), HarnessDefaults(**kwargs(_HARNESS_KEYS))
 
 
 def _parse_diagnose(node) -> DiagnoseSection:
@@ -294,28 +260,20 @@ def parse_config(data: dict) -> AppConfig:
     for key in ("design", "model"):
         if key not in data:
             raise ConfigError(f"config.{key} is required")
-    tests = tuple(str(t) for t in data.get("tests", ("beta-clt",)))
-    for t in tests:
-        if t not in TEST_KINDS:
-            raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
     trend_rule, harness = _parse_defaults(data.get("defaults", {}))
-    config = AppConfig(
+    return AppConfig(
         seed=int(data.get("seed", 0)),
         design=_parse_design(data["design"]),
         model=_parse_model(data["model"]),
-        n_grid=tuple(int(n) for n in data.get("grid", DEFAULT_N_GRID)),
+        n_grid=check_grid(data.get("grid", DEFAULT_N_GRID)),
         replicates=int(data.get("replicates", 1000)),
         variance_source=_parse_variance_source(data.get("variance_source", "true")),
-        tests=tests,
+        tests=check_tests(data.get("tests", ("beta-clt",))),
         trend_rule=trend_rule,
         harness=harness,
         diagnose=_parse_diagnose(data.get("diagnose", {})),
         lindeberg=_parse_lindeberg(data.get("lindeberg", {})),
     )
-    grid = config.n_grid
-    if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("grid must be strictly increasing with min >= 2")
-    return config
 
 
 def load_config(path: str | Path) -> AppConfig:

@@ -28,7 +28,7 @@ randomness.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
@@ -133,7 +133,7 @@ class DesignSequence:
         return bool(np.isfinite(last))
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,7 @@ class DesignSummary:
     s_star: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "s_n": self.s_n,
-            "max_dev": self.max_dev,
-            "s_star": self.s_star,
-        }
+        return asdict(self)
 
 
 def generate_design(kind: str, params: Mapping[str, float] | None, seed: int, n: int) -> np.ndarray:
@@ -168,16 +162,25 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
         raise ConfigError("summarize needs a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("summarize needs finite values (geometric designs overflow for large n)")
-    mean, s_n, max_dev = kernels.summary_stats(arr)
     n = arr.shape[0]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        mean, s_n, max_dev = kernels.summary_stats(arr)
+    if not np.isfinite(s_n):
+        raise ConfigError(f"the dispersion S_n of {n} design values overflows float64")
     return DesignSummary(n=n, mean=mean, s_n=s_n, max_dev=max_dev, s_star=max(float(n), s_n))
+
+
+def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
+    """The n grid as a tuple of ints; it must be strictly increasing with min >= 2."""
+    grid = tuple(int(n) for n in n_grid)
+    if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("the n grid must be strictly increasing with min >= 2")
+    return grid
 
 
 def summary_path(design: DesignSequence, n_grid: Sequence[int]) -> list[DesignSummary]:
     """Summaries of the design prefixes at each grid point."""
-    grid = [int(n) for n in n_grid]
-    if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("n_grid must be strictly increasing with min >= 2")
+    grid = check_grid(n_grid)
     x = design.generate(grid[-1])
     return [summarize(x[:n]) for n in grid]
 

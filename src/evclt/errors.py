@@ -31,7 +31,3 @@ class ZeroVarianceError(EvcltError):
 class QuadratureUnsupportedError(EvcltError):
     """The composite-error law has no tractable density for the quadrature
     path; use the Monte Carlo method instead."""
-
-
-class BackendError(EvcltError):
-    """Requested compute backend cannot be provided."""

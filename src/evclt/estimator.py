@@ -21,7 +21,8 @@ design dispersion, the intercept error with the sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
@@ -59,18 +60,13 @@ class FitResult:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "beta_hat": self.beta_hat,
-            "theta_hat": self.theta_hat,
-            "sxx_obs": self.sxx_obs,
-            "residual_var": self.residual_var,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The five centered sums of the exact slope-error identities.
+    """The five centered sums of the exact slope-error identities, as floats
+    for one sample or as per-replicate arrays (see ``from_sums``).
 
     ``sum_delta_sq`` carries sum d(delta)^2 without the beta factor; the
     first negligibility ratio needs it even when beta = 0.
@@ -84,16 +80,23 @@ class Decomposition:
     sxx_obs: float
     sum_delta_sq: float
 
+    @classmethod
+    def from_sums(
+        cls, beta, s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps, sxx_obs
+    ) -> "Decomposition":
+        """The terms from the raw sums of ``kernels.decompose_batch``."""
+        return cls(
+            term_xi_eps=s_xi_eps,
+            term_x_delta=beta * s_x_delta,
+            term_delta_sq=beta * s_delta_sq,
+            term_delta_eps=s_delta_eps,
+            term_x_nu=s_x_eps - beta * s_x_delta,
+            sxx_obs=sxx_obs,
+            sum_delta_sq=s_delta_sq,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "term_xi_eps": self.term_xi_eps,
-            "term_x_delta": self.term_x_delta,
-            "term_delta_sq": self.term_delta_sq,
-            "term_delta_eps": self.term_delta_eps,
-            "term_x_nu": self.term_x_nu,
-            "sxx_obs": self.sxx_obs,
-            "sum_delta_sq": self.sum_delta_sq,
-        }
+        return asdict(self)
 
     def slope_error_direct(self) -> float:
         """(beta_hat - beta) via the observed-regressor form."""
@@ -112,12 +115,7 @@ class StandardizedStats:
     variance_source: VarianceSource
 
     def to_dict(self) -> dict:
-        return {
-            "z_beta": self.z_beta,
-            "z_theta": self.z_theta,
-            "used_variance": self.used_variance,
-            "variance_source": self.variance_source,
-        }
+        return asdict(self)
 
 
 def fit(sample: EVSample) -> FitResult:
@@ -145,22 +143,42 @@ def decompose(sample: EVSample, spec: EVModelSpec) -> Decomposition:
     if not sample.has_latents:
         raise MissingLatentsError("decompose needs a sample drawn with retain_latents=True")
     x = sample.design.generate(sample.n)
-    s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps, sxx_obs = kernels.decompose_batch(
+    sums = kernels.decompose_batch(
         x,
         np.asarray(sample.xi)[None, :],
         np.asarray(sample.latent_eps)[None, :],
         np.asarray(sample.latent_delta)[None, :],
     )
-    beta = spec.beta
-    return Decomposition(
-        term_xi_eps=float(s_xi_eps[0]),
-        term_x_delta=beta * float(s_x_delta[0]),
-        term_delta_sq=beta * float(s_delta_sq[0]),
-        term_delta_eps=float(s_delta_eps[0]),
-        term_x_nu=float(s_x_eps[0]) - beta * float(s_x_delta[0]),
-        sxx_obs=float(sxx_obs[0]),
-        sum_delta_sq=float(s_delta_sq[0]),
-    )
+    return Decomposition.from_sums(spec.beta, *(float(s[0]) for s in sums))
+
+
+def standardizing_variance(
+    spec: EVModelSpec, variance_source: VarianceSource, residual_var: float | np.ndarray
+) -> float | np.ndarray:
+    """V of the standardized statistics: sigma2^2 + beta^2 sigma1^2 with the
+    true source; with plug-in, the fit's mean squared residual (a float or
+    one per replicate), which must be positive."""
+    if variance_source == "true":
+        return spec.nu_variance()
+    if variance_source == "plug-in":
+        if np.any(residual_var <= 0.0):
+            raise ZeroVarianceError("plug-in standardization needs residual_var > 0")
+        return residual_var
+    raise ConfigError(f"unknown variance source {variance_source!r}")
+
+
+def standardized_errors(beta_err, theta_err, s_n: float, n: int, variance):
+    """(z_beta, z_theta) = (sqrt(S_n) beta_err, sqrt(n) theta_err) / sqrt(V),
+    elementwise over replicate arrays.
+
+    A zero estimation error maps to a zero statistic even when V is zero
+    (the noiseless degenerate case).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root_v = np.sqrt(variance)
+        z_beta = np.where(beta_err == 0.0, 0.0, math.sqrt(s_n) * beta_err / root_v)
+        z_theta = np.where(theta_err == 0.0, 0.0, math.sqrt(n) * theta_err / root_v)
+    return z_beta, z_theta
 
 
 def standardize(
@@ -169,44 +187,35 @@ def standardize(
     summary: DesignSummary,
     variance_source: VarianceSource = "true",
 ) -> StandardizedStats:
-    """Standardized slope and intercept statistics.
-
-    With the true source the variance is sigma2^2 + beta^2 sigma1^2; with
-    plug-in it is the fit's mean squared residual, which must be positive.
-    A zero estimation error maps to a zero statistic even when the variance
-    is zero (the noiseless degenerate case).
-    """
-    if variance_source == "true":
-        variance = spec.nu_variance()
-    elif variance_source == "plug-in":
-        variance = fit_result.residual_var
-        if variance <= 0.0:
-            raise ZeroVarianceError("plug-in standardization needs residual_var > 0")
-    else:
-        raise ConfigError(f"unknown variance source {variance_source!r}")
-
-    def _scale(err: float, factor: float) -> float:
-        if err == 0.0:
-            return 0.0
-        return factor * err / np.sqrt(variance)
-
+    """Standardized slope and intercept statistics of one fit; see
+    ``standardizing_variance`` and ``standardized_errors``."""
+    variance = standardizing_variance(spec, variance_source, fit_result.residual_var)
+    z_beta, z_theta = standardized_errors(
+        fit_result.beta_hat - spec.beta,
+        fit_result.theta_hat - spec.theta,
+        summary.s_n,
+        summary.n,
+        variance,
+    )
     return StandardizedStats(
-        z_beta=_scale(fit_result.beta_hat - spec.beta, float(np.sqrt(summary.s_n))),
-        z_theta=_scale(fit_result.theta_hat - spec.theta, float(np.sqrt(summary.n))),
+        z_beta=float(z_beta),
+        z_theta=float(z_theta),
         used_variance=float(variance),
         variance_source=variance_source,
     )
 
 
-def negligible_ratios(decomp: Decomposition, summary: DesignSummary) -> tuple[float, float, float]:
+def negligible_ratios(decomp: Decomposition, summary: DesignSummary) -> tuple:
     """The three quantities that vanish in probability when the slope CLT holds:
 
     sum d(delta)^2 / sqrt(S_n),  |sum d(delta) eps| / sqrt(S_n),
     and  sum d(xi)^2 / S_n - 1  (the last one signed).
+
+    Elementwise when the decomposition holds per-replicate arrays.
     """
     if summary.s_n <= 0.0:
         raise DegenerateDesignError("negligible ratios need S_n > 0")
-    root_s = float(np.sqrt(summary.s_n))
+    root_s = math.sqrt(summary.s_n)
     return (
         decomp.sum_delta_sq / root_s,
         abs(decomp.term_delta_eps) / root_s,
@@ -214,19 +223,30 @@ def negligible_ratios(decomp: Decomposition, summary: DesignSummary) -> tuple[fl
     )
 
 
+def slope_identity_gaps(beta_hat, beta: float, rhs_direct, rhs_split) -> tuple:
+    """|(beta_hat - beta) - rhs| / max(1, |beta|, |beta_hat|) for the direct
+    and the split form of the slope error; elementwise over replicate arrays.
+
+    The scale is max(1, |beta|, |beta_hat|) because beta_hat itself carries a
+    few ulps of error at the scale of beta.
+    """
+    err_fit = beta_hat - beta
+    fit_scale = np.maximum(1.0, np.maximum(abs(beta), np.abs(beta_hat)))
+    return np.abs(err_fit - rhs_direct) / fit_scale, np.abs(err_fit - rhs_split) / fit_scale
+
+
 def identity_gaps(fit_result: FitResult, decomp: Decomposition, spec: EVModelSpec) -> tuple[float, float, float]:
     """Relative identity residuals, measured against the estimator scale.
 
     Returns (direct-form gap, split-form gap, mutual gap between the two
-    forms). The first two compare against the fitted slope error and are
-    scaled by max(1, |beta|, |beta_hat|) because beta_hat itself carries a
-    few ulps of error at the scale of beta; the mutual gap is scaled by the
-    natural magnitude of the decomposition terms.
+    forms). The first two are ``slope_identity_gaps``; the mutual gap is
+    scaled by the natural magnitude of the decomposition terms.
     """
-    err_fit = fit_result.beta_hat - spec.beta
     rhs_direct = decomp.slope_error_direct()
     rhs_split = decomp.slope_error_split()
-    fit_scale = max(1.0, abs(spec.beta), abs(fit_result.beta_hat))
+    gap_direct, gap_split = slope_identity_gaps(
+        fit_result.beta_hat, spec.beta, rhs_direct, rhs_split
+    )
     term_scale = max(
         (
             abs(decomp.term_xi_eps)
@@ -240,8 +260,4 @@ def identity_gaps(fit_result: FitResult, decomp: Decomposition, spec: EVModelSpe
         abs(rhs_split),
         1e-300,
     )
-    return (
-        abs(err_fit - rhs_direct) / fit_scale,
-        abs(err_fit - rhs_split) / fit_scale,
-        abs(rhs_direct - rhs_split) / term_scale,
-    )
+    return float(gap_direct), float(gap_split), abs(rhs_direct - rhs_split) / term_scale

@@ -16,23 +16,38 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from ._backend import active_backend
-from .asymptotics import TrendRule, VERDICT_SATISFIED, condition_path
-from .design import DesignSequence, summarize
-from .errors import ConfigError, DegenerateDesignError, ZeroVarianceError
-from .estimator import singular_threshold
+from .asymptotics import TrendRule, VERDICT_SATISFIED, condition_path_from_summaries
+from .design import DesignSequence, DesignSummary, check_grid, summarize
+from .errors import ConfigError, DegenerateDesignError
+from .estimator import (
+    Decomposition,
+    negligible_ratios,
+    singular_threshold,
+    slope_identity_gaps,
+    standardized_errors,
+    standardizing_variance,
+)
 from .model import EVModelSpec
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
 
 TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
+
+
+def check_tests(tests: Sequence[str]) -> tuple[str, ...]:
+    """The requested test kinds as a tuple; each must be one of TEST_KINDS."""
+    tests = tuple(str(t) for t in tests)
+    for t in tests:
+        if t not in TEST_KINDS:
+            raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
+    return tests
 
 
 @dataclass(frozen=True)
@@ -51,18 +66,7 @@ class HarnessDefaults:
     chunk_size: int = 256
 
     def to_dict(self) -> dict:
-        return {
-            "ks_critical_coefficient": self.ks_critical_coefficient,
-            "ks_absolute_slack": self.ks_absolute_slack,
-            "coverage_nominal": self.coverage_nominal,
-            "coverage_slack": self.coverage_slack,
-            "counterexample_mean_tol": self.counterexample_mean_tol,
-            "counterexample_ks_min": self.counterexample_ks_min,
-            "max_skip_fraction": self.max_skip_fraction,
-            "min_distributional_replicates": self.min_distributional_replicates,
-            "identity_gap_max": self.identity_gap_max,
-            "chunk_size": self.chunk_size,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,14 +81,9 @@ class ExperimentConfig:
     defaults: HarnessDefaults = field(default_factory=HarnessDefaults)
 
     def __post_init__(self) -> None:
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing with min >= 2")
+        grid = check_grid(self.n_grid)
         object.__setattr__(self, "n_grid", grid)
-        tests = tuple(self.tests)
-        for t in tests:
-            if t not in TEST_KINDS:
-                raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
+        tests = check_tests(self.tests)
         object.__setattr__(self, "tests", tests)
         if self.variance_source not in ("true", "plug-in"):
             raise ConfigError("variance_source must be 'true' or 'plug-in'")
@@ -107,16 +106,7 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "model": self.model.to_dict(),
-            "n_grid": list(self.n_grid),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "variance_source": self.variance_source,
-            "tests": list(self.tests),
-            "defaults": self.defaults.to_dict(),
-        }
+        return {**asdict(self), "model": self.model.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -130,15 +120,7 @@ class NormalityResult:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "statistic": self.statistic,
-            "ks_distance": self.ks_distance,
-            "ks_threshold": self.ks_threshold,
-            "mean": self.mean,
-            "variance": self.variance,
-            "pass": self.ok,
-        }
+        return _pass_record(self)
 
 
 @dataclass(frozen=True)
@@ -151,14 +133,14 @@ class CoverageResult:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "nominal": self.nominal,
-            "empirical": self.empirical,
-            "stderr": self.stderr,
-            "half_width_basis": self.half_width_basis,
-            "pass": self.ok,
-        }
+        return _pass_record(self)
+
+
+def _pass_record(result) -> dict:
+    """The result's fields with ``ok`` written as ``pass``, a Python keyword."""
+    record = asdict(result)
+    record["pass"] = record.pop("ok")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +210,7 @@ class _GridPointStats:
 def _simulate_grid_point(
     spec: EVModelSpec,
     x: np.ndarray,
+    summary: DesignSummary,
     n: int,
     replicates: int,
     seed: int,
@@ -235,7 +218,6 @@ def _simulate_grid_point(
     chunk_size: int,
     workers: int,
 ) -> _GridPointStats:
-    s_n = float(np.sum((x - np.mean(x)) ** 2))
     beta_hat = np.empty(replicates)
     theta_hat = np.empty(replicates)
     sxx = np.empty(replicates)
@@ -273,32 +255,19 @@ def _simulate_grid_point(
     ratios = None
     identity_gap = None
     if need_latents:
-        s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps, sxx_obs = sums.T
-        beta = spec.beta
-        root_s = math.sqrt(s_n) if s_n > 0 else math.nan
-        ratios = np.column_stack(
-            [
-                s_delta_sq / root_s,
-                np.abs(s_delta_eps) / root_s,
-                sxx_obs / s_n - 1.0 if s_n > 0 else np.full(replicates, math.nan),
-            ]
-        )
+        decomp = Decomposition.from_sums(spec.beta, *sums.T)
+        ratios = np.column_stack(negligible_ratios(decomp, summary))
         with np.errstate(invalid="ignore", divide="ignore"):
-            err_fit = beta_hat - beta
-            rhs_direct = (s_xi_eps - beta * s_x_delta - beta * s_delta_sq) / sxx_obs
-            rhs_split = (
-                s_delta_eps + (s_x_eps - beta * s_x_delta) - beta * s_delta_sq
-            ) / sxx_obs
-            fit_scale = np.maximum(1.0, np.maximum(abs(beta), np.abs(beta_hat)))
             gaps = np.maximum(
-                np.abs(err_fit - rhs_direct) / fit_scale,
-                np.abs(err_fit - rhs_split) / fit_scale,
+                *slope_identity_gaps(
+                    beta_hat, spec.beta, decomp.slope_error_direct(), decomp.slope_error_split()
+                )
             )
         identity_gap = float(np.max(gaps[valid])) if np.any(valid) else 0.0
 
     return _GridPointStats(
         n=n,
-        s_n=s_n,
+        s_n=summary.s_n,
         valid=valid,
         beta_hat=beta_hat,
         theta_hat=theta_hat,
@@ -313,21 +282,14 @@ def _standardized(
     stats: _GridPointStats, spec: EVModelSpec, variance_source: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z_beta, z_theta) over the valid replicates."""
-    beta_err = stats.beta_hat[stats.valid] - spec.beta
-    theta_err = stats.theta_hat[stats.valid] - spec.theta
-    if variance_source == "true":
-        var = np.full(beta_err.shape, spec.nu_variance())
-    else:
-        var = stats.rvar[stats.valid]
-        if np.any(var <= 0.0):
-            raise ZeroVarianceError(
-                "plug-in standardization needs residual_var > 0 on every replicate"
-            )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root_v = np.sqrt(var)
-        z_beta = np.where(beta_err == 0.0, 0.0, math.sqrt(stats.s_n) * beta_err / root_v)
-        z_theta = np.where(theta_err == 0.0, 0.0, math.sqrt(stats.n) * theta_err / root_v)
-    return z_beta, z_theta
+    valid = stats.valid
+    return standardized_errors(
+        stats.beta_hat[valid] - spec.beta,
+        stats.theta_hat[valid] - spec.theta,
+        stats.s_n,
+        stats.n,
+        standardizing_variance(spec, variance_source, stats.rvar[valid]),
+    )
 
 
 def _counterexample_entry(
@@ -380,9 +342,21 @@ def run_experiment(
         raise ConfigError("workers must be >= 1")
     defaults = config.defaults
     report_warnings: list[str] = []
+    need_latents = "negligibility" in config.tests
+
+    # Every grid point's design summary comes first, so that a design whose
+    # dispersion overflows, or is zero where ratios divide by it, fails
+    # before any replicate is simulated.
+    x_full = config.design.generate(config.n_grid[-1])
+    summaries = [summarize(x_full[:n]) for n in config.n_grid]
+    degenerate = [s.n for s in summaries if s.s_n <= 0.0]
+    if need_latents and degenerate:
+        raise DegenerateDesignError(
+            f"negligibility ratios need S_n > 0 (constant design at n={degenerate[0]})"
+        )
 
     if "theta-clt" in config.tests:
-        c17 = condition_path("c17", config.design, config.n_grid, TrendRule())
+        c17 = condition_path_from_summaries("c17", summaries, TrendRule())
         if c17.verdict != VERDICT_SATISFIED:
             msg = (
                 "theta-clt requested but the design's intercept condition "
@@ -391,7 +365,6 @@ def run_experiment(
             warnings.warn(msg, stacklevel=2)
             report_warnings.append(msg)
 
-    need_latents = "negligibility" in config.tests
     grid_entries: list[dict] = []
     counterexample_entries: list[dict] = []
     samples: dict[str, dict[int, np.ndarray]] = {"z_beta": {}, "z_theta": {}}
@@ -399,17 +372,11 @@ def run_experiment(
     skip_ok = True
     identity_ok = True
 
-    x_full = config.design.generate(config.n_grid[-1])
-    for n in config.n_grid:
-        x = x_full[:n]
-        summary = summarize(x)
-        if need_latents and summary.s_n <= 0.0:
-            raise DegenerateDesignError(
-                f"negligibility ratios need S_n > 0 (constant design at n={n})"
-            )
+    for n, summary in zip(config.n_grid, summaries):
         stats = _simulate_grid_point(
             spec=config.model,
-            x=x,
+            x=x_full[:n],
+            summary=summary,
             n=n,
             replicates=config.replicates,
             seed=config.seed,
@@ -520,7 +487,6 @@ def run_experiment(
 
     report = {
         "tool_version": _version(),
-        "backend": active_backend(),
         "config": config.to_dict(),
         "grid": grid_entries,
         "tests": tests_pass,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -237,10 +237,8 @@ class ErrorDistribution:
         return s * s if s > c else 0.0
 
     def to_dict(self) -> dict:
-        out = {"family": self.family, "scale": self.scale}
-        if self.df is not None:
-            out["df"] = self.df
-        return out
+        """The fields, without ``df`` where the family takes none."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def moment(dist: ErrorDistribution, order: float, absolute: bool = False) -> float:

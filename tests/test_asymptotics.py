@@ -120,6 +120,14 @@ def test_geometric_design_fails_max_deviation_condition():
     assert condition_path("c6", design, GEOMETRIC_GRID).verdict == VERDICT_SATISFIED
 
 
+def test_geometric_dispersion_overflow_raises_instead_of_a_zero_c7():
+    # 2^600 is finite but S_n is inf from about n = 512; c7 = max-dev / sqrt(S_n)
+    # would read 0.0 there.
+    design = DesignSequence("geometric", {"base": 2.0})
+    with pytest.raises(ConfigError, match="overflows"):
+        condition_path("c7", design, (100, 200, 400, 600))
+
+
 def test_bounded_design_fails_everything():
     design = DesignSequence("bounded", {"scale": 1.0})
     assert condition_path("liu-chen-beta", design, GRID).verdict == VERDICT_VIOLATED

@@ -1,22 +1,73 @@
-"""The layer tracer in ``perfbench/`` patches evclt entry points by name; a
-rename of any of them must fail here rather than in a traced benchmark run."""
+"""The layer tracer in ``perfbench/`` patches evclt entry points by name and
+binds their arguments by name; a rename of any of them must fail here rather
+than in a traced benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_on_every_traced_entry_point():
+def _env() -> dict:
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_tracer_installs_on_every_traced_entry_point():
     result = subprocess.run(
         [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "seed": 5,
+                "design": {"kind": "linear"},
+                "model": {
+                    "theta": 1.0,
+                    "beta": 2.0,
+                    "eps": {"family": "normal", "scale": 1.0},
+                    "delta": {"family": "normal", "scale": 1.0},
+                },
+                "grid": [100, 200],
+                "replicates": 100,
+                "tests": ["negligibility"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    trace = tmp_path / "trace.json"
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "tracer.py"),
+            str(trace),
+            "simulate",
+            "--config",
+            str(config),
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    counters = json.loads(trace.read_text(encoding="utf-8"))["counters"]
+    assert counters["kernels.fit_batch.rows"] == 200
+    assert counters["kernels.decompose_batch.rows"] == 200
+    assert counters["harness.replicates_simulated"] == 200

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from evclt import asymptotics, cli
+from evclt import asymptotics, cli, harness
 from evclt.asymptotics import lindeberg_sum
 from evclt.cli import main
 from evclt.config import load_config
@@ -87,6 +87,37 @@ def test_missing_config_exits_2_without_partial_output(tmp_path, capsys):
 
 
 # --- simulate ----------------------------------------------------------------------
+
+
+def _overflowing_geometric_config(tmp_path):
+    # x = 2^i stays finite through n = 1023, but S_n overflows from about n = 512.
+    return _write_config(
+        tmp_path,
+        _base_config(
+            design={"kind": "geometric", "params": {"base": 2.0}}, grid=[100, 200, 400, 600]
+        ),
+    )
+
+
+def test_diagnose_dispersion_overflow_is_a_config_error(tmp_path, capsys):
+    config = _overflowing_geometric_config(tmp_path)
+    assert main(["diagnose", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_simulate_dispersion_overflow_fails_before_any_simulation(tmp_path, monkeypatch, capsys):
+    calls = []
+    simulate = harness._simulate_grid_point
+
+    def counted(**kwargs):
+        calls.append(kwargs["n"])
+        return simulate(**kwargs)
+
+    monkeypatch.setattr(harness, "_simulate_grid_point", counted)
+    config = _overflowing_geometric_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_simulate_small_passing_run(tmp_path):

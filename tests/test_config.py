@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 import yaml
 
 from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
 from evclt.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = {
     "design": {"kind": "linear"},
@@ -65,6 +69,21 @@ def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
     config = load_config(_write(tmp_path, MINIMAL))
     assert config_hash(config) == config_hash(config)
     assert config_hash(config.with_seed(1)) != config_hash(config.with_seed(2))
+
+
+# The canonical form is what manifest.json's config_sha256 is computed from;
+# these are the hashes of the shipped configs, which must not drift.
+SHIPPED_CONFIG_HASHES = {
+    "counterexample-gaussian.yaml": "94a823c91476e005a2edb70c3e09a700404dce92d7de027f9233df6b20b37f21",
+    "diagnose-linear.yaml": "5d9169dfbf7fd19819a8620e2605e4a75975b75e9595c6bce071e9ccff7a2d4a",
+    "theta-clt-alternating.yaml": "bf9a1bc591db7d6c356c926ab6af6a1b4938ee8ea7949e485191ab48ba71638c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_HASHES))
+def test_shipped_config_hashes_are_pinned(name):
+    config = load_config(CONFIGS / name)
+    assert config_hash(config) == SHIPPED_CONFIG_HASHES[name]
 
 
 def test_student_t_df_passthrough(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,39 @@ def test_linear_closed_form_dispersion():
         oracle = n * (n * n - 1) / 12.0
         assert abs(s.s_n - oracle) <= 1e-10 * oracle
     assert summarize(np.arange(1, 101, dtype=float)).s_n == pytest.approx(83325.0, rel=1e-12)
+
+
+def _exact_mean_and_dispersion(x):
+    values = [Fraction(float(v)) for v in x]
+    mean = sum(values) / len(values)
+    return mean, sum((v - mean) ** 2 for v in values)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        DesignSequence("geometric", {"base": 2.0}).generate(500),
+        DesignSequence("power", {"exponent": 3.0}).generate(10_000),
+        DesignSequence("alternating").generate(10_000),
+        DesignSequence("linear").generate(10_000) + (1e8 - 5000.5),  # mean 1e8
+    ],
+    ids=["geometric-500", "power3-1e4", "alternating-1e4", "linear-mean-1e8-1e4"],
+)
+def test_summarize_matches_exact_rational_reference(x):
+    # Plain two-pass numpy sums, no compensation, on the widest-range designs.
+    s = summarize(x)
+    mean, s_n = _exact_mean_and_dispersion(x)
+    assert abs(Fraction(s.mean) - mean) <= Fraction(1e-15) * abs(mean)
+    assert abs(Fraction(s.s_n) - s_n) <= Fraction(1e-15) * s_n
+
+
+def test_summarize_rejects_overflowing_dispersion():
+    # Geometric base 2 stays finite through i = 1023, but S_n overflows from
+    # about n = 512.
+    x = DesignSequence("geometric", {"base": 2.0}).generate(600)
+    assert np.all(np.isfinite(x))
+    with pytest.raises(ConfigError, match="overflows"):
+        summarize(x)
 
 
 def test_s_star_tracks_max_of_n_and_dispersion():

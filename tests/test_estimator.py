@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 
-from evclt import kernels
 from evclt.design import DesignSequence, DesignSummary, summarize
 from evclt.errors import (
     DegenerateDesignError,
@@ -258,27 +255,3 @@ def test_fit_and_decomposition_json_field_names(standard_spec, linear_design):
     stats_record = standardize(fit(sample), standard_spec, summary).to_dict()
     assert set(stats_record) == {"z_beta", "z_theta", "used_variance", "variance_source"}
 
-
-# --- kernel backends --------------------------------------------------------------
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_and_numpy_kernels_agree():
-    rng = np.random.default_rng(99)
-    x = np.cumsum(rng.standard_normal(500)) + np.arange(500)
-    xi = x[None, :] + rng.standard_normal((8, 500))
-    eps = rng.standard_normal((8, 500))
-    delta = rng.standard_normal((8, 500))
-    eta = 1.0 + 2.0 * x[None, :] + eps
-
-    for a, b in zip(kernels.fit_batch_numba(xi, eta), kernels.fit_batch_numpy(xi, eta)):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-    for a, b in zip(
-        kernels.decompose_batch_numba(x, xi, eps, delta),
-        kernels.decompose_batch_numpy(x, xi, eps, delta),
-    ):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-10)
-    sa = kernels.summary_stats_numba(x)
-    sb = kernels.summary_stats_numpy(x)
-    for va, vb in zip(sa, sb):
-        assert math.isclose(va, vb, rel_tol=1e-12)
