@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .design import DesignSequence, DesignSummary, summarize, summary_path
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
@@ -200,8 +199,15 @@ def condition_value(name: str, summary: DesignSummary) -> float:
 def condition_path_from_summaries(
     name: str, summaries: Sequence[DesignSummary], rule: TrendRule = TrendRule()
 ) -> ConditionPath:
-    values = tuple(condition_value(name, s) for s in summaries)
-    target = _CONDITION_TARGETS[name]
+    values = [condition_value(name, s) for s in summaries]
+    return _classified_path(name, summaries, values, _CONDITION_TARGETS[name], rule)
+
+
+def _classified_path(
+    name: str, summaries: Sequence[DesignSummary], values, target: str, rule: TrendRule
+) -> ConditionPath:
+    """``values`` along the summaries' n grid, with their trend verdict."""
+    values = tuple(values)
     return ConditionPath(
         name=name,
         n_grid=tuple(s.n for s in summaries),
@@ -227,7 +233,12 @@ def scaling_hierarchy(
 ) -> HierarchyReport:
     """Per-n ratios of the dispersion hierarchy; flagged when the slope-CLT
     conditions do not hold in trend for this design (report still computed)."""
-    summaries = summary_path(design, n_grid)
+    return _scaling_hierarchy_from_summaries(summary_path(design, n_grid), rule)
+
+
+def _scaling_hierarchy_from_summaries(
+    summaries: Sequence[DesignSummary], rule: TrendRule
+) -> HierarchyReport:
     if any(s.s_n <= 0.0 or s.max_dev <= 0.0 for s in summaries):
         raise DegenerateDesignError("hierarchy ratios need S_n > 0 at every grid point")
     r1 = tuple(s.n / math.sqrt(s.s_n) for s in summaries)
@@ -251,27 +262,20 @@ def scaling_hierarchy(
 # ---------------------------------------------------------------------------
 
 
-def _normal_tail_second_vec(sigma: float, cutoffs: np.ndarray) -> np.ndarray:
-    """E[X^2 ; |X| > t] for X ~ N(0, sigma^2), vectorized over t (t > 0)."""
-    m = cutoffs / sigma
-    phi = np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
-    return sigma * sigma * (erfc(m / math.sqrt(2.0)) + 2.0 * m * phi)
+def _nu_quadrature_law(spec: EVModelSpec) -> tuple[ErrorDistribution, float]:
+    """(dist, coeff) with nu = eps - beta delta distributed as +/- coeff * X,
+    X ~ dist: the normal law of variance V when both laws are normal, else
+    the one law that is not a point mass at zero.
 
-
-def _nu_quadrature_law(spec: EVModelSpec) -> tuple[str, ErrorDistribution | None, float]:
-    """How to integrate against the law of nu = eps - beta delta.
-
-    Returns ("normal", None, sigma) when nu is exactly normal, or
-    ("single", dist, coeff) when nu = +/- coeff * X for a single catalog law.
     Raises QuadratureUnsupportedError otherwise (use Monte Carlo there).
     """
     eps, delta, beta = spec.eps_dist, spec.delta_dist, spec.beta
     if eps.family == "normal" and delta.family == "normal":
-        return "normal", None, math.sqrt(spec.nu_variance())
+        return ErrorDistribution("normal", math.sqrt(spec.nu_variance())), 1.0
     if beta == 0.0 or delta.scale == 0.0:
-        return "single", eps, 1.0
+        return eps, 1.0
     if eps.scale == 0.0:
-        return "single", delta, abs(beta)
+        return delta, abs(beta)
     raise QuadratureUnsupportedError(
         f"no closed-form law for eps({eps.family}) - beta*delta({delta.family}); "
         "use method='monte-carlo'"
@@ -327,13 +331,8 @@ def lindeberg_sum(
     thresholds = r / coeff  # |nu| must exceed this for index i to contribute
 
     if method == "quadrature":
-        kind, dist, mult = _nu_quadrature_law(spec)
-        if kind == "normal":
-            tails = _normal_tail_second_vec(mult, thresholds)
-        else:
-            tails = np.array(
-                [mult * mult * dist.tail_second_moment(t / mult) for t in thresholds]
-            )
+        dist, mult = _nu_quadrature_law(spec)
+        tails = mult * mult * dist.tail_second_moment(thresholds / mult)
         value = float(np.sum(coeff * coeff * tails))
         return LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
                                method="quadrature", stderr=None)
@@ -362,39 +361,26 @@ def petrov_conditions_from_summaries(
     spec: EVModelSpec,
     rule: TrendRule = TrendRule(),
 ) -> PetrovReport:
+    s_n = np.array([s.s_n for s in summaries])
+    if np.any(s_n <= 0.0):
+        raise DegenerateDesignError("Petrov normalization a_n = sqrt(S_n) needs S_n > 0")
+    n = np.array([s.n for s in summaries], dtype=np.float64)
+    a_n = np.sqrt(s_n)
+    cutoff = np.sqrt(a_n)  # |delta| < a_n^(1/2) iff delta^2 < a_n
     delta = spec.delta_dist
-    v1, v2, v3, c6_vals = [], [], [], []
-    for s in summaries:
-        if s.s_n <= 0.0:
-            raise DegenerateDesignError(
-                "Petrov normalization a_n = sqrt(S_n) needs S_n > 0"
-            )
-        a_n = math.sqrt(s.s_n)
-        cutoff = math.sqrt(a_n)  # |delta| < a_n^(1/2) iff delta^2 < a_n
-        m2 = delta.truncated_abs_moment(2.0, cutoff)
-        m4 = delta.truncated_abs_moment(4.0, cutoff)
-        v1.append(s.n * delta.tail_prob(cutoff))
-        v2.append(s.n / s.s_n * (m4 - m2 * m2))
-        v3.append(s.n / a_n * m2)
-        c6_vals.append(s.n / a_n)
-    grid = tuple(s.n for s in summaries)
-
-    def path(name: str, values: list[float]) -> ConditionPath:
-        return ConditionPath(
-            name=name,
-            n_grid=grid,
-            values=tuple(values),
-            target="to-zero",
-            verdict=classify_trend(values, "to-zero", rule),
-        )
-
+    m2 = delta.truncated_abs_moment(2.0, cutoff)
+    m4 = delta.truncated_abs_moment(4.0, cutoff)
+    values = {
+        "petrov-i": n * delta.tail_prob(cutoff),
+        "petrov-ii": n / s_n * (m4 - m2 * m2),
+        "petrov-iii": n / a_n * m2,
+    }
     return PetrovReport(
         paths={
-            "petrov-i": path("petrov-i", v1),
-            "petrov-ii": path("petrov-ii", v2),
-            "petrov-iii": path("petrov-iii", v3),
+            name: _classified_path(name, summaries, v.tolist(), "to-zero", rule)
+            for name, v in values.items()
         },
-        corollary=path("c6", c6_vals),
+        corollary=condition_path_from_summaries("c6", summaries, rule),
     )
 
 
@@ -436,7 +422,7 @@ def diagnostics_report(
         },
     }
     if include_hierarchy:
-        report["hierarchy"] = scaling_hierarchy(design, n_grid, rule).to_dict()
+        report["hierarchy"] = _scaling_hierarchy_from_summaries(summaries, rule).to_dict()
     if include_petrov:
         if spec is None:
             raise ConfigError("Petrov conditions need a model spec (the delta law)")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from .harness import counterexample_run, report_json_bytes, run_experiment
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    path.write_bytes(report_json_bytes(payload))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -126,7 +125,7 @@ def _cmd_simulate(args, config: AppConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, "simulate", args.config, config)
-    (out / "report.json").write_bytes(report_json_bytes(report))
+    _write_json(out / "report.json", report)
 
     normality_rows = []
     coverage_rows = []
@@ -308,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML config file")
         cmd.add_argument("--out", default="evclt-out", help="output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="replicate worker threads")
+        if name in ("simulate", "counterexample"):
+            cmd.add_argument("--workers", type=int, default=1, help="replicate worker threads")
         if name == "simulate":
             cmd.add_argument(
                 "--emit-samples",

@@ -60,6 +60,7 @@ import yaml
 from .asymptotics import CONDITION_IDS, TrendRule
 from .design import DesignSequence, check_grid
 from .errors import ConfigError
+from .estimator import check_variance_source
 from .harness import ExperimentConfig, HarnessDefaults, check_tests
 from .model import ErrorDistribution, EVModelSpec
 
@@ -195,10 +196,7 @@ def _parse_model(node) -> EVModelSpec:
 def _parse_variance_source(value) -> str:
     if value is True:  # unquoted YAML `true`
         return "true"
-    text = str(value)
-    if text not in ("true", "plug-in"):
-        raise ConfigError("variance_source must be 'true' or 'plug-in'")
-    return text
+    return check_variance_source(value)
 
 
 def _parse_defaults(node) -> tuple[TrendRule, HarnessDefaults]:

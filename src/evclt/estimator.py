@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,6 +39,14 @@ from .errors import (
 from .model import EVModelSpec, EVSample
 
 VarianceSource = Literal["true", "plug-in"]
+
+
+def check_variance_source(variance_source) -> VarianceSource:
+    """The variance source, which must be one of VarianceSource."""
+    if variance_source not in get_args(VarianceSource):
+        raise ConfigError("variance_source must be 'true' or 'plug-in'")
+    return variance_source
+
 
 # Observed dispersion below this is treated as a constant column rather than
 # a fit; see singular_threshold.
@@ -158,13 +166,11 @@ def standardizing_variance(
     """V of the standardized statistics: sigma2^2 + beta^2 sigma1^2 with the
     true source; with plug-in, the fit's mean squared residual (a float or
     one per replicate), which must be positive."""
-    if variance_source == "true":
+    if check_variance_source(variance_source) == "true":
         return spec.nu_variance()
-    if variance_source == "plug-in":
-        if np.any(residual_var <= 0.0):
-            raise ZeroVarianceError("plug-in standardization needs residual_var > 0")
-        return residual_var
-    raise ConfigError(f"unknown variance source {variance_source!r}")
+    if np.any(residual_var <= 0.0):
+        raise ZeroVarianceError("plug-in standardization needs residual_var > 0")
+    return residual_var
 
 
 def standardized_errors(beta_err, theta_err, s_n: float, n: int, variance):

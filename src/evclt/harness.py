@@ -28,6 +28,7 @@ from .design import DesignSequence, DesignSummary, check_grid, summarize
 from .errors import ConfigError, DegenerateDesignError
 from .estimator import (
     Decomposition,
+    check_variance_source,
     negligible_ratios,
     singular_threshold,
     slope_identity_gaps,
@@ -85,8 +86,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         tests = check_tests(self.tests)
         object.__setattr__(self, "tests", tests)
-        if self.variance_source not in ("true", "plug-in"):
-            raise ConfigError("variance_source must be 'true' or 'plug-in'")
+        check_variance_source(self.variance_source)
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
         needs_r = DISTRIBUTIONAL_TESTS.intersection(tests)

@@ -38,7 +38,7 @@ FAMILIES = (
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _t_beta_arguments(nu: float, m: float) -> tuple[float, float]:
+def _t_beta_arguments(nu: float, m):
     """x = m^2 / (nu + m^2) and y = nu / (nu + m^2), each computed directly.
 
     T^2 / (nu + T^2) ~ Beta(1/2, nu/2) for T ~ t(nu), so the student-t
@@ -50,12 +50,17 @@ def _t_beta_arguments(nu: float, m: float) -> tuple[float, float]:
     return m2 / (nu + m2), nu / (nu + m2)
 
 
-def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
-    """I_x(a, b), given y = 1 - x; taken as 1 - I_y(b, a) when x > 1/2 so
+def _regularized_beta(a: float, b: float, x, y):
+    """I_x(a, b), given y = 1 - x; taken as 1 - I_y(b, a) where x > 1/2 so
     that neither argument is ever formed as 1 minus the other."""
-    if x > 0.5:
-        return 1.0 - float(betainc(b, a, y))
-    return float(betainc(a, b, x))
+    return np.where(x > 0.5, 1.0 - betainc(b, a, y), betainc(a, b, x))
+
+
+def _per_cutoff(cutoff, at_most_zero, value):
+    """``at_most_zero`` where cutoff <= 0, else ``value``: a float for a
+    scalar cutoff, else an array."""
+    value = np.where(np.less_equal(cutoff, 0), at_most_zero, value)
+    return float(value) if np.ndim(cutoff) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -161,46 +166,50 @@ class ErrorDistribution:
             return self.scale
         return math.inf
 
-    def tail_prob(self, cutoff: float) -> float:
-        """P(|X| >= cutoff)."""
-        s, c = self.scale, float(cutoff)
-        if c <= 0:
-            return 1.0
-        if s == 0.0:
-            return 0.0
-        if self.family == "normal":
-            return float(erfc(c / (s * math.sqrt(2.0))))
-        if self.family == "uniform-centered":
-            return max(0.0, 1.0 - c / s)
-        if self.family == "laplace":
-            return math.exp(-c / s)
-        if self.family == "student-t":
-            return float(2.0 * stdtr(self.df, -c / s))
-        return 1.0 if s >= c else 0.0
+    # The moments below are elementwise over an array of cutoffs. Each branch
+    # runs at max(cutoff, 0), so cutoffs <= 0 raise no warning; powers use the
+    # np.power ufunc, as ``**`` on a numpy scalar calls libm's pow, which may
+    # round unlike the vector loop that an array of cutoffs runs.
 
-    def truncated_abs_moment(self, order: float, cutoff: float) -> float:
+    def tail_prob(self, cutoff):
+        """P(|X| >= cutoff)."""
+        s, c = self.scale, np.maximum(cutoff, 0.0)
+        if s == 0.0:
+            p = 0.0
+        elif self.family == "normal":
+            p = erfc(c / (s * math.sqrt(2.0)))
+        elif self.family == "uniform-centered":
+            p = np.maximum(0.0, 1.0 - c / s)
+        elif self.family == "laplace":
+            p = np.exp(-c / s)
+        elif self.family == "student-t":
+            p = 2.0 * stdtr(self.df, -c / s)
+        else:
+            p = np.where(s >= c, 1.0, 0.0)
+        return _per_cutoff(cutoff, 1.0, p)
+
+    def truncated_abs_moment(self, order: float, cutoff):
         """E[|X|^order ; |X| < cutoff] (strict truncation).
 
         Closed form for every family; student-t needs order < df.
         """
-        s, c, k = self.scale, float(cutoff), float(order)
-        if c <= 0 or s == 0.0:
-            return 0.0
-        if self.family == "normal":
+        s, c, k = self.scale, np.maximum(cutoff, 0.0), float(order)
+        if s == 0.0:
+            value = 0.0
+        elif self.family == "normal":
             m = c / s
-            return (
+            value = (
                 s**k
                 * 2 ** (k / 2)
                 * math.gamma((k + 1) / 2)
                 / _SQRT_PI
-                * float(gammainc((k + 1) / 2, m * m / 2))
+                * gammainc((k + 1) / 2, m * m / 2)
             )
-        if self.family == "uniform-centered":
-            m = min(c, s)
-            return m ** (k + 1) / (s * (k + 1))
-        if self.family == "laplace":
-            return s**k * math.gamma(k + 1) * float(gammainc(k + 1, c / s))
-        if self.family == "student-t":
+        elif self.family == "uniform-centered":
+            value = np.power(np.minimum(c, s), k + 1) / (s * (k + 1))
+        elif self.family == "laplace":
+            value = s**k * math.gamma(k + 1) * gammainc(k + 1, c / s)
+        elif self.family == "student-t":
             if not self.moment_exists(k):
                 raise ConfigError(
                     f"student-t with df={self.df} has no closed-form truncated moment "
@@ -210,31 +219,31 @@ class ErrorDistribution:
             x, y = _t_beta_arguments(nu, c / s)
             a, b = (k + 1) / 2, (nu - k) / 2
             ratio = beta_function(a, b) / beta_function(0.5, nu / 2)
-            return s**k * nu ** (k / 2) * float(ratio) * _regularized_beta(a, b, x, y)
-        return s**k if s < c else 0.0
+            value = s**k * nu ** (k / 2) * float(ratio) * _regularized_beta(a, b, x, y)
+        else:
+            value = np.where(s < c, s**k, 0.0)
+        return _per_cutoff(cutoff, 0.0, value)
 
-    def tail_second_moment(self, cutoff: float) -> float:
+    def tail_second_moment(self, cutoff):
         """E[X^2 ; |X| > cutoff], computed directly (no cancellation)."""
-        s, c = self.scale, float(cutoff)
+        s, c = self.scale, np.maximum(cutoff, 0.0)
         if s == 0.0:
-            return 0.0
-        if c <= 0:
-            return self.variance()
-        if self.family == "normal":
+            value = 0.0
+        elif self.family == "normal":
             m = c / s
-            phi = math.exp(-m * m / 2) / math.sqrt(2 * math.pi)
-            return s * s * (float(erfc(m / math.sqrt(2.0))) + 2.0 * m * phi)
-        if self.family == "uniform-centered":
-            if c >= s:
-                return 0.0
-            return (s**3 - c**3) / (3.0 * s)
-        if self.family == "laplace":
-            return math.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
-        if self.family == "student-t":
+            phi = np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
+            value = s * s * (erfc(m / math.sqrt(2.0)) + 2.0 * m * phi)
+        elif self.family == "uniform-centered":
+            value = np.where(c >= s, 0.0, (s**3 - np.power(c, 3)) / (3.0 * s))
+        elif self.family == "laplace":
+            value = np.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
+        elif self.family == "student-t":
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)
-            return s * s * nu / (nu - 2) * _regularized_beta((nu - 2) / 2, 1.5, y, x)
-        return s * s if s > c else 0.0
+            value = s * s * nu / (nu - 2) * _regularized_beta((nu - 2) / 2, 1.5, y, x)
+        else:
+            value = np.where(s > c, s * s, 0.0)
+        return _per_cutoff(cutoff, self.variance(), value)
 
     def to_dict(self) -> dict:
         """The fields, without ``df`` where the family takes none."""

@@ -253,6 +253,31 @@ def test_lindeberg_single_law_student_t_quadrature(linear_design):
     assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [
+        ErrorDistribution("student-t", 1.0, df=6.0),
+        ErrorDistribution("laplace", 1.0),
+        ErrorDistribution("uniform-centered", 1.0),
+        ErrorDistribution("scaled-rademacher", 1.0),
+    ],
+    ids=lambda d: d.family,
+)
+def test_single_law_quadrature_is_the_sum_of_scalar_tails(linear_design, eps):
+    # beta = 0 makes nu = eps: the sum over indices of the scalar tail moments
+    n, r = 2000, 0.01
+    spec = EVModelSpec(0.0, 0.0, eps, ErrorDistribution("normal", 1.0))
+    x = linear_design.generate(n)
+    summary = summarize(x)
+    coeff = np.abs(x - summary.mean) / math.sqrt(summary.s_n * spec.nu_variance())
+    expected = math.fsum(
+        c * c * eps.tail_second_moment(r / c) for c in coeff.tolist() if c > 0.0
+    )
+    assert 0.1 < expected < 1.0
+    got = lindeberg_sum(linear_design, n, spec, r=r).sum_value
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_lindeberg_unsupported_quadrature_law(linear_design):
     spec = _spec(eps=("laplace", 1.0), delta=("uniform-centered", 1.0), beta=2.0)
     with pytest.raises(QuadratureUnsupportedError):

@@ -63,6 +63,14 @@ def test_diagnose_linear_design(tmp_path, capsys):
         assert (out / name).is_file()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "lindeberg"])
+def test_workers_flag_only_on_commands_that_read_it(tmp_path, command):
+    config = _write_config(tmp_path, _base_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_diagnose_counterexample_design_verdict(tmp_path):
     config = _write_config(
         tmp_path,

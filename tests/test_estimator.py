@@ -3,6 +3,7 @@ import pytest
 
 from evclt.design import DesignSequence, DesignSummary, summarize
 from evclt.errors import (
+    ConfigError,
     DegenerateDesignError,
     MissingLatentsError,
     SingularDesignError,
@@ -194,6 +195,13 @@ def test_standardize_plug_in_variance(standard_spec):
     zero_rvar = FitResult(beta_hat=3.0, theta_hat=1.0, sxx_obs=5.0, residual_var=0.0, n=4)
     with pytest.raises(ZeroVarianceError):
         standardize(zero_rvar, standard_spec, summary, variance_source="plug-in")
+
+
+def test_standardize_rejects_an_unknown_variance_source(standard_spec):
+    summary = DesignSummary(n=4, mean=2.5, s_n=5.0, max_dev=1.5, s_star=5.0)
+    result = FitResult(beta_hat=3.0, theta_hat=1.0, sxx_obs=5.0, residual_var=4.0, n=4)
+    with pytest.raises(ConfigError, match="variance_source"):
+        standardize(result, standard_spec, summary, variance_source="estimated")
 
 
 def test_plug_in_residual_variance_tracks_truth(standard_spec, linear_design):

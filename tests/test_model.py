@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,41 @@ def test_replicate_streams_uncorrelated(standard_spec, linear_design):
 def test_truncation_splits_the_variance(dist, cutoff):
     total = dist.truncated_abs_moment(2.0, cutoff) + dist.tail_second_moment(cutoff)
     assert total == pytest.approx(dist.variance(), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ErrorDistribution("normal", 1.3),
+        ErrorDistribution("uniform-centered", 2.0),
+        ErrorDistribution("laplace", 0.7),
+        ErrorDistribution("student-t", 1.1, df=6.0),
+        ErrorDistribution("scaled-rademacher", 2.0),
+        ErrorDistribution("normal", 0.0),
+        ErrorDistribution("laplace", 0.0),
+    ],
+    ids=lambda d: f"{d.family}-{d.scale}",
+)
+def test_moments_on_an_array_of_cutoffs_equal_the_scalar_calls(dist):
+    # cutoffs <= 0, the atom or edge at c == scale, a far tail, and a sweep
+    # wide enough to catch a vector loop that rounds unlike the scalar one
+    cutoffs = np.concatenate(
+        [[-1e4, -3.0, -0.0, 0.0, 2.0, 2.0 + 1e-12, 1e4], np.geomspace(1e-3, 50.0, 200)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        calls = [("tail_prob", dist.tail_prob), ("tail_second_moment", dist.tail_second_moment)]
+        for order in (2.0, 3.0, 4.0):
+            calls.append(
+                (f"truncated k={order}", lambda c, k=order: dist.truncated_abs_moment(k, c))
+            )
+        for label, method in calls:
+            vector = method(cutoffs)
+            assert isinstance(vector, np.ndarray) and vector.shape == cutoffs.shape, label
+            for c, got in zip(cutoffs, vector):
+                scalar = method(float(c))
+                assert type(scalar) is float, label
+                assert got == scalar, (label, c)
 
 
 def test_tail_probability_against_reference():
