@@ -43,7 +43,6 @@ One YAML (or JSON) file drives every CLI command:
       max_skip_fraction: 0.01
       min_distributional_replicates: 100
       identity_gap_max: 1.0e-10
-      chunk_size: 256
 
 Unknown keys anywhere are rejected so typos cannot silently change a run.
 """

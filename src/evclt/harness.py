@@ -2,12 +2,13 @@
 the estimators, and test the empirical law against the standard normal.
 
 Determinism contract: every random draw is keyed by (seed, n, replicate,
-stream), replicate chunks have a fixed size, and results are assembled by
-replicate index, so a run's report is a pure function of its configuration
-regardless of worker count. The KS pass threshold is the classical 5%
-critical value 1.36 / sqrt(R) plus a configurable absolute slack that
-budgets for pre-asymptotic (finite-n) deviation separately from Monte Carlo
-noise.
+stream), a replicate chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows,
+a count that follows from n alone, and each chunk writes its results at its
+own replicate indices, so a run's report is a pure function of its
+configuration regardless of worker count. The KS pass threshold is the
+classical 5% critical value 1.36 / sqrt(R) plus a configurable absolute
+slack that budgets for pre-asymptotic (finite-n) deviation separately from
+Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .estimator import (
 from .model import EVModelSpec
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
 
+# Bytes of one float64 (rows, n) block of a replicate chunk; every block a
+# worker holds at once is a small multiple of this.
+CHUNK_BYTES = 2 << 20
+
 TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
 
@@ -53,7 +58,8 @@ def check_tests(tests: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class HarnessDefaults:
-    """Every numeric knob of the harness, in one place."""
+    """Every numeric knob of the harness, in one place. Chunk sizes are not a
+    knob: they follow from n under ``CHUNK_BYTES``."""
 
     ks_critical_coefficient: float = 1.36
     ks_absolute_slack: float = 0.01
@@ -64,7 +70,6 @@ class HarnessDefaults:
     max_skip_fraction: float = 0.01
     min_distributional_replicates: int = 100
     identity_gap_max: float = 1e-10
-    chunk_size: int = 256
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -201,7 +206,6 @@ class _GridPointStats:
     valid: np.ndarray  # boolean mask over replicates
     beta_hat: np.ndarray
     theta_hat: np.ndarray
-    sxx: np.ndarray
     rvar: np.ndarray
     ratios: np.ndarray | None  # (R, 3) negligibility ratios (third one signed)
     identity_gap: float | None
@@ -215,7 +219,6 @@ def _simulate_grid_point(
     replicates: int,
     seed: int,
     need_latents: bool,
-    chunk_size: int,
     workers: int,
 ) -> _GridPointStats:
     beta_hat = np.empty(replicates)
@@ -223,39 +226,38 @@ def _simulate_grid_point(
     sxx = np.empty(replicates)
     rvar = np.empty(replicates)
     xi_mean = np.empty(replicates)
-    sums = np.empty((replicates, 6)) if need_latents else None
+    sums = np.empty((6, replicates)) if need_latents else None
 
     eta_base = spec.theta + spec.beta * x
+    rows = max(1, CHUNK_BYTES // (8 * n))
 
-    def work(lo: int, hi: int):
+    def work(lo: int) -> None:
+        # Each chunk owns the disjoint slice [lo, hi) of every output array.
+        hi = min(lo + rows, replicates)
         reps = range(lo, hi)
         e = spec.eps_dist.sample(uniforms([(seed, n, rep, STREAM_EPS) for rep in reps], n))
         d = spec.delta_dist.sample(uniforms([(seed, n, rep, STREAM_DELTA) for rep in reps], n))
         xi = x + d
         eta = eta_base + e
-        fit = kernels.fit_batch(xi, eta)
-        dec = kernels.decompose_batch(x, xi, e, d) if need_latents else None
-        return lo, hi, fit, dec, xi.mean(axis=1)
+        beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], rvar[lo:hi] = kernels.fit_batch(xi, eta)
+        xi_mean[lo:hi] = xi.mean(axis=1)
+        if need_latents:
+            sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d)
 
-    spans = [(lo, min(lo + chunk_size, replicates)) for lo in range(0, replicates, chunk_size)]
+    starts = range(0, replicates, rows)
     if workers <= 1:
-        outputs = [work(lo, hi) for lo, hi in spans]
+        for lo in starts:
+            work(lo)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(lambda span: work(*span), spans))
-    for lo, hi, fit, dec, mean_row in outputs:
-        beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], rvar[lo:hi] = fit
-        xi_mean[lo:hi] = mean_row
-        if dec is not None:
-            for col, values in enumerate(dec):
-                sums[lo:hi, col] = values
+            list(pool.map(work, starts))
 
     valid = sxx >= singular_threshold(n, xi_mean)
 
     ratios = None
     identity_gap = None
     if need_latents:
-        decomp = Decomposition.from_sums(spec.beta, *sums.T)
+        decomp = Decomposition.from_sums(spec.beta, *sums)
         ratios = np.column_stack(negligible_ratios(decomp, summary))
         with np.errstate(invalid="ignore", divide="ignore"):
             gaps = np.maximum(
@@ -271,7 +273,6 @@ def _simulate_grid_point(
         valid=valid,
         beta_hat=beta_hat,
         theta_hat=theta_hat,
-        sxx=sxx,
         rvar=rvar,
         ratios=ratios,
         identity_gap=identity_gap,
@@ -381,7 +382,6 @@ def run_experiment(
             replicates=config.replicates,
             seed=config.seed,
             need_latents=need_latents,
-            chunk_size=defaults.chunk_size,
             workers=workers,
         )
         used = int(np.count_nonzero(stats.valid))

@@ -234,7 +234,7 @@ class ErrorDistribution:
             phi = np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
             value = s * s * (erfc(m / math.sqrt(2.0)) + 2.0 * m * phi)
         elif self.family == "uniform-centered":
-            value = np.where(c >= s, 0.0, (s**3 - np.power(c, 3)) / (3.0 * s))
+            value = np.where(c >= s, 0.0, (s - c) * (s * s + s * c + c * c) / (3.0 * s))
         elif self.family == "laplace":
             value = np.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
         elif self.family == "student-t":

@@ -92,8 +92,8 @@ def test_a1_beta_clt_linear_design():
         variance_source="true",
         tests=("beta-clt",),
     )
-    # Each worker holds 256 x n chunks (41 MB per array at n = 20000); two
-    # workers bound memory, and reports are worker-invariant (A8).
+    # Each worker holds blocks of about CHUNK_BYTES (2 MiB) whatever n is,
+    # and reports are worker-invariant (A8), so two workers only save time.
     report, _ = run_experiment(config, workers=2)
     small, large = (entry["normality"]["z_beta"] for entry in report["grid"])
 

@@ -1,8 +1,10 @@
+import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
 
+from evclt import config as config_module
 from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
 from evclt.errors import ConfigError
 
@@ -43,7 +45,7 @@ def test_full_config_round_trip(tmp_path):
         replicates=500,
         variance_source="plug-in",
         tests=["beta-clt", "coverage"],
-        defaults={"trend_tail_k": 3, "ks_absolute_slack": 0.02, "chunk_size": 64},
+        defaults={"trend_tail_k": 3, "ks_absolute_slack": 0.02},
         diagnose={"conditions": ["c6"], "hierarchy": False, "petrov": False},
         lindeberg={"r_grid": [0.5], "method": "monte-carlo", "mc_budget": 10_000},
     )
@@ -57,7 +59,6 @@ def test_full_config_round_trip(tmp_path):
     assert config.lindeberg.method == "monte-carlo"
     experiment = config.experiment()
     assert experiment.replicates == 500
-    assert experiment.defaults.chunk_size == 64
 
 
 def test_yaml_bare_true_variance_source(tmp_path):
@@ -74,9 +75,9 @@ def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
 # The canonical form is what manifest.json's config_sha256 is computed from;
 # these are the hashes of the shipped configs, which must not drift.
 SHIPPED_CONFIG_HASHES = {
-    "counterexample-gaussian.yaml": "94a823c91476e005a2edb70c3e09a700404dce92d7de027f9233df6b20b37f21",
-    "diagnose-linear.yaml": "5d9169dfbf7fd19819a8620e2605e4a75975b75e9595c6bce071e9ccff7a2d4a",
-    "theta-clt-alternating.yaml": "bf9a1bc591db7d6c356c926ab6af6a1b4938ee8ea7949e485191ab48ba71638c",
+    "counterexample-gaussian.yaml": "16f0bb59c8fda31b39f1c7d34b7890c487454276333fca9853dab666b01fbe16",
+    "diagnose-linear.yaml": "18d7691ddffdbb6c4ff8ea8910aa8d8a829f13440d66e8ee3cb30753822f28fb",
+    "theta-clt-alternating.yaml": "5fdfb520d64e89ca46161f1a5d52afdbf1483915109b7768e9a0823ee6720227",
 }
 
 
@@ -99,6 +100,7 @@ def test_student_t_df_passthrough(tmp_path):
         lambda d: d.update(grdi=[1, 2]),
         lambda d: d["model"].update(gamma=1.0),
         lambda d: d.update(defaults={"ks_slack": 0.01}),
+        lambda d: d.update(defaults={"chunk_size": 64}),
         lambda d: d.update(tests=["z-test"]),
         lambda d: d.update(variance_source="estimated"),
         lambda d: d.update(grid=[100, 50]),
@@ -125,3 +127,16 @@ def test_load_errors(tmp_path):
     bad.write_text("design: [unclosed", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_docstring_schema_is_complete_and_loads():
+    # README calls this block the complete schema; it must parse and list
+    # every ``defaults`` key the loader accepts, and no other.
+    doc = config_module.__doc__
+    block = doc[doc.index(".. code-block:: yaml") :].split("\n\n")[1]
+    data = yaml.safe_load(textwrap.dedent(block))
+    config = parse_config(data)
+    assert config.seed == 42
+    assert set(data["defaults"]) == set(config_module._TREND_KEYS) | set(
+        config_module._HARNESS_KEYS
+    )

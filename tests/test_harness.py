@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
-from evclt import harness
-from evclt.design import DesignSequence
+from evclt import harness, kernels
+from evclt.design import DesignSequence, summarize
 from evclt.errors import ConfigError, ZeroVarianceError
 from evclt.harness import (
     ExperimentConfig,
@@ -194,19 +196,21 @@ def test_run_is_deterministic_and_worker_invariant(linear_design, standard_spec)
     ],
 )
 @pytest.mark.parametrize("tests", [("beta-clt", "theta-clt"), ("coverage", "negligibility")])
-def test_report_does_not_depend_on_chunking(eps, delta, tests):
+def test_report_does_not_depend_on_chunking(monkeypatch, eps, delta, tests):
     spec = EVModelSpec(theta=1.0, beta=2.0, eps_dist=eps, delta_dist=delta)
     replicates = 100
+    config = _config(
+        DesignSequence("alternating"),
+        spec,
+        replicates=replicates,
+        n_grid=(60, 120),
+        tests=tests,
+    )
     reports = set()
-    for chunk_size in (1, 7, 256, replicates):
-        config = _config(
-            DesignSequence("alternating"),
-            spec,
-            replicates=replicates,
-            n_grid=(60, 120),
-            tests=tests,
-            defaults=HarnessDefaults(chunk_size=chunk_size),
-        )
+    # One row per chunk; 7 rows at n = 120 (14 at n = 60), which split R
+    # unevenly; and every replicate in one chunk at both sizes.
+    for budget in (1, 8 * 120 * 7, 8 * 120 * replicates):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
         for workers in (1, 2):
             report, _ = run_experiment(config, workers=workers)
             if "negligibility" in tests:
@@ -214,6 +218,81 @@ def test_report_does_not_depend_on_chunking(eps, delta, tests):
             del report["config"]
             reports.add(report_json_bytes(report))
     assert len(reports) == 1
+
+
+@pytest.mark.parametrize(
+    "n_grid, replicates",
+    [((1000, 60_000), 64), ((1000, 300_000), 2)],
+)
+def test_chunk_rows_follow_from_n(monkeypatch, standard_spec, n_grid, replicates):
+    # A block of one chunk stays within CHUNK_BYTES, down to the one-row
+    # floor once a single row is larger than the budget (n > 262144).
+    blocks: dict[str, list[tuple[int, int]]] = {"fit_batch": [], "decompose_batch": []}
+
+    def record(name):
+        kernel = getattr(kernels, name)
+
+        def wrapped(*args):
+            xi = args[0] if name == "fit_batch" else args[1]
+            blocks[name].append((xi.shape[1], xi.shape[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, wrapped)
+
+    record("fit_batch")
+    record("decompose_batch")
+    config = _config(
+        DesignSequence("alternating"),
+        standard_spec,
+        replicates=replicates,
+        n_grid=n_grid,
+        tests=("negligibility",),
+    )
+    run_experiment(config, workers=2)
+    for name, seen in blocks.items():
+        for n in n_grid:
+            rows = [r for size, r in seen if size == n]
+            assert sum(rows) == replicates, (name, n)
+            assert max(rows) <= max(1, harness.CHUNK_BYTES // (8 * n)), (name, n)
+    assert max(1, harness.CHUNK_BYTES // (8 * n_grid[-1])) < replicates
+
+
+def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standard_spec):
+    # Chunks write straight into shared per-replicate arrays. With more
+    # threads than cores, one row per chunk and a short switch interval the
+    # writes interleave densely; a lost or misplaced write changes a value.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    n = 50
+    x = linear_design.generate(n)
+    summary = summarize(x)
+
+    def simulate(workers):
+        return harness._simulate_grid_point(
+            spec=standard_spec,
+            x=x,
+            summary=summary,
+            n=n,
+            replicates=300,
+            seed=3,
+            need_latents=True,
+            workers=workers,
+        )
+
+    serial = simulate(1)
+    result = {}
+    thread = threading.Thread(target=lambda: result.update(stats=simulate(8)), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    parallel = result["stats"]
+    for name in ("valid", "beta_hat", "theta_hat", "rvar", "ratios"):
+        np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
+    assert parallel.identity_gap == serial.identity_gap
 
 
 def test_beta_clt_passes_at_moderate_scale(standard_spec):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,20 @@ def test_rademacher_truncation_strictness():
     assert dist.truncated_abs_moment(2.0, 1.0 + 1e-9) == 1.0
     assert dist.tail_second_moment(1.0) == 0.0  # strict |X| > cutoff
     assert dist.tail_prob(1.0) == 1.0  # |X| >= cutoff
+
+
+def test_uniform_tail_second_moment_near_the_scale_is_exact():
+    # E[X^2; |X| > c] = (s^3 - c^3) / (3s), evaluated exactly on the float
+    # inputs; as c nears s the two cubes agree in almost every bit.
+    s = 1.7
+    dist = ErrorDistribution("uniform-centered", s)
+    cutoffs = np.array([s * (1.0 - 2.0**-k) for k in range(1, 52)])
+    vector = dist.tail_second_moment(cutoffs)
+    for c, got in zip(cutoffs, vector):
+        fs, fc = Fraction(s), Fraction(float(c))
+        exact = (fs**3 - fc**3) / (3 * fs)
+        assert abs(Fraction(float(got)) - exact) / exact < Fraction(1, 10**15), c
+        assert dist.tail_second_moment(float(c)) == got
 
 
 def test_degenerate_scale_zero():
