@@ -92,7 +92,8 @@ class Decomposition:
     def from_sums(
         cls, beta, s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps, sxx_obs
     ) -> "Decomposition":
-        """The terms from the raw sums of ``kernels.decompose_batch``."""
+        """The terms from the five raw sums of ``kernels.decompose_batch`` and
+        the fit's ``sxx_obs``."""
         return cls(
             term_xi_eps=s_xi_eps,
             term_x_delta=beta * s_x_delta,
@@ -126,14 +127,20 @@ class StandardizedStats:
         return asdict(self)
 
 
+def _fit_rows(sample: EVSample):
+    """``kernels.fit_batch`` on one-row copies of the sample's (xi, eta), and
+    the centered rows it leaves in them."""
+    xi = np.array(sample.xi, dtype=np.float64)[None, :]
+    eta = np.array(sample.eta, dtype=np.float64)[None, :]
+    return kernels.fit_batch(xi, eta), xi, eta
+
+
 def fit(sample: EVSample) -> FitResult:
     """Simple LS of eta on xi; raises SingularDesignError on a constant column."""
     if sample.n < 2:
         raise ConfigError("fit needs n >= 2")
-    xi = np.asarray(sample.xi, dtype=np.float64)[None, :]
-    eta = np.asarray(sample.eta, dtype=np.float64)[None, :]
-    beta, theta, sxx, rvar = kernels.fit_batch(xi, eta)
-    if sxx[0] < singular_threshold(sample.n, float(np.mean(xi))):
+    (beta, theta, sxx, xi_mean), dxi, deta = _fit_rows(sample)
+    if sxx[0] < singular_threshold(sample.n, xi_mean[0]):
         raise SingularDesignError(
             f"observed regressor is numerically constant (sxx={sxx[0]:.3e})"
         )
@@ -141,7 +148,7 @@ def fit(sample: EVSample) -> FitResult:
         beta_hat=float(beta[0]),
         theta_hat=float(theta[0]),
         sxx_obs=float(sxx[0]),
-        residual_var=float(rvar[0]),
+        residual_var=float(kernels.residual_variance(dxi, deta, beta)[0]),
         n=sample.n,
     )
 
@@ -150,18 +157,18 @@ def decompose(sample: EVSample, spec: EVModelSpec) -> Decomposition:
     """Centered sums of the slope-error identities, from the retained latents."""
     if not sample.has_latents:
         raise MissingLatentsError("decompose needs a sample drawn with retain_latents=True")
-    x = sample.design.generate(sample.n)
+    (_, _, sxx, _), dxi, _ = _fit_rows(sample)
     sums = kernels.decompose_batch(
-        x,
-        np.asarray(sample.xi)[None, :],
-        np.asarray(sample.latent_eps)[None, :],
-        np.asarray(sample.latent_delta)[None, :],
+        sample.design.generate(sample.n),
+        dxi,
+        np.asarray(sample.latent_eps, dtype=np.float64)[None, :],
+        np.array(sample.latent_delta, dtype=np.float64)[None, :],
     )
-    return Decomposition.from_sums(spec.beta, *(float(s[0]) for s in sums))
+    return Decomposition.from_sums(spec.beta, *(float(s[0]) for s in (*sums, sxx)))
 
 
 def standardizing_variance(
-    spec: EVModelSpec, variance_source: VarianceSource, residual_var: float | np.ndarray
+    spec: EVModelSpec, variance_source: VarianceSource, residual_var: float | np.ndarray | None
 ) -> float | np.ndarray:
     """V of the standardized statistics: sigma2^2 + beta^2 sigma1^2 with the
     true source; with plug-in, the fit's mean squared residual (a float or

@@ -206,7 +206,7 @@ class _GridPointStats:
     valid: np.ndarray  # boolean mask over replicates
     beta_hat: np.ndarray
     theta_hat: np.ndarray
-    rvar: np.ndarray
+    rvar: np.ndarray | None  # mean squared residuals, kept for plug-in V only
     ratios: np.ndarray | None  # (R, 3) negligibility ratios (third one signed)
     identity_gap: float | None
 
@@ -219,45 +219,61 @@ def _simulate_grid_point(
     replicates: int,
     seed: int,
     need_latents: bool,
+    need_rvar: bool,
     workers: int,
 ) -> _GridPointStats:
     beta_hat = np.empty(replicates)
     theta_hat = np.empty(replicates)
     sxx = np.empty(replicates)
-    rvar = np.empty(replicates)
     xi_mean = np.empty(replicates)
-    sums = np.empty((6, replicates)) if need_latents else None
+    rvar = np.empty(replicates) if need_rvar else None
+    sums = np.empty((5, replicates)) if need_latents else None
 
     eta_base = spec.theta + spec.beta * x
-    rows = max(1, CHUNK_BYTES // (8 * n))
-
-    def work(lo: int) -> None:
-        # Each chunk owns the disjoint slice [lo, hi) of every output array.
-        hi = min(lo + rows, replicates)
-        reps = range(lo, hi)
-        e = spec.eps_dist.sample(uniforms([(seed, n, rep, STREAM_EPS) for rep in reps], n))
-        d = spec.delta_dist.sample(uniforms([(seed, n, rep, STREAM_DELTA) for rep in reps], n))
-        xi = x + d
-        eta = eta_base + e
-        beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], rvar[lo:hi] = kernels.fit_batch(xi, eta)
-        xi_mean[lo:hi] = xi.mean(axis=1)
-        if need_latents:
-            sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d)
-
+    rows = min(max(1, CHUNK_BYTES // (8 * n)), replicates)
     starts = range(0, replicates, rows)
+    workers = min(workers, len(starts))
+
+    def work(first: int) -> None:
+        # A worker takes every workers-th chunk and reuses one workspace for
+        # all of them: xi, eta and a product scratch, plus the latent eps and
+        # delta when they are kept (else delta becomes xi and eps eta in
+        # place). Each chunk owns the disjoint slice [lo, hi) of every
+        # output array.
+        workspace = np.empty((5 if need_latents else 3, rows, n))
+        xi_buf, eta_buf, scratch_buf = workspace[:3]
+        delta_buf, eps_buf = workspace[3:] if need_latents else (xi_buf, eta_buf)
+        for lo in starts[first::workers]:
+            hi = min(lo + rows, replicates)
+            reps = range(lo, hi)
+            k = hi - lo
+            e = uniforms([(seed, n, rep, STREAM_EPS) for rep in reps], n, out=eps_buf[:k])
+            d = uniforms([(seed, n, rep, STREAM_DELTA) for rep in reps], n, out=delta_buf[:k])
+            spec.eps_dist.sample(e, out=e)
+            spec.delta_dist.sample(d, out=d)
+            xi = np.add(d, x, out=xi_buf[:k])
+            eta = np.add(e, eta_base, out=eta_buf[:k])
+            scratch = scratch_buf[:k]
+            beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], xi_mean[lo:hi] = kernels.fit_batch(
+                xi, eta, scratch=scratch
+            )
+            if need_rvar:
+                rvar[lo:hi] = kernels.residual_variance(xi, eta, beta_hat[lo:hi], scratch=scratch)
+            if need_latents:
+                sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d, scratch=scratch)
+
     if workers <= 1:
-        for lo in starts:
-            work(lo)
+        work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
+            list(pool.map(work, range(workers)))
 
     valid = sxx >= singular_threshold(n, xi_mean)
 
     ratios = None
     identity_gap = None
     if need_latents:
-        decomp = Decomposition.from_sums(spec.beta, *sums)
+        decomp = Decomposition.from_sums(spec.beta, *sums, sxx)
         ratios = np.column_stack(negligible_ratios(decomp, summary))
         with np.errstate(invalid="ignore", divide="ignore"):
             gaps = np.maximum(
@@ -284,12 +300,13 @@ def _standardized(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z_beta, z_theta) over the valid replicates."""
     valid = stats.valid
+    rvar = None if stats.rvar is None else stats.rvar[valid]
     return standardized_errors(
         stats.beta_hat[valid] - spec.beta,
         stats.theta_hat[valid] - spec.theta,
         stats.s_n,
         stats.n,
-        standardizing_variance(spec, variance_source, stats.rvar[valid]),
+        standardizing_variance(spec, variance_source, rvar),
     )
 
 
@@ -382,6 +399,7 @@ def run_experiment(
             replicates=config.replicates,
             seed=config.seed,
             need_latents=need_latents,
+            need_rvar=config.variance_source == "plug-in",
             workers=workers,
         )
         used = int(np.count_nonzero(stats.valid))

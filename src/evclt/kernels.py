@@ -1,10 +1,17 @@
-"""Numeric kernels: the design summary, replicate-batched LS fits and the
-error-decomposition sums, in plain numpy.
+"""Numeric kernels: the design summary, replicate-batched LS fits, the
+residual pass and the error-decomposition sums, in plain numpy.
 
 Every sum is two-pass: the mean first, then the centered products. On the
 widest-range designs in the catalog (geometric base 2, power exponent 3)
 this keeps S_n within 1e-15 relative of the exact rational value, so no
 compensated summation is needed; ``tests/test_design.py`` pins that bound.
+
+The batched kernels work on (rows, n) float64 C-contiguous blocks and
+allocate no block of their own when given one: ``fit_batch`` centers its
+inputs in place, and ``residual_variance`` and ``decompose_batch`` read the
+centered rows it leaves. Each product is formed in a ``scratch`` block of
+the same shape (a fresh one when none is given) and summed along the row,
+so every value is the one the unbuffered expression would give.
 """
 
 from __future__ import annotations
@@ -24,43 +31,57 @@ def summary_stats(x) -> tuple[float, float, float]:
     return mean, float(np.sum(dev * dev)), float(np.max(np.abs(dev)))
 
 
-def fit_batch(xi, eta):
-    """Row-wise simple LS fits.
+def _row_sum_of_products(a, b, scratch) -> np.ndarray:
+    return np.multiply(a, b, out=scratch).sum(axis=1)
 
-    ``xi`` and ``eta`` are (replicates, n) arrays; returns per-row arrays
-    (slope, intercept, centered regressor sum of squares, mean squared
-    residual with divisor n). Rows with a constant regressor yield
+
+def fit_batch(xi, eta, scratch=None):
+    """Row-wise simple LS fits of ``eta`` on ``xi``.
+
+    ``xi`` and ``eta`` are (replicates, n) float64 C-contiguous blocks; each
+    is centered in place, once, so that on return they hold d(xi) and
+    d(eta). Returns per-row arrays (slope, intercept, centered regressor sum
+    of squares, regressor mean). Rows with a constant regressor yield
     non-finite slopes; the caller decides how to treat them.
     """
-    xi, eta = _as_f64(xi), _as_f64(eta)
-    n = xi.shape[1]
-    dxi = xi - xi.mean(axis=1, keepdims=True)
-    deta = eta - eta.mean(axis=1, keepdims=True)
-    sxx = np.sum(dxi * dxi, axis=1)
-    sxy = np.sum(dxi * deta, axis=1)
+    scratch = np.empty_like(xi) if scratch is None else scratch
+    xi_mean = xi.mean(axis=1)
+    eta_mean = eta.mean(axis=1)
+    xi -= xi_mean[:, None]
+    eta -= eta_mean[:, None]
+    sxx = _row_sum_of_products(xi, xi, scratch)
+    sxy = _row_sum_of_products(xi, eta, scratch)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(sxx > 0.0, sxy / np.where(sxx > 0.0, sxx, 1.0), np.nan)
-    theta = eta.mean(axis=1) - beta * xi.mean(axis=1)
-    resid = deta - beta[:, None] * dxi
-    rvar = np.sum(resid * resid, axis=1) / n
-    return beta, theta, sxx, rvar
+    theta = eta_mean - beta * xi_mean
+    return beta, theta, sxx, xi_mean
 
 
-def decompose_batch(x, xi, eps, delta):
+def residual_variance(dxi, deta, beta, scratch=None):
+    """Row-wise mean squared residual (divisor n) of the fits ``beta``, from
+    the centered blocks that ``fit_batch`` leaves in its inputs."""
+    scratch = np.empty_like(dxi) if scratch is None else scratch
+    np.multiply(dxi, beta[:, None], out=scratch)
+    np.subtract(deta, scratch, out=scratch)
+    return _row_sum_of_products(scratch, scratch, scratch) / dxi.shape[1]
+
+
+def decompose_batch(x, xi, eps, delta, scratch=None):
     """Row-wise raw sums feeding the slope-error decomposition.
 
-    Returns, per row: sum (xi_i - xi_bar) eps_i, sum (x_i - x_bar) delta_i,
-    sum (x_i - x_bar) eps_i, sum (delta_i - delta_bar)^2,
-    sum (delta_i - delta_bar) eps_i, sum (xi_i - xi_bar)^2.
+    ``xi`` holds the centered observed regressor rows d(xi) that
+    ``fit_batch`` leaves; ``delta`` is centered in place. Returns, per row:
+    sum d(xi)_i eps_i, sum d(x)_i delta_i, sum d(x)_i eps_i,
+    sum d(delta)_i^2, sum d(delta)_i eps_i. The fit supplies the sixth
+    sum, sum d(xi)_i^2.
     """
-    x, xi, eps, delta = _as_f64(x), _as_f64(xi), _as_f64(eps), _as_f64(delta)
+    scratch = np.empty_like(xi) if scratch is None else scratch
+    x = _as_f64(x)
     xdev = x - np.mean(x)
-    dxi = xi - xi.mean(axis=1, keepdims=True)
-    ddelta = delta - delta.mean(axis=1, keepdims=True)
-    s_xi_eps = np.sum(dxi * eps, axis=1)
-    s_x_delta = np.sum(xdev[None, :] * delta, axis=1)
-    s_x_eps = np.sum(xdev[None, :] * eps, axis=1)
-    s_delta_sq = np.sum(ddelta * ddelta, axis=1)
-    s_delta_eps = np.sum(ddelta * eps, axis=1)
-    sxx_obs = np.sum(dxi * dxi, axis=1)
-    return s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps, sxx_obs
+    s_xi_eps = _row_sum_of_products(xi, eps, scratch)
+    s_x_delta = _row_sum_of_products(xdev, delta, scratch)
+    s_x_eps = _row_sum_of_products(xdev, eps, scratch)
+    delta -= delta.mean(axis=1, keepdims=True)
+    s_delta_sq = _row_sum_of_products(delta, delta, scratch)
+    s_delta_eps = _row_sum_of_products(delta, eps, scratch)
+    return s_xi_eps, s_x_delta, s_x_eps, s_delta_sq, s_delta_eps

@@ -140,21 +140,43 @@ class ErrorDistribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF transform of uniforms in the open interval (0, 1)."""
+    def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse-CDF transform of uniforms in the open interval (0, 1).
+
+        The draws are written into ``out`` (which may be ``u`` itself) when it
+        is given, and ``out`` is returned.
+        """
+        if out is None:
+            out = np.empty_like(u)
         s = self.scale
         if s == 0.0:
-            return np.zeros_like(u)
-        if self.family == "normal":
-            return s * ndtri(u)
-        if self.family == "uniform-centered":
-            return s * (2.0 * u - 1.0)
-        if self.family == "laplace":
-            q = u - 0.5
-            return -s * np.sign(q) * np.log1p(-2.0 * np.abs(q))
-        if self.family == "student-t":
-            return s * stdtrit(self.df, u)
-        return np.where(u < 0.5, -s, s)
+            out.fill(0.0)
+        elif self.family == "normal":
+            ndtri(u, out=out)
+            out *= s
+        elif self.family == "uniform-centered":
+            np.multiply(u, 2.0, out=out)
+            out -= 1.0
+            out *= s
+        elif self.family == "laplace":
+            # -s sign(q) log1p(-2|q|) with q = u - 0.5, formed as
+            # s log1p(-2|q|) <= 0 and negated where q >= 0; rounding is
+            # symmetric in sign, and q = 0 gives +0 as sign(0) does.
+            nonnegative = u >= 0.5
+            np.subtract(u, 0.5, out=out)
+            np.abs(out, out=out)
+            out *= -2.0
+            np.log1p(out, out=out)
+            out *= s
+            np.negative(out, out=out, where=nonnegative)
+        elif self.family == "student-t":
+            stdtrit(self.df, u, out=out)
+            out *= s
+        else:
+            negative = u < 0.5
+            out.fill(s)
+            np.negative(out, out=out, where=negative)
+        return out
 
     # -- support and truncated moments (condition diagnostics) ---------------
 

@@ -11,8 +11,8 @@ A tuple keys the stream ``Philox(SeedSequence(tuple))``. Building one
 from it, so the tuples of a block of streams are hashed together: the
 SeedSequence entropy hash (pool size 4, as in numpy's ``bit_generator.pyx``)
 is written below as uint32 array arithmetic over all tuples of one word
-length at once, and one Philox generator is re-keyed for each row. The
-streams are bit-identical to numpy's.
+length at once, and one Philox generator is re-keyed for each row, writing
+straight into the caller's block. The streams are bit-identical to numpy's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ STREAM_DESIGN = 3
 STREAM_MC_EPS = 4
 STREAM_MC_DELTA = 5
 
-_INV_2_53 = 2.0 ** -53
+_HALF_ULP = 2.0 ** -54  # half the 2^-53 spacing of the uniforms
 
 _MASK_32 = (1 << 32) - 1
 _MASK_64 = (1 << 64) - 1
@@ -103,9 +103,9 @@ def _philox_keys(entropy: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-def _raw_block(keys: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """Raw Philox outputs, shape (len(keys), n): row i is
-    ``Philox(SeedSequence(keys[i])).random_raw(n)``."""
+def _block_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """Philox keys, shape (len(keys), 2) uint64: row i is the key of
+    ``Philox(SeedSequence(keys[i]))``."""
     words = [_words(key) for key in keys]
     philox_keys = np.empty((len(words), 2), dtype=np.uint64)
     by_length: dict[int, list[int]] = {}
@@ -113,30 +113,38 @@ def _raw_block(keys: Sequence[Sequence[int]], n: int) -> np.ndarray:
         by_length.setdefault(len(w), []).append(row)
     for rows in by_length.values():
         philox_keys[rows] = _philox_keys(np.array([words[r] for r in rows], dtype=np.uint32))
-
-    raw = np.empty((len(words), n), dtype=np.uint64)
-    bit_gen = np.random.Philox(key=0)
-    state = bit_gen.state  # zero counter, empty buffer
-    for row, key in enumerate(philox_keys):
-        state["state"]["key"] = key
-        bit_gen.state = state
-        raw[row] = bit_gen.random_raw(n)
-    return raw
+    return philox_keys
 
 
-def uniforms(key: Sequence[int] | Sequence[Sequence[int]], n: int) -> np.ndarray:
+def uniforms(
+    key: Sequence[int] | Sequence[Sequence[int]], n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """n uniforms on the open interval (0, 1) from the keyed stream.
 
     Uses the top 53 bits of each raw Philox output, offset by half an ulp so
     that 0 and 1 are never produced (inverse-CDF transforms stay finite).
 
     Given a list of keys instead of one key, returns a (len(keys), n) block
-    whose row i is bit-identical to ``uniforms(keys[i], n)``.
+    whose row i is bit-identical to ``uniforms(keys[i], n)``. The values are
+    written into ``out`` (a C-contiguous float64 array of that shape) when it
+    is given, and ``out`` is returned.
     """
     single = len(key) == 0 or isinstance(key[0], Integral)
-    raw = _raw_block([key] if single else key, n)
-    raw >>= np.uint64(11)
-    out = raw.astype(np.float64)
-    out += 0.5
-    out *= _INV_2_53
-    return out[0] if single else out
+    keys = [key] if single else key
+    shape = (n,) if single else (len(keys), n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    # Generator.random gives (raw >> 11) * 2^-53, one raw output per value;
+    # adding 2^-54 then rounds exactly as ((raw >> 11) + 0.5) * 2^-53 does,
+    # since scaling by a power of two is exact.
+    bit_gen = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_gen)
+    state = bit_gen.state  # zero counter, empty buffer
+    for row, philox_key in zip(out.reshape(len(keys), n), _block_keys(keys)):
+        state["state"]["key"] = philox_key
+        bit_gen.state = state
+        generator.random(out=row)
+    out += _HALF_ULP
+    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evclt import kernels
 from evclt.design import DesignSequence, DesignSummary, summarize
 from evclt.errors import (
     ConfigError,
@@ -263,3 +264,46 @@ def test_fit_and_decomposition_json_field_names(standard_spec, linear_design):
     stats_record = standardize(fit(sample), standard_spec, summary).to_dict()
     assert set(stats_record) == {"z_beta", "z_theta", "used_variance", "variance_source"}
 
+
+
+def test_batched_kernels_center_once_and_match_the_direct_sums():
+    # The kernels reuse one centering and one product scratch; every sum
+    # equals the expression that forms each centered row and product anew.
+    rng = np.random.default_rng(3)
+    rows, n = 4, 257
+    x = np.linspace(-2.0, 5.0, n)
+    eps, delta = rng.standard_normal((2, rows, n))
+    xi, eta = x + delta, 1.0 + 2.0 * x + eps
+    dxi = xi - xi.mean(axis=1, keepdims=True)
+    deta = eta - eta.mean(axis=1, keepdims=True)
+    ddelta = delta - delta.mean(axis=1, keepdims=True)
+    xdev = x - np.mean(x)
+    sxx = np.sum(dxi * dxi, axis=1)
+    beta = np.sum(dxi * deta, axis=1) / sxx
+
+    xi_buf, eta_buf, delta_buf = xi.copy(), eta.copy(), delta.copy()
+    scratch = np.full((rows, n), np.nan)
+    fit_beta, fit_theta, fit_sxx, xi_mean = kernels.fit_batch(xi_buf, eta_buf, scratch=scratch)
+    np.testing.assert_array_equal(xi_buf, dxi)
+    np.testing.assert_array_equal(eta_buf, deta)
+    np.testing.assert_array_equal(xi_mean, xi.mean(axis=1))
+    np.testing.assert_array_equal(fit_sxx, sxx)
+    np.testing.assert_array_equal(fit_beta, beta)
+    np.testing.assert_array_equal(fit_theta, eta.mean(axis=1) - beta * xi.mean(axis=1))
+
+    resid = deta - beta[:, None] * dxi
+    np.testing.assert_array_equal(
+        kernels.residual_variance(xi_buf, eta_buf, fit_beta, scratch=scratch),
+        np.sum(resid * resid, axis=1) / n,
+    )
+    sums = kernels.decompose_batch(x, xi_buf, eps, delta_buf, scratch=scratch)
+    expected = (
+        np.sum(dxi * eps, axis=1),
+        np.sum(xdev * delta, axis=1),
+        np.sum(xdev * eps, axis=1),
+        np.sum(ddelta * ddelta, axis=1),
+        np.sum(ddelta * eps, axis=1),
+    )
+    for got, want in zip(sums, expected):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(delta_buf, ddelta)

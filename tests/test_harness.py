@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,10 +234,10 @@ def test_chunk_rows_follow_from_n(monkeypatch, standard_spec, n_grid, replicates
     def record(name):
         kernel = getattr(kernels, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             xi = args[0] if name == "fit_batch" else args[1]
             blocks[name].append((xi.shape[1], xi.shape[0]))
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, wrapped)
 
@@ -275,6 +277,7 @@ def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standa
             replicates=300,
             seed=3,
             need_latents=True,
+            need_rvar=True,
             workers=workers,
         )
 
@@ -293,6 +296,109 @@ def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standa
     for name in ("valid", "beta_hat", "theta_hat", "rvar", "ratios"):
         np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
     assert parallel.identity_gap == serial.identity_gap
+
+
+# sha256 of report_json_bytes for small runs, taken before the chunk pipeline
+# reused per-worker blocks and transformed them in place; a change that moves
+# any output bit changes these. Every error family appears, two with scale 0,
+# under both variance sources, with and without the negligibility latents.
+_PINNED_REPORTS = [
+    (
+        ErrorDistribution("normal", 1.0),
+        ErrorDistribution("uniform-centered", 1.5),
+        "true",
+        ("beta-clt", "theta-clt"),
+        "fc95996d50609759d51df060439f4efe9652327cb477900243dd64122f844eb9",
+    ),
+    (
+        ErrorDistribution("laplace", 0.8),
+        ErrorDistribution("student-t", 1.0, df=6.0),
+        "plug-in",
+        ("beta-clt", "coverage", "negligibility"),
+        "6345dfacc77fe2435d09af5ec0df99be557e4e6f761b9814c508ee95782f6cf8",
+    ),
+    (
+        ErrorDistribution("student-t", 1.2, df=5.0),
+        ErrorDistribution("scaled-rademacher", 0.5),
+        "true",
+        ("negligibility",),
+        "d8aff92a68076ece2e100783963469f4725f3ce0c6286bc5c5b420933ce784f0",
+    ),
+    (
+        ErrorDistribution("normal", 0.0),
+        ErrorDistribution("laplace", 1.0),
+        "plug-in",
+        ("beta-clt",),
+        "5499217c85135616a427945e5c7efa480fce8989279a5cbaf303eb6ec9590597",
+    ),
+    (
+        ErrorDistribution("scaled-rademacher", 1.0),
+        ErrorDistribution("uniform-centered", 0.0),
+        "plug-in",
+        ("theta-clt", "negligibility"),
+        "e9cb994858515c76194036f4ccbc30105ce4c9cbdb2a08e93a637398894a541c",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("ignore:theta-clt requested")
+@pytest.mark.parametrize("eps, delta, variance_source, tests, digest", _PINNED_REPORTS)
+@pytest.mark.parametrize("chunk_bytes", [harness.CHUNK_BYTES, 8 * 120 * 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_bytes_are_pinned(
+    monkeypatch, eps, delta, variance_source, tests, digest, chunk_bytes, workers
+):
+    # The default budget puts all 100 replicates in one chunk; the small one
+    # gives 7 rows at n = 120 and 14 at n = 60, split over both workers.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
+    spec = EVModelSpec(theta=1.0, beta=2.0, eps_dist=eps, delta_dist=delta)
+    config = _config(
+        DesignSequence("linear"),
+        spec,
+        n_grid=(60, 120),
+        replicates=100,
+        seed=11,
+        variance_source=variance_source,
+        tests=tests,
+    )
+    report, _ = run_experiment(config, workers=workers)
+    assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("need_latents, blocks", [(False, 4), (True, 6)])
+def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks):
+    # At n = 50000 a chunk holds 5 rows, so one (rows, n) block is just
+    # under CHUNK_BYTES. One worker reuses 3 blocks (xi, eta, a product
+    # scratch), or 5 when the latents are kept; the n-sized design rows fit
+    # in the one block of headroom, and the per-replicate arrays come on top.
+    n, replicates = 50_000, 20
+    spec = EVModelSpec(
+        theta=1.0,
+        beta=2.0,
+        eps_dist=ErrorDistribution("student-t", 1.0, df=6.0),
+        delta_dist=ErrorDistribution("normal", 1.0),
+    )
+    x = DesignSequence("linear").generate(n)
+    summary = summarize(x)
+    assert harness.CHUNK_BYTES // (8 * n) == 5
+    tracemalloc.start()
+    try:
+        harness._simulate_grid_point(
+            spec=spec,
+            x=x,
+            summary=summary,
+            n=n,
+            replicates=replicates,
+            seed=1,
+            need_latents=need_latents,
+            need_rvar=True,
+            workers=1,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_replicate = 8 * replicates * 16
+    assert peak < blocks * harness.CHUNK_BYTES + per_replicate
 
 
 def test_beta_clt_passes_at_moderate_scale(standard_spec):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtri, stdtrit
 
 from evclt.design import DesignSequence
 from evclt.errors import ConfigError
@@ -79,6 +80,43 @@ def test_rademacher_sampling_hits_both_atoms():
     values = set(np.unique(draws).tolist())
     assert values == {-2.5, 2.5}
     assert abs(np.mean(draws)) < 4 * 2.5 / math.sqrt(10000)
+
+
+_SAMPLED_LAWS = [
+    ErrorDistribution("normal", 1.3),
+    ErrorDistribution("uniform-centered", 2.0),
+    ErrorDistribution("laplace", 0.7),
+    ErrorDistribution("student-t", 1.1, df=6.0),
+    ErrorDistribution("scaled-rademacher", 2.5),
+    ErrorDistribution("laplace", 0.0),
+]
+
+
+@pytest.mark.parametrize("dist", _SAMPLED_LAWS, ids=lambda d: f"{d.family}-{d.scale}")
+def test_sampling_into_out_is_bit_identical(dist):
+    # The reference is each family's allocating expression. The block of keyed
+    # uniforms is extended by the midpoint 0.5 and its two neighbours, where
+    # laplace and scaled-rademacher change sign.
+    u = np.concatenate(
+        [uniforms((5, STREAM_EPS), 4000), [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]]
+    )
+    s = dist.scale
+    q = u - 0.5
+    reference = {
+        "normal": lambda: s * ndtri(u),
+        "uniform-centered": lambda: s * (2.0 * u - 1.0),
+        "laplace": lambda: -s * np.sign(q) * np.log1p(-2.0 * np.abs(q)) if s else np.zeros_like(u),
+        "student-t": lambda: s * stdtrit(dist.df, u),
+        "scaled-rademacher": lambda: np.where(u < 0.5, -s, s),
+    }[dist.family]()
+    draws = dist.sample(u)
+    assert draws.tobytes() == reference.tobytes()
+    out = np.full_like(u, np.nan)
+    assert dist.sample(u, out=out) is out
+    assert out.tobytes() == draws.tobytes()
+    in_place = u.copy()
+    assert dist.sample(in_place, out=in_place) is in_place
+    assert in_place.tobytes() == draws.tobytes()
 
 
 # --- moments -----------------------------------------------------------------

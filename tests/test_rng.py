@@ -2,6 +2,7 @@
 ``Philox(SeedSequence(key))``, block by block and key by key."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from evclt.rng import uniforms
@@ -32,10 +33,25 @@ _key = st.lists(_component, min_size=1, max_size=7).map(tuple)
 def test_block_rows_equal_numpy_streams(keys, n):
     block = uniforms(keys, n)
     assert block.shape == (len(keys), n)
-    for row, key in zip(block, keys):
+    # A reused block holding stale values, as the harness workspaces do.
+    buf = np.full((len(keys) + 3, n), np.nan)[: len(keys)]
+    assert uniforms(keys, n, out=buf) is buf
+    row_buf = np.full(n, -1.0)
+    for row, filled, key in zip(block, buf, keys):
         expected = _numpy_uniforms(key, n)
         assert np.array_equal(row, expected)
+        assert np.array_equal(filled, expected)
         assert np.array_equal(uniforms(key, n), expected)
+        assert uniforms(key, n, out=row_buf) is row_buf
+        assert np.array_equal(row_buf, expected)
+
+
+def test_out_block_must_match_the_stream_block():
+    keys = [(1, 2), (3, 4)]
+    for bad in (np.empty((2, 9)), np.empty((3, 10)), np.empty((2, 10), dtype=np.float32),
+                np.empty((10, 2)).T):
+        with pytest.raises(ValueError):
+            uniforms(keys, 10, out=bad)
 
 
 def test_harness_keys_and_word_lengths_mixed_in_one_block():
