@@ -43,6 +43,7 @@ from .model import ErrorDistribution, EVModelSpec
 from .rng import STREAM_MC_DELTA, STREAM_MC_EPS, uniforms
 
 CONDITION_IDS = ("liu-chen-beta", "c6", "c7", "theta-consistency", "c17")
+LINDEBERG_METHODS = ("quadrature", "monte-carlo")
 
 VERDICT_SATISFIED = "satisfied-trend"
 VERDICT_VIOLATED = "violated-trend"
@@ -114,6 +115,28 @@ class PetrovReport:
         if self.corollary is not None:
             out["corollary-c6"] = self.corollary.to_dict()
         return out
+
+
+def check_conditions(conditions: Sequence[str]) -> tuple[str, ...]:
+    """The condition ids as a tuple; each must be one of CONDITION_IDS."""
+    conditions = tuple(str(c) for c in conditions)
+    for c in conditions:
+        if c not in CONDITION_IDS:
+            raise ConfigError(f"unknown condition id {c!r}; expected one of {CONDITION_IDS}")
+    return conditions
+
+
+def check_lindeberg(r_grid: Sequence[float], method: str) -> tuple[float, ...]:
+    """The truncation levels as a tuple of floats; there must be at least one,
+    each > 0, and the method must be one of LINDEBERG_METHODS."""
+    r_grid = tuple(float(r) for r in r_grid)
+    if not r_grid or not all(r > 0.0 for r in r_grid):
+        raise ConfigError("the Lindeberg sum needs truncation levels r > 0")
+    if method not in LINDEBERG_METHODS:
+        raise ConfigError(
+            f"unknown Lindeberg method {method!r}; expected one of {LINDEBERG_METHODS}"
+        )
+    return r_grid
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +329,7 @@ def lindeberg_sum(
     seed: int = 0,
 ) -> LindebergReport:
     """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array."""
-    if r <= 0.0:
-        raise ConfigError("truncation level r must be > 0")
-    if method not in ("quadrature", "monte-carlo"):
-        raise ConfigError(f"unknown method {method!r}")
+    check_lindeberg((r,), method)
     variance = spec.nu_variance()
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
@@ -409,9 +429,7 @@ def diagnostics_report(
 ) -> dict:
     """Condition paths (plus optional hierarchy and Petrov sections) as one
     JSON-ready mapping."""
-    for name in conditions:
-        if name not in CONDITION_IDS:
-            raise ConfigError(f"unknown condition id {name!r}; expected one of {CONDITION_IDS}")
+    conditions = check_conditions(conditions)
     summaries = summary_path(design, n_grid)
     report: dict = {
         "design": design.to_dict(),

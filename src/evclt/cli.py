@@ -11,6 +11,12 @@ Exit codes: 0 all requested tests pass, 1 a test failed, 2 usage or config
 error. The EVCLT_SEED environment variable overrides the config seed.
 Re-running a command with the same config overwrites byte-identical outputs;
 the only timestamp lives in manifest.json.
+
+Each command writes manifest.json and one JSON report into ``--out``. Each
+CSV table is a column projection of records that the JSON report already
+holds, except design.csv and the ``--emit-samples`` tables, which hold the
+design values and the standardized samples. ``_write_csv`` writes every
+table: floats as their ``repr``, None as an empty cell.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ import csv
 import datetime
 import os
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
 from . import __version__
 from .asymptotics import diagnostics_report, lindeberg_sum
 from .config import AppConfig, config_hash, load_config
-from .design import export_design_csv
+from .design import DesignSequence
 from .errors import ConfigError, EvcltError
 from .harness import counterexample_run, report_json_bytes, run_experiment
 
@@ -34,22 +41,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_bytes(report_json_bytes(payload))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, columns: Sequence[str], records: Iterable[Mapping]) -> None:
+    """One row per record: ``record[c]`` for each column, floats as their repr
+    and None as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(columns)
+        for record in records:
             writer.writerow(
-                ["" if v is None else repr(v) if isinstance(v, float) else v for v in row]
+                [
+                    "" if v is None else repr(float(v)) if isinstance(v, float) else v
+                    for v in (record[c] for c in columns)
+                ]
             )
 
 
-def _write_manifest(out: Path, command: str, config_path: str, config: AppConfig) -> None:
+def _write_manifest(args, config: AppConfig) -> Path:
+    """Make the output directory, write manifest.json into it and return it."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "manifest.json",
         {
-            "command": command,
-            "config_path": str(config_path),
+            "command": args.command,
+            "config_path": str(args.config),
             "config_sha256": config_hash(config),
             "tool_version": __version__,
             "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -58,6 +73,49 @@ def _write_manifest(out: Path, command: str, config_path: str, config: AppConfig
             "out_dir": str(out),
         },
     )
+    return out
+
+
+def _path_records(paths: Mapping[str, dict]):
+    """One record per (condition, grid point) of the condition paths."""
+    for name, path in paths.items():
+        for n, value in zip(path["n_grid"], path["values"]):
+            yield {**path, "condition": name, "n": n, "value": value}
+
+
+def _hierarchy_records(h: dict):
+    """One record per grid point of the hierarchy ratios."""
+    for n, a, b, c in zip(
+        h["n_grid"], h["n_over_root_s"], h["root_s_over_maxdev_sq"], h["maxdev_sq_over_s"]
+    ):
+        yield {
+            "n": n,
+            "n_over_root_s": a,
+            "root_s_over_maxdev_sq": b,
+            "maxdev_sq_over_s": c,
+            "flagged": h["flagged"],
+        }
+
+
+def export_design_csv(design: DesignSequence, n: int, path: Path) -> None:
+    """Write (index, x) rows for audit."""
+    x = design.generate(n)
+    _write_csv(path, ("index", "x"), ({"index": i, "x": v} for i, v in enumerate(x, start=1)))
+
+
+_COUNTEREXAMPLE_COLUMNS = (
+    "n",
+    "mean_beta_hat",
+    "var_beta_hat",
+    "attenuation_target",
+    "ks_distance_z_beta",
+    "normality_refuted",
+    "pass",
+)
+
+
+def _write_counterexample_csv(out: Path, entries: list[dict]) -> None:
+    _write_csv(out / "counterexample.csv", _COUNTEREXAMPLE_COLUMNS, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -76,44 +134,31 @@ def _cmd_diagnose(args, config: AppConfig) -> int:
         include_petrov=section.petrov,
         rule=config.trend_rule,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, "diagnose", args.config, config)
+    out = _write_manifest(args, config)
     _write_json(out / "diagnostics.json", report)
-
-    rows = []
-    verdict_lines = []
-    for name, path in report["conditions"].items():
-        for n, value in zip(path["n_grid"], path["values"]):
-            rows.append([name, n, float(value), path["target"], path["verdict"]])
-        verdict_lines.append((name, path["verdict"], path["values"][-1]))
-    _write_csv(out / "conditions.csv", ["condition", "n", "value", "target", "verdict"], rows)
-
+    _write_csv(
+        out / "conditions.csv",
+        ("condition", "n", "value", "target", "verdict"),
+        _path_records(report["conditions"]),
+    )
+    paths = dict(report["conditions"])
     if "hierarchy" in report:
-        h = report["hierarchy"]
         _write_csv(
             out / "hierarchy.csv",
-            ["n", "n_over_root_s", "root_s_over_maxdev_sq", "maxdev_sq_over_s", "flagged"],
-            [
-                [n, float(a), float(b), float(c), h["flagged"]]
-                for n, a, b, c in zip(
-                    h["n_grid"], h["n_over_root_s"], h["root_s_over_maxdev_sq"], h["maxdev_sq_over_s"]
-                )
-            ],
+            ("n", "n_over_root_s", "root_s_over_maxdev_sq", "maxdev_sq_over_s", "flagged"),
+            _hierarchy_records(report["hierarchy"]),
         )
     if "petrov" in report:
-        rows = []
-        for name in ("petrov-i", "petrov-ii", "petrov-iii"):
-            path = report["petrov"][name]
-            for n, value in zip(path["n_grid"], path["values"]):
-                rows.append([name, n, float(value), path["verdict"]])
-            verdict_lines.append((name, path["verdict"], path["values"][-1]))
-        _write_csv(out / "petrov.csv", ["condition", "n", "value", "verdict"], rows)
+        petrov = {name: report["petrov"][name] for name in ("petrov-i", "petrov-ii", "petrov-iii")}
+        _write_csv(
+            out / "petrov.csv", ("condition", "n", "value", "verdict"), _path_records(petrov)
+        )
+        paths.update(petrov)
     export_design_csv(config.design, config.n_grid[-1], out / "design.csv")
 
     print(f"{'condition':<20} {'verdict':<18} final value")
-    for name, verdict, value in verdict_lines:
-        print(f"{name:<20} {verdict:<18} {value:.6g}")
+    for name, path in paths.items():
+        print(f"{name:<20} {path['verdict']:<18} {path['values'][-1]:.6g}")
     return 0
 
 
@@ -122,64 +167,30 @@ def _cmd_simulate(args, config: AppConfig) -> int:
     report, samples = run_experiment(
         experiment, workers=args.workers, collect_samples=args.emit_samples
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, "simulate", args.config, config)
+    out = _write_manifest(args, config)
     _write_json(out / "report.json", report)
 
-    normality_rows = []
-    coverage_rows = []
-    negligibility_rows = []
-    for entry in report["grid"]:
-        for stat, res in entry["normality"].items():
-            normality_rows.append(
-                [
-                    entry["n"],
-                    stat,
-                    float(res["ks_distance"]),
-                    float(res["ks_threshold"]),
-                    float(res["mean"]),
-                    float(res["variance"]),
-                    res["pass"],
-                ]
-            )
-        for stat, res in entry.get("coverage", {}).items():
-            coverage_rows.append(
-                [
-                    entry["n"],
-                    stat,
-                    float(res["nominal"]),
-                    float(res["empirical"]),
-                    float(res["stderr"]),
-                    res["pass"],
-                ]
-            )
-        if "negligibility" in entry:
-            neg = entry["negligibility"]
-            negligibility_rows.append(
-                [
-                    entry["n"],
-                    float(neg["median_delta_sq"]),
-                    float(neg["median_delta_eps"]),
-                    float(neg["median_sxx_gap"]),
-                ]
-            )
+    grid = report["grid"]
     _write_csv(
         out / "normality.csv",
-        ["n", "statistic", "ks_distance", "ks_threshold", "mean", "variance", "pass"],
-        normality_rows,
+        ("n", "statistic", "ks_distance", "ks_threshold", "mean", "variance", "pass"),
+        (res for entry in grid for res in entry["normality"].values()),
     )
-    if coverage_rows:
+    if "coverage" in experiment.tests:
         _write_csv(
             out / "coverage.csv",
-            ["n", "statistic", "nominal", "empirical", "stderr", "pass"],
-            coverage_rows,
+            ("n", "statistic", "nominal", "empirical", "stderr", "pass"),
+            (
+                {**res, "statistic": res["half_width_basis"]}
+                for entry in grid
+                for res in entry["coverage"].values()
+            ),
         )
-    if negligibility_rows:
+    if "negligibility" in experiment.tests:
         _write_csv(
             out / "negligibility.csv",
-            ["n", "median_delta_sq", "median_delta_eps", "median_sxx_gap"],
-            negligibility_rows,
+            ("n", "median_delta_sq", "median_delta_eps", "median_sxx_gap"),
+            ({"n": entry["n"], **entry["negligibility"]} for entry in grid),
         )
     if "counterexample" in report:
         _write_counterexample_csv(out, report["counterexample"])
@@ -188,7 +199,7 @@ def _cmd_simulate(args, config: AppConfig) -> int:
         samples_dir.mkdir(exist_ok=True)
         for stat, by_n in samples.items():
             for n, values in by_n.items():
-                _write_csv(samples_dir / f"{stat}_n{n}.csv", ["z"], [[float(v)] for v in values])
+                _write_csv(samples_dir / f"{stat}_n{n}.csv", ("z",), ({"z": z} for z in values))
 
     for test, ok in report["tests"].items():
         print(f"{test}: {'pass' if ok else 'FAIL'}")
@@ -207,50 +218,17 @@ def _cmd_lindeberg(args, config: AppConfig) -> int:
             method=section.method,
             mc_budget=section.mc_budget,
             seed=config.seed,
-        )
+        ).to_dict()
         for n in config.n_grid
         for r in section.r_grid
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, "lindeberg", args.config, config)
-    _write_json(out / "lindeberg.json", {"reports": [r.to_dict() for r in reports]})
-    _write_csv(
-        out / "lindeberg.csv",
-        ["n", "r", "sum_value", "method", "stderr"],
-        [[r.n, float(r.r), float(r.sum_value), r.method, r.stderr] for r in reports],
-    )
+    out = _write_manifest(args, config)
+    _write_json(out / "lindeberg.json", {"reports": reports})
+    _write_csv(out / "lindeberg.csv", ("n", "r", "sum_value", "method", "stderr"), reports)
     for r in reports:
-        extra = f" stderr={r.stderr:.3g}" if r.stderr is not None else ""
-        print(f"n={r.n} r={r.r}: sum={r.sum_value:.6g} ({r.method}{extra})")
+        extra = f" stderr={r['stderr']:.3g}" if r["stderr"] is not None else ""
+        print(f"n={r['n']} r={r['r']}: sum={r['sum_value']:.6g} ({r['method']}{extra})")
     return 0
-
-
-def _write_counterexample_csv(out: Path, entries: list[dict]) -> None:
-    _write_csv(
-        out / "counterexample.csv",
-        [
-            "n",
-            "mean_beta_hat",
-            "var_beta_hat",
-            "attenuation_target",
-            "ks_distance_z_beta",
-            "normality_refuted",
-            "pass",
-        ],
-        [
-            [
-                e["n"],
-                float(e["mean_beta_hat"]),
-                float(e["var_beta_hat"]),
-                float(e["attenuation_target"]),
-                float(e["ks_distance_z_beta"]),
-                e["normality_refuted"],
-                e["pass"],
-            ]
-            for e in entries
-        ],
-    )
 
 
 def _cmd_counterexample(args, config: AppConfig) -> int:
@@ -263,9 +241,7 @@ def _cmd_counterexample(args, config: AppConfig) -> int:
         defaults=config.harness,
         workers=args.workers,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, "counterexample", args.config, config)
+    out = _write_manifest(args, config)
     _write_json(out / "counterexample.json", {"entries": entries})
     _write_counterexample_csv(out, entries)
     for e in entries:

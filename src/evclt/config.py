@@ -56,7 +56,7 @@ from pathlib import Path
 
 import yaml
 
-from .asymptotics import CONDITION_IDS, TrendRule
+from .asymptotics import CONDITION_IDS, TrendRule, check_conditions, check_lindeberg
 from .design import DesignSequence, check_grid
 from .errors import ConfigError
 from .estimator import check_variance_source
@@ -78,18 +78,12 @@ class DiagnoseSection:
     hierarchy: bool = True
     petrov: bool = True
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class LindebergSection:
     r_grid: tuple[float, ...] = DEFAULT_LINDEBERG_R_GRID
     method: str = "quadrature"
     mc_budget: int = 1_000_000
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -211,12 +205,8 @@ def _parse_defaults(node) -> tuple[TrendRule, HarnessDefaults]:
 def _parse_diagnose(node) -> DiagnoseSection:
     node = _require_mapping(node, "diagnose")
     _check_keys(node, {"conditions", "hierarchy", "petrov"}, "diagnose")
-    conditions = tuple(str(c) for c in node.get("conditions", CONDITION_IDS))
-    for c in conditions:
-        if c not in CONDITION_IDS:
-            raise ConfigError(f"unknown condition id {c!r}; expected one of {CONDITION_IDS}")
     return DiagnoseSection(
-        conditions=conditions,
+        conditions=check_conditions(node.get("conditions", CONDITION_IDS)),
         hierarchy=bool(node.get("hierarchy", True)),
         petrov=bool(node.get("petrov", True)),
     )
@@ -225,12 +215,8 @@ def _parse_diagnose(node) -> DiagnoseSection:
 def _parse_lindeberg(node) -> LindebergSection:
     node = _require_mapping(node, "lindeberg")
     _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
-    r_grid = tuple(float(r) for r in node.get("r_grid", DEFAULT_LINDEBERG_R_GRID))
-    if not r_grid or any(r <= 0.0 for r in r_grid):
-        raise ConfigError("lindeberg.r_grid needs strictly positive truncation levels")
     method = str(node.get("method", "quadrature"))
-    if method not in ("quadrature", "monte-carlo"):
-        raise ConfigError("lindeberg.method must be 'quadrature' or 'monte-carlo'")
+    r_grid = check_lindeberg(node.get("r_grid", DEFAULT_LINDEBERG_R_GRID), method)
     mc_budget = int(node.get("mc_budget", 1_000_000))
     if mc_budget < 1000:
         raise ConfigError("lindeberg.mc_budget must be >= 1000")
@@ -257,19 +243,28 @@ def parse_config(data: dict) -> AppConfig:
     for key in ("design", "model"):
         if key not in data:
             raise ConfigError(f"config.{key} is required")
-    trend_rule, harness = _parse_defaults(data.get("defaults", {}))
+
+    def parse(key: str, parser, default=None):
+        """``parser`` applied to section ``key``; a value of the wrong type is
+        a config error that names the section."""
+        try:
+            return parser(data.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config.{key} has a value of the wrong type: {exc}") from exc
+
+    trend_rule, harness = parse("defaults", _parse_defaults, {})
     return AppConfig(
-        seed=int(data.get("seed", 0)),
-        design=_parse_design(data["design"]),
-        model=_parse_model(data["model"]),
-        n_grid=check_grid(data.get("grid", DEFAULT_N_GRID)),
-        replicates=int(data.get("replicates", 1000)),
-        variance_source=_parse_variance_source(data.get("variance_source", "true")),
-        tests=check_tests(data.get("tests", ("beta-clt",))),
+        seed=parse("seed", int, 0),
+        design=parse("design", _parse_design),
+        model=parse("model", _parse_model),
+        n_grid=parse("grid", check_grid, DEFAULT_N_GRID),
+        replicates=parse("replicates", int, 1000),
+        variance_source=parse("variance_source", _parse_variance_source, "true"),
+        tests=parse("tests", check_tests, ("beta-clt",)),
         trend_rule=trend_rule,
         harness=harness,
-        diagnose=_parse_diagnose(data.get("diagnose", {})),
-        lindeberg=_parse_lindeberg(data.get("lindeberg", {})),
+        diagnose=parse("diagnose", _parse_diagnose, {}),
+        lindeberg=parse("lindeberg", _parse_lindeberg, {}),
     )
 
 

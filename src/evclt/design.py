@@ -27,10 +27,8 @@ randomness.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -172,7 +170,10 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
 
 def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
     """The n grid as a tuple of ints; it must be strictly increasing with min >= 2."""
-    grid = tuple(int(n) for n in n_grid)
+    values = tuple(n_grid)
+    if any(isinstance(n, float) and not n.is_integer() for n in values):
+        raise ConfigError(f"the n grid needs whole numbers, got {list(values)}")
+    grid = tuple(int(n) for n in values)
     if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("the n grid must be strictly increasing with min >= 2")
     return grid
@@ -183,13 +184,3 @@ def summary_path(design: DesignSequence, n_grid: Sequence[int]) -> list[DesignSu
     grid = check_grid(n_grid)
     x = design.generate(grid[-1])
     return [summarize(x[:n]) for n in grid]
-
-
-def export_design_csv(design: DesignSequence, n: int, path: str | Path) -> None:
-    """Write (index, x) rows for audit."""
-    x = design.generate(n)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x"])
-        for i, value in enumerate(x, start=1):
-            writer.writerow([i, repr(float(value))])

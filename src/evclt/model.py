@@ -14,10 +14,8 @@ CDF from a single keyed uniform per index, so a draw is a pure function of
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import beta as beta_function
@@ -327,9 +325,6 @@ class EVModelSpec:
         """Almost-sure bound on |eps - beta * delta| (inf if unbounded)."""
         return self.eps_dist.support_bound() + abs(self.beta) * self.delta_dist.support_bound()
 
-    def is_degenerate(self) -> bool:
-        return self.nu_variance() == 0.0
-
     def to_dict(self) -> dict:
         return {
             "theta": self.theta,
@@ -385,25 +380,3 @@ def draw_sample(
         latent_eps=eps if retain_latents else None,
         latent_delta=delta if retain_latents else None,
     )
-
-
-def export_sample_csv(sample: EVSample, path: str | Path) -> None:
-    """Write (i, xi, eta[, eps, delta]) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if sample.has_latents:
-            writer.writerow(["i", "xi", "eta", "eps", "delta"])
-            for i in range(sample.n):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(float(sample.xi[i])),
-                        repr(float(sample.eta[i])),
-                        repr(float(sample.latent_eps[i])),
-                        repr(float(sample.latent_delta[i])),
-                    ]
-                )
-        else:
-            writer.writerow(["i", "xi", "eta"])
-            for i in range(sample.n):
-                writer.writerow([i + 1, repr(float(sample.xi[i])), repr(float(sample.eta[i]))])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -233,6 +234,15 @@ def test_rerun_is_idempotent_except_manifest(tmp_path):
             assert p.read_bytes() == snapshot[p.name], p.name
 
 
+def test_export_design_csv(tmp_path, linear_design):
+    out = tmp_path / "design.csv"
+    cli.export_design_csv(linear_design, 4, out)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "index,x"
+    assert lines[1] == "1,1.0"
+    assert len(lines) == 5
+
+
 # --- lindeberg ----------------------------------------------------------------------
 
 
@@ -394,3 +404,144 @@ def test_counterexample_command_is_the_simulate_path(tmp_path):
 def test_counterexample_needs_gaussian_design(tmp_path):
     config = _write_config(tmp_path, _base_config(grid=[200]))
     assert main(["counterexample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+# --- pinned output bytes -----------------------------------------------------------
+
+_T_LAW = {"family": "student-t", "scale": 1.0, "df": 6}
+_NORMAL_LAW = {"family": "normal", "scale": 1.0}
+_SMALL_SIMULATION = {"design": {"kind": "alternating"}, "grid": [100, 200], "replicates": 150}
+_GAUSSIAN_DESIGN = {"design": {"kind": "gaussian-iid", "seed": 5}, "grid": [200, 400]}
+
+# (command and flags, config) for one small run of each output table.
+_PINNED_RUNS = {
+    "diagnose-normal": (["diagnose"], _base_config()),
+    "diagnose-student-t-delta": (
+        ["diagnose"],
+        _base_config(model={"theta": 1.0, "beta": 2.0, "eps": _NORMAL_LAW, "delta": _T_LAW}),
+    ),
+    "lindeberg-quadrature": (
+        ["lindeberg"],
+        _base_config(grid=[100, 500], lindeberg={"r_grid": [0.1, 0.5]}),
+    ),
+    "lindeberg-monte-carlo": (
+        ["lindeberg"],
+        _base_config(
+            model={"theta": 1.0, "beta": 2.0, "eps": _T_LAW, "delta": _NORMAL_LAW},
+            grid=[100, 500],
+            lindeberg={"r_grid": [0.1, 0.5], "method": "monte-carlo", "mc_budget": 20_000},
+        ),
+    ),
+    "simulate-samples": (
+        ["simulate", "--emit-samples"],
+        _base_config(**_SMALL_SIMULATION, tests=["beta-clt", "theta-clt"]),
+    ),
+    "simulate-coverage": (
+        ["simulate"],
+        _base_config(
+            design={"kind": "alternating"},
+            grid=[1000],
+            replicates=1000,
+            tests=["theta-clt", "coverage"],
+        ),
+    ),
+    "simulate-negligibility-plug-in": (
+        ["simulate", "--workers", "2"],
+        _base_config(
+            **_SMALL_SIMULATION, variance_source="plug-in", tests=["beta-clt", "negligibility"]
+        ),
+    ),
+    "simulate-counterexample": (
+        ["simulate"],
+        _base_config(**_GAUSSIAN_DESIGN, tests=["beta-clt", "counterexample"]),
+    ),
+    "counterexample": (["counterexample"], _base_config(**_GAUSSIAN_DESIGN)),
+}
+
+# sha256 of every output file but manifest.json, and of stdout, plus the exit
+# code, for each run above; a change that moves any output byte changes these.
+_PINNED_OUTPUTS = {
+    "counterexample": {
+        "counterexample.csv": "2776d1b6e7aaaeda275ad9c4df3ded190cab4a3c45e2cebc4e36a58abeca767a",
+        "counterexample.json": "e2056a4629fe028b2a3f0a36769bc032fdfb5c66db9c94f4bb63f2abd5709d75",
+        "exit": 0,
+        "stdout": "ee03c762abf7a743c9f232e3d80debdd2e08cb07ea31c04c01bfe9b2e74837c1",
+    },
+    "diagnose-normal": {
+        "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
+        "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
+        "diagnostics.json": "1e651b1b54ec90e671d9fa880ba2bc8c6935d89fab090bb18c93962cc2f1f344",
+        "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
+        "petrov.csv": "8a619d9454d139e482201d4d46d7d5dec67660fa70796a97f66d350b25e115f9",
+        "exit": 0,
+        "stdout": "2f08b5a790e6d09417522edc038ad58fe58f5ceda6ae3b04028cce83614dcb81",
+    },
+    "diagnose-student-t-delta": {
+        "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
+        "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
+        "diagnostics.json": "2a6feb288543189412b4fae2c08b0cff8926785d94b3e9f7a22278b1b52dda8e",
+        "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
+        "petrov.csv": "c55eef588c76a71652dc22beecb1b278172a06dbf04994bd25e5e5a8701bc572",
+        "exit": 0,
+        "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
+    },
+    "lindeberg-monte-carlo": {
+        "lindeberg.csv": "b76b500319b0ecfbb8038f28a6a437278af19b9d059c73e22c908f568b4a458f",
+        "lindeberg.json": "0bbd31b3d40ffb7eb8f0a08d84c5c695acee5adca31792aa05ebcee9e2672ed1",
+        "exit": 0,
+        "stdout": "94ba7c5e479c8f8590b9a31668b3ecdea185b573bdc8526a1bc82e47df329da7",
+    },
+    "lindeberg-quadrature": {
+        "lindeberg.csv": "183dd843a2ba769b993d5f238ebff5dd68b90d22f7a6c318af6d4c31bc89f9fc",
+        "lindeberg.json": "23af7e354d080e059c8f7a3104f2d33c6fbeccaa5654ba15f9fd7ed8dafb233c",
+        "exit": 0,
+        "stdout": "92a86321cd6955ddb0a0e0c22e2acbcc191e25cf8449bc8cd2ddcc65696d6252",
+    },
+    "simulate-counterexample": {
+        "counterexample.csv": "2776d1b6e7aaaeda275ad9c4df3ded190cab4a3c45e2cebc4e36a58abeca767a",
+        "normality.csv": "78c6051ce2378c90a5a77c9870694c946bab43c528734e9460d1c12ede46d158",
+        "report.json": "5089975a91c1eb2ce149601ab44c661e49cb845b693fa73060ce0594fe64d200",
+        "exit": 1,
+        "stdout": "50abe2b6642c4f0883cf959be7496b5314d64542981082db3123138d6fe344e8",
+    },
+    "simulate-coverage": {
+        "coverage.csv": "318d5431a61f4bddc016d0e2a1bd0f352beae609f7d6d06c4bb279972f3edc1a",
+        "normality.csv": "29a82c30973cc7dd24ca8df784bd229baab81d40d5ad99d141f2e65e0c63b434",
+        "report.json": "7b5dce9b1aee3de336e7638ab94de6b6533d67e2f90821438014d78c0e47888a",
+        "exit": 0,
+        "stdout": "d11dc69506eaa014af33ad32281a577529938942ecc26dc3d7a1a0ac42623515",
+    },
+    "simulate-negligibility-plug-in": {
+        "negligibility.csv": "d0583a8c2d43ed72d1be8a7af16df6c2759c8c0239358f3e4ce4bd5cffbf20ed",
+        "normality.csv": "8ba61b2ce35b12d997e0d6691c6321d3206dade7bc9f4c7f09c43024c5979a2a",
+        "report.json": "c760e8e4d8d1b7fd90d4c02e149a8bfcd4fe5a8811e50ea18285df316f95885f",
+        "exit": 1,
+        "stdout": "0bcbaf3bb48c3e93e94048e722cf247394ad9de732064a0dfbbed12941fad0e8",
+    },
+    "simulate-samples": {
+        "normality.csv": "58d6582d90cf1e42f9aca46b87b7f2180a652e844d8b8d8e9cd38bb307534a3e",
+        "report.json": "72bb22dd261ad1c0bf7aebffd3aa87c33ea2aaada79dba382efbf47c17e6b063",
+        "samples/z_beta_n100.csv": "7652e0786f05da3517811e9866450a68521ce499da6ef8fe5ba264959f12b846",
+        "samples/z_beta_n200.csv": "401db535d3f02fff26224b0b5a587d3382b94fea456110513efdd4c226f885ac",
+        "samples/z_theta_n100.csv": "64d074c51c0e3b85ebadb5208a517aebc7f0a8440e1cfafa2811fbbf9a6461f8",
+        "samples/z_theta_n200.csv": "11ed3c9c0d713cdff5417596b984841c5ed7148ef7e40aaa545eb0fbf361dc0d",
+        "exit": 1,
+        "stdout": "41c5b1cdf586abfcdd3ad7f041c9e84e7361cf81defa3f49bdc621bad8b3d3dc",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_output_bytes_are_pinned(tmp_path, capsys, name):
+    (command, *flags), data = _PINNED_RUNS[name]
+    config = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out), *flags])
+    outputs = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+    outputs["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    outputs["exit"] = code
+    assert outputs == _PINNED_OUTPUTS[name]

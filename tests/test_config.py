@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from evclt import config as config_module
+from evclt.cli import main
 from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
 from evclt.errors import ConfigError
 
@@ -114,6 +115,47 @@ def test_invalid_configs_rejected(tmp_path, mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "section, mutate",
+    [
+        ("grid", lambda d: d.update(grid=["abc"])),
+        ("grid", lambda d: d.update(grid=5)),
+        ("grid", lambda d: d.update(grid=[100.5, 200])),
+        ("grid", lambda d: d.update(grid=[float("inf")])),
+        ("tests", lambda d: d.update(tests=5)),
+        ("replicates", lambda d: d.update(replicates="many")),
+        ("replicates", lambda d: d.update(replicates=[1])),
+        ("replicates", lambda d: d.update(replicates=float("inf"))),
+        ("model", lambda d: d["model"].update(theta="x")),
+        ("design", lambda d: d["design"].update(params={"slope": "abc"})),
+        ("defaults", lambda d: d.update(defaults={"ks_absolute_slack": "wide"})),
+        ("lindeberg", lambda d: d.update(lindeberg={"mc_budget": "lots"})),
+    ],
+    ids=[
+        "grid-string",
+        "grid-scalar",
+        "grid-fraction",
+        "grid-inf",
+        "tests-scalar",
+        "replicates-string",
+        "replicates-list",
+        "replicates-inf",
+        "model-theta",
+        "design-param",
+        "defaults-slack",
+        "lindeberg-budget",
+    ],
+)
+def test_wrong_value_types_are_config_errors_naming_the_section(tmp_path, section, mutate):
+    data = {"design": dict(MINIMAL["design"]), "model": dict(MINIMAL["model"])}
+    mutate(data)
+    with pytest.raises(ConfigError, match=section):
+        parse_config(data)
+    path = _write(tmp_path, data)
+    assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_errors(tmp_path):

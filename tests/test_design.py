@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evclt.design import DesignSequence, export_design_csv, generate_design, summarize, summary_path
+from evclt.design import DesignSequence, generate_design, summarize, summary_path
 from evclt.errors import ConfigError
 
 from conftest import catalog_designs
@@ -177,12 +177,3 @@ def test_summary_path_rejects_bad_grid(linear_design):
         summary_path(linear_design, [1, 10])
     with pytest.raises(ConfigError):
         summary_path(linear_design, [])
-
-
-def test_export_design_csv(tmp_path, linear_design):
-    out = tmp_path / "design.csv"
-    export_design_csv(linear_design, 4, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "index,x"
-    assert lines[1] == "1,1.0"
-    assert len(lines) == 5

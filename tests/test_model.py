@@ -17,7 +17,6 @@ from evclt.model import (
     ErrorDistribution,
     EVModelSpec,
     draw_sample,
-    export_sample_csv,
     moment,
     nu_variance,
 )
@@ -348,18 +347,6 @@ def test_degenerate_scale_zero():
     assert dist.support_bound() == 0.0
     assert np.array_equal(dist.sample(np.array([0.25, 0.75])), np.zeros(2))
     assert dist.tail_prob(0.5) == 0.0
-
-
-# --- export ---------------------------------------------------------------------
-
-
-def test_export_sample_csv(tmp_path, noiseless_spec, linear_design):
-    sample = draw_sample(noiseless_spec, linear_design, 3, seed=0, retain_latents=True)
-    out = tmp_path / "sample.csv"
-    export_sample_csv(sample, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "i,xi,eta,eps,delta"
-    assert len(lines) == 4
 
 
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
