@@ -2,7 +2,7 @@
 decomposition, asymptotic-condition diagnostics, and a seeded Monte Carlo
 harness that checks the standardized estimators against the normal limit."""
 
-from .design import DesignSequence, DesignSummary, generate_design, summarize, summary_path
+from .design import DesignSequence, DesignSummary, summarize, summary_path
 from .estimator import (
     Decomposition,
     FitResult,
@@ -18,7 +18,6 @@ from .model import (
     EVSample,
     draw_sample,
     moment,
-    nu_variance,
 )
 
 __version__ = "0.1.0"
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DesignSequence",
     "DesignSummary",
-    "generate_design",
     "summarize",
     "summary_path",
     "ErrorDistribution",
@@ -34,7 +32,6 @@ __all__ = [
     "EVSample",
     "draw_sample",
     "moment",
-    "nu_variance",
     "FitResult",
     "Decomposition",
     "StandardizedStats",

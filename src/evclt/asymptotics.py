@@ -2,7 +2,7 @@
 
 Limits are untestable at finite n, so each condition is reduced to a scalar
 computed from design summaries and classified by a transparent trend rule
-over the tail of the grid (see :class:`TrendRule`). Condition identifiers
+over the tail of the grid (see :func:`classify_trend`). Condition identifiers
 are stable strings used in file outputs:
 
 =================  ========================================  ===========
@@ -50,21 +50,12 @@ VERDICT_VIOLATED = "violated-trend"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class TrendRule:
-    """Finite-n proxy for a limit statement.
-
-    satisfied-trend: the last ``tail_k`` values move strictly toward the
-    target (exact-zero or infinite plateaus count as arrived) and the final
-    value clears the threshold. violated-trend: the final value fails the
-    threshold while the tail either moves away or has stalled (relative span
-    below ``plateau_rel_change``). Anything else is inconclusive.
-    """
-
-    tail_k: int = 5
-    to_zero_threshold: float = 0.2
-    to_infinity_threshold: float = 50.0
-    plateau_rel_change: float = 0.25
+# The trend rule of :func:`classify_trend`; fixed, so that a verdict means
+# the same thing in every run.
+TREND_TAIL_K = 5
+TREND_TO_ZERO_THRESHOLD = 0.2
+TREND_TO_INFINITY_THRESHOLD = 50.0
+TREND_PLATEAU_REL_CHANGE = 0.25
 
 
 @dataclass(frozen=True)
@@ -156,31 +147,40 @@ def _away(tail: Sequence[float], target: str) -> bool:
     return all(a > b for a, b in zip(tail, tail[1:]))
 
 
-def _plateaued(tail: Sequence[float], rel_change: float) -> bool:
+def _plateaued(tail: Sequence[float]) -> bool:
     if all(math.isinf(v) for v in tail):
         return True
     if any(math.isinf(v) for v in tail):
         return False
     span = max(tail) - min(tail)
     scale = max(abs(float(np.median(tail))), 1e-300)
-    return span / scale <= rel_change
+    return span / scale <= TREND_PLATEAU_REL_CHANGE
 
 
-def classify_trend(values: Sequence[float], target: str, rule: TrendRule) -> str:
+def classify_trend(values: Sequence[float], target: str) -> str:
+    """Finite-n proxy for a limit statement.
+
+    satisfied-trend: the last ``TREND_TAIL_K`` values move strictly toward
+    the target (exact-zero or infinite plateaus count as arrived) and the
+    final value clears the threshold. violated-trend: the final value fails
+    the threshold while the tail either moves away or has stalled (relative
+    span at most ``TREND_PLATEAU_REL_CHANGE``). Anything else is
+    inconclusive.
+    """
     if target not in ("to-zero", "to-infinity"):
         raise ConfigError(f"unknown trend target {target!r}")
     vals = [float(v) for v in values]
     if not vals:
         raise ConfigError("cannot classify an empty value path")
-    tail = vals[-min(rule.tail_k, len(vals)):]
+    tail = vals[-min(TREND_TAIL_K, len(vals)):]
     final = tail[-1]
     if target == "to-zero":
-        passes = final < rule.to_zero_threshold
+        passes = final < TREND_TO_ZERO_THRESHOLD
     else:
-        passes = final > rule.to_infinity_threshold
+        passes = final > TREND_TO_INFINITY_THRESHOLD
     if passes and _toward(tail, target):
         return VERDICT_SATISFIED
-    if not passes and (_away(tail, target) or _plateaued(tail, rule.plateau_rel_change)):
+    if not passes and (_away(tail, target) or _plateaued(tail)):
         return VERDICT_VIOLATED
     return VERDICT_INCONCLUSIVE
 
@@ -219,15 +219,13 @@ def condition_value(name: str, summary: DesignSummary) -> float:
     raise ConfigError(f"unknown condition id {name!r}; expected one of {CONDITION_IDS}")
 
 
-def condition_path_from_summaries(
-    name: str, summaries: Sequence[DesignSummary], rule: TrendRule = TrendRule()
-) -> ConditionPath:
+def condition_path_from_summaries(name: str, summaries: Sequence[DesignSummary]) -> ConditionPath:
     values = [condition_value(name, s) for s in summaries]
-    return _classified_path(name, summaries, values, _CONDITION_TARGETS[name], rule)
+    return _classified_path(name, summaries, values, _CONDITION_TARGETS[name])
 
 
 def _classified_path(
-    name: str, summaries: Sequence[DesignSummary], values, target: str, rule: TrendRule
+    name: str, summaries: Sequence[DesignSummary], values, target: str
 ) -> ConditionPath:
     """``values`` along the summaries' n grid, with their trend verdict."""
     values = tuple(values)
@@ -236,40 +234,29 @@ def _classified_path(
         n_grid=tuple(s.n for s in summaries),
         values=values,
         target=target,
-        verdict=classify_trend(values, target, rule),
+        verdict=classify_trend(values, target),
     )
 
 
-def condition_path(
-    name: str,
-    design: DesignSequence,
-    n_grid: Sequence[int],
-    rule: TrendRule = TrendRule(),
-) -> ConditionPath:
-    return condition_path_from_summaries(name, summary_path(design, n_grid), rule)
+def condition_path(name: str, design: DesignSequence, n_grid: Sequence[int]) -> ConditionPath:
+    return condition_path_from_summaries(name, summary_path(design, n_grid))
 
 
-def scaling_hierarchy(
-    design: DesignSequence,
-    n_grid: Sequence[int],
-    rule: TrendRule = TrendRule(),
-) -> HierarchyReport:
+def scaling_hierarchy(design: DesignSequence, n_grid: Sequence[int]) -> HierarchyReport:
     """Per-n ratios of the dispersion hierarchy; flagged when the slope-CLT
     conditions do not hold in trend for this design (report still computed)."""
-    return _scaling_hierarchy_from_summaries(summary_path(design, n_grid), rule)
+    return _scaling_hierarchy_from_summaries(summary_path(design, n_grid))
 
 
-def _scaling_hierarchy_from_summaries(
-    summaries: Sequence[DesignSummary], rule: TrendRule
-) -> HierarchyReport:
+def _scaling_hierarchy_from_summaries(summaries: Sequence[DesignSummary]) -> HierarchyReport:
     if any(s.s_n <= 0.0 or s.max_dev <= 0.0 for s in summaries):
         raise DegenerateDesignError("hierarchy ratios need S_n > 0 at every grid point")
     r1 = tuple(s.n / math.sqrt(s.s_n) for s in summaries)
     r2 = tuple(math.sqrt(s.s_n) / s.max_dev**2 for s in summaries)
     r3 = tuple(s.max_dev**2 / s.s_n for s in summaries)
     flagged = not (
-        condition_path_from_summaries("c6", summaries, rule).verdict == VERDICT_SATISFIED
-        and condition_path_from_summaries("c7", summaries, rule).verdict == VERDICT_SATISFIED
+        condition_path_from_summaries("c6", summaries).verdict == VERDICT_SATISFIED
+        and condition_path_from_summaries("c7", summaries).verdict == VERDICT_SATISFIED
     )
     return HierarchyReport(
         n_grid=tuple(s.n for s in summaries),
@@ -377,9 +364,7 @@ def lindeberg_sum(
 
 
 def petrov_conditions_from_summaries(
-    summaries: Sequence[DesignSummary],
-    spec: EVModelSpec,
-    rule: TrendRule = TrendRule(),
+    summaries: Sequence[DesignSummary], spec: EVModelSpec
 ) -> PetrovReport:
     s_n = np.array([s.s_n for s in summaries])
     if np.any(s_n <= 0.0):
@@ -397,20 +382,17 @@ def petrov_conditions_from_summaries(
     }
     return PetrovReport(
         paths={
-            name: _classified_path(name, summaries, v.tolist(), "to-zero", rule)
+            name: _classified_path(name, summaries, v.tolist(), "to-zero")
             for name, v in values.items()
         },
-        corollary=condition_path_from_summaries("c6", summaries, rule),
+        corollary=condition_path_from_summaries("c6", summaries),
     )
 
 
 def petrov_conditions(
-    design: DesignSequence,
-    spec: EVModelSpec,
-    n_grid: Sequence[int],
-    rule: TrendRule = TrendRule(),
+    design: DesignSequence, spec: EVModelSpec, n_grid: Sequence[int]
 ) -> PetrovReport:
-    return petrov_conditions_from_summaries(summary_path(design, n_grid), spec, rule)
+    return petrov_conditions_from_summaries(summary_path(design, n_grid), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +407,6 @@ def diagnostics_report(
     conditions: Sequence[str] = CONDITION_IDS,
     include_hierarchy: bool = False,
     include_petrov: bool = False,
-    rule: TrendRule = TrendRule(),
 ) -> dict:
     """Condition paths (plus optional hierarchy and Petrov sections) as one
     JSON-ready mapping."""
@@ -435,14 +416,14 @@ def diagnostics_report(
         "design": design.to_dict(),
         "n_grid": [int(n) for n in n_grid],
         "conditions": {
-            name: condition_path_from_summaries(name, summaries, rule).to_dict()
+            name: condition_path_from_summaries(name, summaries).to_dict()
             for name in conditions
         },
     }
     if include_hierarchy:
-        report["hierarchy"] = _scaling_hierarchy_from_summaries(summaries, rule).to_dict()
+        report["hierarchy"] = _scaling_hierarchy_from_summaries(summaries).to_dict()
     if include_petrov:
         if spec is None:
             raise ConfigError("Petrov conditions need a model spec (the delta law)")
-        report["petrov"] = petrov_conditions_from_summaries(summaries, spec, rule).to_dict()
+        report["petrov"] = petrov_conditions_from_summaries(summaries, spec).to_dict()
     return report

@@ -132,7 +132,6 @@ def _cmd_diagnose(args, config: AppConfig) -> int:
         conditions=section.conditions,
         include_hierarchy=section.hierarchy,
         include_petrov=section.petrov,
-        rule=config.trend_rule,
     )
     out = _write_manifest(args, config)
     _write_json(out / "diagnostics.json", report)
@@ -238,7 +237,6 @@ def _cmd_counterexample(args, config: AppConfig) -> int:
         config.n_grid,
         config.replicates,
         config.seed,
-        defaults=config.harness,
         workers=args.workers,
     )
     out = _write_manifest(args, config)

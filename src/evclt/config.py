@@ -29,47 +29,33 @@ One YAML (or JSON) file drives every CLI command:
       r_grid: [0.1, 0.5, 1.0]
       method: quadrature           # quadrature | monte-carlo
       mc_budget: 1000000
-    defaults:                      # every numeric knob, all optional
-      trend_tail_k: 5
-      trend_to_zero_threshold: 0.2
-      trend_to_infinity_threshold: 50.0
-      trend_plateau_rel_change: 0.25
-      ks_critical_coefficient: 1.36
-      ks_absolute_slack: 0.01
-      coverage_nominal: 0.95
-      coverage_slack: 0.02
-      counterexample_mean_tol: 0.05
-      counterexample_ks_min: 0.1
-      max_skip_fraction: 0.01
-      min_distributional_replicates: 100
-      identity_gap_max: 1.0e-10
 
 Unknown keys anywhere are rejected so typos cannot silently change a run.
+Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
+``lindeberg.mc_budget``) must be whole numbers and the ``diagnose`` flags
+booleans; nothing is truncated or coerced. The verdict thresholds (KS budget,
+coverage, skip and identity gates, trend rule) are fixed, not configured;
+``report.json`` records the harness ones under ``config.defaults``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
-from .asymptotics import CONDITION_IDS, TrendRule, check_conditions, check_lindeberg
-from .design import DesignSequence, check_grid
+from .asymptotics import CONDITION_IDS, check_conditions, check_lindeberg
+from .design import DesignSequence, check_grid, whole_number
 from .errors import ConfigError
 from .estimator import check_variance_source
-from .harness import ExperimentConfig, HarnessDefaults, check_tests
+from .harness import ExperimentConfig, check_tests
 from .model import ErrorDistribution, EVModelSpec
 
 DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
 DEFAULT_LINDEBERG_R_GRID = (0.1, 0.5, 1.0)
-
-# The ``defaults`` section: config key -> field; each value is cast to the
-# type of the field's default.
-_TREND_KEYS = {f"trend_{f.name}": f for f in fields(TrendRule)}
-_HARNESS_KEYS = {f.name: f for f in fields(HarnessDefaults)}
 
 
 @dataclass(frozen=True)
@@ -95,8 +81,6 @@ class AppConfig:
     replicates: int
     variance_source: str
     tests: tuple[str, ...]
-    trend_rule: TrendRule = field(default_factory=TrendRule)
-    harness: HarnessDefaults = field(default_factory=HarnessDefaults)
     diagnose: DiagnoseSection = field(default_factory=DiagnoseSection)
     lindeberg: LindebergSection = field(default_factory=LindebergSection)
 
@@ -109,7 +93,6 @@ class AppConfig:
             seed=self.seed,
             variance_source=self.variance_source,
             tests=self.tests,
-            defaults=self.harness,
         )
 
     def with_seed(self, seed: int) -> "AppConfig":
@@ -120,7 +103,6 @@ class AppConfig:
         out = asdict(self)
         out["model"] = self.model.to_dict()
         out["grid"] = out.pop("n_grid")
-        out["defaults"] = out.pop("harness")
         return out
 
 
@@ -154,7 +136,7 @@ def _parse_design(node) -> DesignSequence:
     return DesignSequence(
         kind=str(node["kind"]),
         params=_require_mapping(node.get("params", {}), "design.params"),
-        seed=int(node.get("seed", 0)),
+        seed=node.get("seed", 0),
     )
 
 
@@ -192,23 +174,20 @@ def _parse_variance_source(value) -> str:
     return check_variance_source(value)
 
 
-def _parse_defaults(node) -> tuple[TrendRule, HarnessDefaults]:
-    node = _require_mapping(node, "defaults")
-    _check_keys(node, set(_TREND_KEYS) | set(_HARNESS_KEYS), "defaults")
-
-    def kwargs(keys: dict) -> dict:
-        return {f.name: type(f.default)(node[key]) for key, f in keys.items() if key in node}
-
-    return TrendRule(**kwargs(_TREND_KEYS)), HarnessDefaults(**kwargs(_HARNESS_KEYS))
-
-
 def _parse_diagnose(node) -> DiagnoseSection:
     node = _require_mapping(node, "diagnose")
     _check_keys(node, {"conditions", "hierarchy", "petrov"}, "diagnose")
+
+    def flag(key: str) -> bool:
+        value = node.get(key, True)
+        if not isinstance(value, bool):
+            raise ConfigError(f"diagnose.{key} must be true or false, got {value!r}")
+        return value
+
     return DiagnoseSection(
         conditions=check_conditions(node.get("conditions", CONDITION_IDS)),
-        hierarchy=bool(node.get("hierarchy", True)),
-        petrov=bool(node.get("petrov", True)),
+        hierarchy=flag("hierarchy"),
+        petrov=flag("petrov"),
     )
 
 
@@ -217,7 +196,7 @@ def _parse_lindeberg(node) -> LindebergSection:
     _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
     method = str(node.get("method", "quadrature"))
     r_grid = check_lindeberg(node.get("r_grid", DEFAULT_LINDEBERG_R_GRID), method)
-    mc_budget = int(node.get("mc_budget", 1_000_000))
+    mc_budget = whole_number(node.get("mc_budget", 1_000_000), "lindeberg.mc_budget")
     if mc_budget < 1000:
         raise ConfigError("lindeberg.mc_budget must be >= 1000")
     return LindebergSection(r_grid=r_grid, method=method, mc_budget=mc_budget)
@@ -233,7 +212,6 @@ _TOP_KEYS = {
     "tests",
     "diagnose",
     "lindeberg",
-    "defaults",
 }
 
 
@@ -252,17 +230,14 @@ def parse_config(data: dict) -> AppConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config.{key} has a value of the wrong type: {exc}") from exc
 
-    trend_rule, harness = parse("defaults", _parse_defaults, {})
     return AppConfig(
-        seed=parse("seed", int, 0),
+        seed=parse("seed", lambda v: whole_number(v, "config.seed"), 0),
         design=parse("design", _parse_design),
         model=parse("model", _parse_model),
         n_grid=parse("grid", check_grid, DEFAULT_N_GRID),
-        replicates=parse("replicates", int, 1000),
+        replicates=parse("replicates", lambda v: whole_number(v, "config.replicates"), 1000),
         variance_source=parse("variance_source", _parse_variance_source, "true"),
         tests=parse("tests", check_tests, ("beta-clt",)),
-        trend_rule=trend_rule,
-        harness=harness,
         diagnose=parse("diagnose", _parse_diagnose, {}),
         lindeberg=parse("lindeberg", _parse_lindeberg, {}),
     )

@@ -86,7 +86,7 @@ class DesignSequence:
         if self.kind == "gaussian-iid" and merged["sd"] < 0:
             raise ConfigError("gaussian-iid design needs sd >= 0")
         object.__setattr__(self, "params", merged)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", whole_number(self.seed, "design.seed"))
 
     def generate(self, n: int) -> np.ndarray:
         """First n values of the sequence (1-based index formulas)."""
@@ -148,11 +148,6 @@ class DesignSummary:
         return asdict(self)
 
 
-def generate_design(kind: str, params: Mapping[str, float] | None, seed: int, n: int) -> np.ndarray:
-    """Convenience wrapper: build the sequence object and generate n values."""
-    return DesignSequence(kind, params or {}, seed).generate(n)
-
-
 def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
     """Two-pass mean, dispersion S_n, max deviation, and S_n* = max(n, S_n)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -168,12 +163,17 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
     return DesignSummary(n=n, mean=mean, s_n=s_n, max_dev=max_dev, s_star=max(float(n), s_n))
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` as an int; a float must be integral and a bool is refused, so
+    that a fractional count is rejected instead of truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
     """The n grid as a tuple of ints; it must be strictly increasing with min >= 2."""
-    values = tuple(n_grid)
-    if any(isinstance(n, float) and not n.is_integer() for n in values):
-        raise ConfigError(f"the n grid needs whole numbers, got {list(values)}")
-    grid = tuple(int(n) for n in values)
+    grid = tuple(whole_number(n, "each n grid entry") for n in n_grid)
     if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("the n grid must be strictly increasing with min >= 2")
     return grid

@@ -6,8 +6,8 @@ stream), a replicate chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows,
 a count that follows from n alone, and each chunk writes its results at its
 own replicate indices, so a run's report is a pure function of its
 configuration regardless of worker count. The KS pass threshold is the
-classical 5% critical value 1.36 / sqrt(R) plus a configurable absolute
-slack that budgets for pre-asymptotic (finite-n) deviation separately from
+classical 5% critical value 1.36 / sqrt(R) plus a fixed absolute slack
+that budgets for pre-asymptotic (finite-n) deviation separately from
 Monte Carlo noise.
 """
 
@@ -17,14 +17,14 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from .asymptotics import TrendRule, VERDICT_SATISFIED, condition_path_from_summaries
+from .asymptotics import VERDICT_SATISFIED, condition_path_from_summaries
 from .design import DesignSequence, DesignSummary, check_grid, summarize
 from .errors import ConfigError, DegenerateDesignError
 from .estimator import (
@@ -58,8 +58,10 @@ def check_tests(tests: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class HarnessDefaults:
-    """Every numeric knob of the harness, in one place. Chunk sizes are not a
-    knob: they follow from n under ``CHUNK_BYTES``."""
+    """Every pass/fail threshold of the harness, in one place. They are fixed
+    (read from ``DEFAULTS``, never configured), so that a verdict means the
+    same thing in every run; each report records them under
+    ``config.defaults``."""
 
     ks_critical_coefficient: float = 1.36
     ks_absolute_slack: float = 0.01
@@ -75,6 +77,9 @@ class HarnessDefaults:
         return asdict(self)
 
 
+DEFAULTS = HarnessDefaults()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     design: DesignSequence
@@ -84,7 +89,6 @@ class ExperimentConfig:
     seed: int
     variance_source: str = "true"
     tests: tuple[str, ...] = ("beta-clt",)
-    defaults: HarnessDefaults = field(default_factory=HarnessDefaults)
 
     def __post_init__(self) -> None:
         grid = check_grid(self.n_grid)
@@ -95,10 +99,10 @@ class ExperimentConfig:
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
         needs_r = DISTRIBUTIONAL_TESTS.intersection(tests)
-        if needs_r and self.replicates < self.defaults.min_distributional_replicates:
+        if needs_r and self.replicates < DEFAULTS.min_distributional_replicates:
             raise ConfigError(
                 f"distributional tests {sorted(needs_r)} need R >= "
-                f"{self.defaults.min_distributional_replicates}, got {self.replicates}"
+                f"{DEFAULTS.min_distributional_replicates}, got {self.replicates}"
             )
         if "counterexample" in tests and self.design.kind != "gaussian-iid":
             raise ConfigError("the counterexample test needs a gaussian-iid design")
@@ -111,7 +115,7 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "model": self.model.to_dict()}
+        return {**asdict(self), "model": self.model.to_dict(), "defaults": DEFAULTS.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -173,14 +177,16 @@ def coverage(
     nominal: float,
     half_width_basis: str = "z_beta",
     n: int | None = None,
-    slack: float = 0.02,
 ) -> CoverageResult:
-    """Empirical two-sided symmetric coverage of the standardized statistic."""
+    """Empirical two-sided symmetric coverage of the standardized statistic;
+    it passes within ``DEFAULTS.coverage_slack`` of ``nominal``."""
     if not 0.0 < nominal < 1.0:
         raise ConfigError("nominal coverage must lie in (0, 1)")
     z = np.asarray(z_samples, dtype=np.float64)
-    if z.size < 100:
-        raise ConfigError("coverage needs at least 100 samples")
+    if z.size < DEFAULTS.min_distributional_replicates:
+        raise ConfigError(
+            f"coverage needs at least {DEFAULTS.min_distributional_replicates} samples"
+        )
     half_width = float(ndtri((1.0 + nominal) / 2.0))
     empirical = float(np.mean(np.abs(z) <= half_width))
     stderr = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / z.size)
@@ -190,7 +196,7 @@ def coverage(
         empirical=empirical,
         stderr=stderr,
         half_width_basis=half_width_basis,
-        ok=abs(empirical - nominal) <= slack,
+        ok=abs(empirical - nominal) <= DEFAULTS.coverage_slack,
     )
 
 
@@ -311,10 +317,7 @@ def _standardized(
 
 
 def _counterexample_entry(
-    stats: _GridPointStats,
-    design: DesignSequence,
-    spec: EVModelSpec,
-    defaults: HarnessDefaults,
+    stats: _GridPointStats, design: DesignSequence, spec: EVModelSpec
 ) -> dict:
     """Random-regressor attenuation check at one grid point: the slope
     estimate drifts to the analytic limit beta * V_x / (V_x + sigma1^2) and
@@ -327,8 +330,8 @@ def _counterexample_entry(
     beta_valid = stats.beta_hat[stats.valid]
     mean_beta = float(np.mean(beta_valid))
     ks = ks_statistic(z_beta)
-    refuted = ks >= defaults.counterexample_ks_min
-    mean_ok = abs(mean_beta - target) <= defaults.counterexample_mean_tol
+    refuted = ks >= DEFAULTS.counterexample_ks_min
+    mean_ok = abs(mean_beta - target) <= DEFAULTS.counterexample_mean_tol
     return {
         "n": stats.n,
         "mean_beta_hat": mean_beta,
@@ -358,7 +361,6 @@ def run_experiment(
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    defaults = config.defaults
     report_warnings: list[str] = []
     need_latents = "negligibility" in config.tests
 
@@ -374,7 +376,7 @@ def run_experiment(
         )
 
     if "theta-clt" in config.tests:
-        c17 = condition_path_from_summaries("c17", summaries, TrendRule())
+        c17 = condition_path_from_summaries("c17", summaries)
         if c17.verdict != VERDICT_SATISFIED:
             msg = (
                 "theta-clt requested but the design's intercept condition "
@@ -405,22 +407,22 @@ def run_experiment(
         used = int(np.count_nonzero(stats.valid))
         skipped = config.replicates - used
         skip_fraction = skipped / config.replicates
-        if skip_fraction > defaults.max_skip_fraction:
+        if skip_fraction > DEFAULTS.max_skip_fraction:
             skip_ok = False
         if used < 2:
             raise ConfigError(
                 f"fewer than 2 non-singular replicates at n={n}; design/model degenerate"
             )
         if "counterexample" in config.tests:
-            counterexample_entries.append(
-                _counterexample_entry(stats, config.design, config.model, defaults)
-            )
+            counterexample_entries.append(_counterexample_entry(stats, config.design, config.model))
         z_beta, z_theta = _standardized(stats, config.model, config.variance_source)
         if collect_samples:
             samples["z_beta"][n] = z_beta
             samples["z_theta"][n] = z_theta
 
-        ks_threshold = defaults.ks_critical_coefficient / math.sqrt(used) + defaults.ks_absolute_slack
+        ks_threshold = (
+            DEFAULTS.ks_critical_coefficient / math.sqrt(used) + DEFAULTS.ks_absolute_slack
+        )
         normality = {}
         for name, z in (("z_beta", z_beta), ("z_theta", z_theta)):
             ks = ks_statistic(z)
@@ -438,11 +440,7 @@ def run_experiment(
         if "coverage" in config.tests:
             for name, z in (("z_beta", z_beta), ("z_theta", z_theta)):
                 coverage_results[name] = coverage(
-                    z,
-                    defaults.coverage_nominal,
-                    half_width_basis=name,
-                    n=n,
-                    slack=defaults.coverage_slack,
+                    z, DEFAULTS.coverage_nominal, half_width_basis=name, n=n
                 )
 
         entry: dict = {
@@ -471,7 +469,7 @@ def run_experiment(
                 "median_sxx_gap": meds[2],
             }
             entry["identity_max_gap"] = stats.identity_gap
-            if stats.identity_gap > defaults.identity_gap_max:
+            if stats.identity_gap > DEFAULTS.identity_gap_max:
                 identity_ok = False
         grid_entries.append(entry)
 
@@ -524,7 +522,6 @@ def counterexample_run(
     n_grid: Sequence[int],
     replicates: int,
     seed: int,
-    defaults: HarnessDefaults = HarnessDefaults(),
     workers: int = 1,
 ) -> list[dict]:
     """The counterexample entries of ``run_experiment`` limited to the
@@ -540,7 +537,6 @@ def counterexample_run(
         replicates=replicates,
         seed=seed,
         tests=("counterexample",),
-        defaults=defaults,
     )
     report, _ = run_experiment(config, workers=workers)
     return report["counterexample"]

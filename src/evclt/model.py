@@ -319,6 +319,7 @@ class EVModelSpec:
                 )
 
     def nu_variance(self) -> float:
+        """Var(eps - beta * delta) under independence of the two error streams."""
         return self.eps_dist.variance() + self.beta**2 * self.delta_dist.variance()
 
     def nu_bound(self) -> float:
@@ -333,11 +334,6 @@ class EVModelSpec:
             "delta": self.delta_dist.to_dict(),
             "alpha": self.alpha,
         }
-
-
-def nu_variance(spec: EVModelSpec) -> float:
-    """Var(eps - beta * delta) under independence of the two error streams."""
-    return spec.nu_variance()
 
 
 @dataclass(frozen=True)

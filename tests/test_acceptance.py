@@ -22,8 +22,8 @@ from evclt.asymptotics import (
 from evclt.design import DesignSequence, DesignSummary, summarize
 from evclt.estimator import decompose, fit, identity_gaps
 from evclt.harness import (
+    DEFAULTS,
     ExperimentConfig,
-    HarnessDefaults,
     counterexample_run,
     report_json_bytes,
     run_experiment,
@@ -77,7 +77,7 @@ def test_a1_beta_clt_linear_design():
     # The shift alone moves the KS distance by about phi(0) * |shift|; the CLT
     # size must keep that inside the harness's pre-asymptotic KS budget.
     phi0 = 1.0 / math.sqrt(2.0 * math.pi)
-    slack = HarnessDefaults().ks_absolute_slack
+    slack = DEFAULTS.ks_absolute_slack
     assert phi0 * abs(shift_large) <= slack, (
         f"n={A1_CLT_N}: predicted shift {shift_large:.4f} costs "
         f"{phi0 * abs(shift_large):.4f} of KS distance, over the slack {slack}"

@@ -5,7 +5,6 @@ import pytest
 
 from evclt.asymptotics import (
     CONDITION_IDS,
-    TrendRule,
     VERDICT_INCONCLUSIVE,
     VERDICT_SATISFIED,
     VERDICT_VIOLATED,
@@ -40,36 +39,33 @@ def _spec(eps=("normal", 1.0), delta=("normal", 1.0), beta=2.0, theta=1.0):
 
 
 def test_classify_trend_satisfied_and_inconclusive():
-    rule = TrendRule()
-    assert classify_trend([1.0, 0.5, 0.3, 0.2, 0.1, 0.05], "to-zero", rule) == VERDICT_SATISFIED
+    assert classify_trend([1.0, 0.5, 0.3, 0.2, 0.1, 0.05], "to-zero") == VERDICT_SATISFIED
     # moving toward zero but final value above the threshold: not yet decidable
-    assert classify_trend([3.0, 2.0, 1.5, 1.0, 0.8], "to-zero", rule) == VERDICT_INCONCLUSIVE
-    assert classify_trend([1.0, 10.0, 20.0, 60.0, 120.0], "to-infinity", rule) == VERDICT_SATISFIED
+    assert classify_trend([3.0, 2.0, 1.5, 1.0, 0.8], "to-zero") == VERDICT_INCONCLUSIVE
+    assert classify_trend([1.0, 10.0, 20.0, 60.0, 120.0], "to-infinity") == VERDICT_SATISFIED
 
 
 def test_classify_trend_violations():
-    rule = TrendRule()
     # drifting away from zero
-    assert classify_trend([1.0, 1.5, 2.0, 3.0, 4.0], "to-zero", rule) == VERDICT_VIOLATED
+    assert classify_trend([1.0, 1.5, 2.0, 3.0, 4.0], "to-zero") == VERDICT_VIOLATED
     # stalled below the to-infinity threshold
-    assert classify_trend([1.0, 1.02, 0.98, 1.01, 1.0], "to-infinity", rule) == VERDICT_VIOLATED
+    assert classify_trend([1.0, 1.02, 0.98, 1.01, 1.0], "to-infinity") == VERDICT_VIOLATED
     # stalled at a positive constant with a to-zero target
-    assert classify_trend([0.9, 0.87, 0.866, 0.866, 0.866], "to-zero", rule) == VERDICT_VIOLATED
+    assert classify_trend([0.9, 0.87, 0.866, 0.866, 0.866], "to-zero") == VERDICT_VIOLATED
 
 
 def test_classify_trend_exact_plateaus():
-    rule = TrendRule()
-    assert classify_trend([0.5, 0.1, 0.0, 0.0, 0.0], "to-zero", rule) == VERDICT_SATISFIED
+    assert classify_trend([0.5, 0.1, 0.0, 0.0, 0.0], "to-zero") == VERDICT_SATISFIED
     inf = math.inf
-    assert classify_trend([10.0, inf, inf, inf, inf], "to-infinity", rule) == VERDICT_SATISFIED
-    assert classify_trend([inf, inf, inf, inf, inf], "to-zero", rule) == VERDICT_VIOLATED
+    assert classify_trend([10.0, inf, inf, inf, inf], "to-infinity") == VERDICT_SATISFIED
+    assert classify_trend([inf, inf, inf, inf, inf], "to-zero") == VERDICT_VIOLATED
 
 
 def test_classify_trend_rejects_bad_input():
     with pytest.raises(ConfigError):
-        classify_trend([], "to-zero", TrendRule())
+        classify_trend([], "to-zero")
     with pytest.raises(ConfigError):
-        classify_trend([1.0], "sideways", TrendRule())
+        classify_trend([1.0], "sideways")
 
 
 # --- design-only condition paths -------------------------------------------------

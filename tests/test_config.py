@@ -6,8 +6,11 @@ import yaml
 
 from evclt import config as config_module
 from evclt.cli import main
-from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
+from evclt.config import DEFAULT_N_GRID, DiagnoseSection, config_hash, load_config, parse_config
 from evclt.errors import ConfigError
+from evclt.harness import DEFAULTS
+
+from test_harness import _count_grid_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -33,9 +36,12 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.n_grid == DEFAULT_N_GRID
     assert config.tests == ("beta-clt",)
     assert config.variance_source == "true"
-    assert config.trend_rule.tail_k == 5
-    assert config.harness.ks_critical_coefficient == 1.36
+    assert config.seed == 0
+    assert config.replicates == 1000
+    assert config.diagnose == DiagnoseSection()
     assert config.lindeberg.r_grid == (0.1, 0.5, 1.0)
+    # the fixed thresholds are recorded next to every report's verdicts
+    assert config.experiment().to_dict()["defaults"] == DEFAULTS.to_dict()
 
 
 def test_full_config_round_trip(tmp_path):
@@ -46,7 +52,6 @@ def test_full_config_round_trip(tmp_path):
         replicates=500,
         variance_source="plug-in",
         tests=["beta-clt", "coverage"],
-        defaults={"trend_tail_k": 3, "ks_absolute_slack": 0.02},
         diagnose={"conditions": ["c6"], "hierarchy": False, "petrov": False},
         lindeberg={"r_grid": [0.5], "method": "monte-carlo", "mc_budget": 10_000},
     )
@@ -54,10 +59,11 @@ def test_full_config_round_trip(tmp_path):
     assert config.seed == 42
     assert config.n_grid == (100, 200, 400)
     assert config.variance_source == "plug-in"
-    assert config.trend_rule.tail_k == 3
-    assert config.harness.ks_absolute_slack == 0.02
-    assert config.diagnose.conditions == ("c6",)
+    assert config.tests == ("beta-clt", "coverage")
+    assert config.diagnose == DiagnoseSection(conditions=("c6",), hierarchy=False, petrov=False)
+    assert config.lindeberg.r_grid == (0.5,)
     assert config.lindeberg.method == "monte-carlo"
+    assert config.lindeberg.mc_budget == 10_000
     experiment = config.experiment()
     assert experiment.replicates == 500
 
@@ -76,9 +82,9 @@ def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
 # The canonical form is what manifest.json's config_sha256 is computed from;
 # these are the hashes of the shipped configs, which must not drift.
 SHIPPED_CONFIG_HASHES = {
-    "counterexample-gaussian.yaml": "16f0bb59c8fda31b39f1c7d34b7890c487454276333fca9853dab666b01fbe16",
-    "diagnose-linear.yaml": "18d7691ddffdbb6c4ff8ea8910aa8d8a829f13440d66e8ee3cb30753822f28fb",
-    "theta-clt-alternating.yaml": "5fdfb520d64e89ca46161f1a5d52afdbf1483915109b7768e9a0823ee6720227",
+    "counterexample-gaussian.yaml": "7e608db35e467feee8caa531978812787e578bb1c026be139be4aa3d7816fd97",
+    "diagnose-linear.yaml": "4fce5053c63e2a1deeb413a47077051eb7e2decb4c2d00f2e999db21e71c7353",
+    "theta-clt-alternating.yaml": "2d9c0c611af114d2eeb8879b6cc1b6f5b93a794257d016da2f42f06a6e693fe5",
 }
 
 
@@ -100,8 +106,6 @@ def test_student_t_df_passthrough(tmp_path):
     [
         lambda d: d.update(grdi=[1, 2]),
         lambda d: d["model"].update(gamma=1.0),
-        lambda d: d.update(defaults={"ks_slack": 0.01}),
-        lambda d: d.update(defaults={"chunk_size": 64}),
         lambda d: d.update(tests=["z-test"]),
         lambda d: d.update(variance_source="estimated"),
         lambda d: d.update(grid=[100, 50]),
@@ -128,10 +132,16 @@ def test_invalid_configs_rejected(tmp_path, mutate):
         ("replicates", lambda d: d.update(replicates="many")),
         ("replicates", lambda d: d.update(replicates=[1])),
         ("replicates", lambda d: d.update(replicates=float("inf"))),
+        ("replicates", lambda d: d.update(replicates=150.7)),
+        ("replicates", lambda d: d.update(replicates=True)),
+        ("seed", lambda d: d.update(seed=1.5)),
+        ("design", lambda d: d["design"].update(seed=0.5)),
         ("model", lambda d: d["model"].update(theta="x")),
         ("design", lambda d: d["design"].update(params={"slope": "abc"})),
-        ("defaults", lambda d: d.update(defaults={"ks_absolute_slack": "wide"})),
         ("lindeberg", lambda d: d.update(lindeberg={"mc_budget": "lots"})),
+        ("lindeberg", lambda d: d.update(lindeberg={"mc_budget": 1500.9})),
+        ("diagnose", lambda d: d.update(diagnose={"hierarchy": "no"})),
+        ("diagnose", lambda d: d.update(diagnose={"petrov": 1})),
     ],
     ids=[
         "grid-string",
@@ -142,10 +152,16 @@ def test_invalid_configs_rejected(tmp_path, mutate):
         "replicates-string",
         "replicates-list",
         "replicates-inf",
+        "replicates-fraction",
+        "replicates-bool",
+        "seed-fraction",
+        "design-seed-fraction",
         "model-theta",
         "design-param",
-        "defaults-slack",
         "lindeberg-budget",
+        "lindeberg-budget-fraction",
+        "diagnose-hierarchy-string",
+        "diagnose-petrov-int",
     ],
 )
 def test_wrong_value_types_are_config_errors_naming_the_section(tmp_path, section, mutate):
@@ -156,6 +172,40 @@ def test_wrong_value_types_are_config_errors_naming_the_section(tmp_path, sectio
     path = _write(tmp_path, data)
     assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# The former ``defaults:`` section: every key it accepted, and an empty one.
+FORMER_DEFAULTS = [
+    {},
+    {"trend_tail_k": 0},
+    {"trend_to_zero_threshold": 1.0},
+    {"trend_to_infinity_threshold": 1.0},
+    {"trend_plateau_rel_change": 1.0},
+    {"ks_critical_coefficient": -1.0},
+    {"ks_absolute_slack": 1.0},
+    {"coverage_nominal": 1.5},
+    {"coverage_slack": 1.0},
+    {"counterexample_mean_tol": 1.0},
+    {"counterexample_ks_min": 0.0},
+    {"max_skip_fraction": 7.0},
+    {"min_distributional_replicates": 2},
+    {"identity_gap_max": 1.0},
+]
+
+
+def test_any_defaults_key_fails_before_simulation(tmp_path, monkeypatch):
+    # The verdict thresholds are fixed: a ``defaults:`` section is an unknown
+    # key, refused before any grid point is simulated or any file written.
+    calls = _count_grid_points(monkeypatch)
+    for i, defaults in enumerate(FORMER_DEFAULTS):
+        data = dict(MINIMAL, grid=[200, 400], replicates=200, defaults=defaults)
+        with pytest.raises(ConfigError, match="unknown keys in config: \\['defaults'\\]"):
+            parse_config(data)
+        path = _write(tmp_path, data, name=f"config{i}.yaml")
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+    assert calls == []
 
 
 def test_load_errors(tmp_path):
@@ -172,13 +222,11 @@ def test_load_errors(tmp_path):
 
 
 def test_docstring_schema_is_complete_and_loads():
-    # README calls this block the complete schema; it must parse and list
-    # every ``defaults`` key the loader accepts, and no other.
+    # README calls this block the complete schema; it must parse and use
+    # every top-level key the loader accepts, and no other.
     doc = config_module.__doc__
     block = doc[doc.index(".. code-block:: yaml") :].split("\n\n")[1]
     data = yaml.safe_load(textwrap.dedent(block))
     config = parse_config(data)
     assert config.seed == 42
-    assert set(data["defaults"]) == set(config_module._TREND_KEYS) | set(
-        config_module._HARNESS_KEYS
-    )
+    assert set(data) == config_module._TOP_KEYS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evclt.design import DesignSequence, generate_design, summarize, summary_path
+from evclt.design import DesignSequence, summarize, summary_path
 from evclt.errors import ConfigError
 
 from conftest import catalog_designs
@@ -15,18 +15,19 @@ from conftest import catalog_designs
 
 
 def test_linear_identity_generator():
-    assert generate_design("linear", {"slope": 1.0}, 0, 4).tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert DesignSequence("linear", {"slope": 1.0}, 0).generate(4).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_alternating_generator():
-    assert generate_design("alternating", {"scale": 1.0}, 0, 4).tolist() == [-1.0, 2.0, -3.0, 4.0]
+    x = DesignSequence("alternating", {"scale": 1.0}, 0).generate(4)
+    assert x.tolist() == [-1.0, 2.0, -3.0, 4.0]
 
 
 def test_gaussian_iid_deterministic():
-    a = generate_design("gaussian-iid", {"sd": 1.0}, 123, 5)
-    b = generate_design("gaussian-iid", {"sd": 1.0}, 123, 5)
+    a = DesignSequence("gaussian-iid", {"sd": 1.0}, 123).generate(5)
+    b = DesignSequence("gaussian-iid", {"sd": 1.0}, 123).generate(5)
     assert np.array_equal(a, b)
-    c = generate_design("gaussian-iid", {"sd": 1.0}, 124, 5)
+    c = DesignSequence("gaussian-iid", {"sd": 1.0}, 124).generate(5)
     assert not np.array_equal(a, c)
 
 
@@ -49,7 +50,7 @@ def test_generator_errors():
     with pytest.raises(ConfigError):
         DesignSequence("linear", {"slop": 1.0})
     with pytest.raises(ConfigError):
-        generate_design("linear", None, 0, 1)
+        DesignSequence("linear", {}, 0).generate(1)
 
 
 # --- summaries ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evclt import kernels
 from evclt.design import DesignSequence, DesignSummary, summarize
@@ -19,7 +20,7 @@ from evclt.estimator import (
     singular_threshold,
     standardize,
 )
-from evclt.model import ErrorDistribution, EVModelSpec, EVSample, draw_sample
+from evclt.model import FAMILIES, ErrorDistribution, EVModelSpec, EVSample, draw_sample
 
 from conftest import catalog_designs
 
@@ -155,6 +156,43 @@ def test_identities_across_design_catalog(design, standard_spec):
         decomp = decompose(sample, standard_spec)
         gaps = identity_gaps(result, decomp, standard_spec)
         assert max(gaps) <= 1e-10, (design.kind, rep, gaps)
+
+
+_DESIGNS = st.one_of(
+    *(
+        st.builds(DesignSequence, st.just(kind), st.fixed_dictionaries({param: st.floats(lo, hi)}))
+        for kind, param, lo, hi in (
+            ("linear", "slope", 0.01, 100.0),
+            ("power", "exponent", 0.25, 3.0),
+            ("alternating", "scale", 0.01, 100.0),
+            ("bounded", "scale", 0.01, 100.0),
+        )
+    )
+)
+_ERROR_LAWS = st.builds(
+    lambda family, scale: ErrorDistribution(
+        family, scale, df=6.0 if family == "student-t" else None
+    ),
+    st.sampled_from(FAMILIES),
+    st.floats(0.05, 5.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    design=_DESIGNS,
+    n=st.integers(10, 2000),
+    eps=_ERROR_LAWS,
+    delta=_ERROR_LAWS,
+    beta=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slope_identities_hold_on_random_designs_and_laws(design, n, eps, delta, beta, seed):
+    spec = EVModelSpec(theta=1.0, beta=beta, eps_dist=eps, delta_dist=delta)
+    sample = draw_sample(spec, design, n, seed=seed, retain_latents=True)
+    gap_direct, gap_split, _ = identity_gaps(fit(sample), decompose(sample, spec), spec)
+    assert gap_direct <= 1e-10
+    assert gap_split <= 1e-10
 
 
 # --- standardization -----------------------------------------------------------

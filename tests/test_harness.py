@@ -14,8 +14,8 @@ from evclt import harness, kernels
 from evclt.design import DesignSequence, summarize
 from evclt.errors import ConfigError, ZeroVarianceError
 from evclt.harness import (
+    DEFAULTS,
     ExperimentConfig,
-    HarnessDefaults,
     counterexample_run,
     coverage,
     ks_statistic,
@@ -567,6 +567,5 @@ def test_counterexample_reads_the_replicates_of_the_same_run(monkeypatch, standa
 
 
 def test_defaults_roundtrip():
-    d = HarnessDefaults()
-    assert d.to_dict()["ks_critical_coefficient"] == 1.36
-    assert d.to_dict()["coverage_nominal"] == 0.95
+    assert DEFAULTS.to_dict()["ks_critical_coefficient"] == 1.36
+    assert DEFAULTS.to_dict()["coverage_nominal"] == 0.95

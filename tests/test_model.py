@@ -18,7 +18,6 @@ from evclt.model import (
     EVModelSpec,
     draw_sample,
     moment,
-    nu_variance,
 )
 from evclt.rng import STREAM_EPS, uniforms
 
@@ -201,11 +200,11 @@ def test_distribution_validation():
 
 def test_nu_variance_no_delta_contribution():
     spec = EVModelSpec(0.0, 0.0, ErrorDistribution("normal", 1.5), ErrorDistribution("normal", 1.0))
-    assert nu_variance(spec) == pytest.approx(2.25, rel=1e-14)
+    assert spec.nu_variance() == pytest.approx(2.25, rel=1e-14)
 
 
 def test_nu_variance_independence_formula_with_mc_oracle(standard_spec):
-    assert nu_variance(standard_spec) == pytest.approx(5.0, rel=1e-14)
+    assert standard_spec.nu_variance() == pytest.approx(5.0, rel=1e-14)
     n = 1_000_000
     eps = standard_spec.eps_dist.sample(uniforms((11, 1), n))
     delta = standard_spec.delta_dist.sample(uniforms((11, 2), n))
@@ -217,7 +216,7 @@ def test_nu_variance_independence_formula_with_mc_oracle(standard_spec):
 
 def test_nu_variance_pure_measurement_error():
     spec = EVModelSpec(0.0, 1.0, ErrorDistribution("normal", 0.0), ErrorDistribution("normal", 2.0))
-    assert nu_variance(spec) == pytest.approx(4.0, rel=1e-14)
+    assert spec.nu_variance() == pytest.approx(4.0, rel=1e-14)
 
 
 # --- empirical stream invariants ----------------------------------------------
@@ -245,7 +244,7 @@ def test_nu_empirical_variance_within_five_se(standard_spec):
     sample = draw_sample(standard_spec, DesignSequence("linear"), n, seed=17, retain_latents=True)
     nu = sample.latent_eps - standard_spec.beta * sample.latent_delta
     se = np.std(nu * nu, ddof=1) / math.sqrt(n)
-    assert abs(np.var(nu) - nu_variance(standard_spec)) <= 5 * se
+    assert abs(np.var(nu) - standard_spec.nu_variance()) <= 5 * se
 
 
 def test_replicate_streams_uncorrelated(standard_spec, linear_design):
