@@ -37,7 +37,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .design import DesignSequence, DesignSummary, summarize, summary_path
+from .design import DesignSequence, DesignSummary, real_number, summarize, summary_path
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from .model import ErrorDistribution, EVModelSpec
 from .rng import STREAM_MC_DELTA, STREAM_MC_EPS, uniforms
@@ -119,10 +119,10 @@ def check_conditions(conditions: Sequence[str]) -> tuple[str, ...]:
 
 def check_lindeberg(r_grid: Sequence[float], method: str) -> tuple[float, ...]:
     """The truncation levels as a tuple of floats; there must be at least one,
-    each > 0, and the method must be one of LINDEBERG_METHODS."""
-    r_grid = tuple(float(r) for r in r_grid)
-    if not r_grid or not all(r > 0.0 for r in r_grid):
-        raise ConfigError("the Lindeberg sum needs truncation levels r > 0")
+    each finite and > 0, and the method must be one of LINDEBERG_METHODS."""
+    r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
+    if not r_grid or not all(0.0 < r < math.inf for r in r_grid):
+        raise ConfigError("each lindeberg.r_grid truncation level r must be finite and > 0")
     if method not in LINDEBERG_METHODS:
         raise ConfigError(
             f"unknown Lindeberg method {method!r}; expected one of {LINDEBERG_METHODS}"

@@ -17,6 +17,9 @@ CSV table is a column projection of records that the JSON report already
 holds, except design.csv and the ``--emit-samples`` tables, which hold the
 design values and the standardized samples. ``_write_csv`` writes every
 table: floats as their ``repr``, None as an empty cell.
+
+The process runs only the threads ``--workers`` asks for: it sets
+OPENBLAS_NUM_THREADS=1 unless the variable is already set.
 """
 
 from __future__ import annotations
@@ -29,12 +32,18 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from . import __version__
-from .asymptotics import diagnostics_report, lindeberg_sum
-from .config import AppConfig, config_hash, load_config
-from .design import DesignSequence
-from .errors import ConfigError, EvcltError
-from .harness import counterexample_run, report_json_bytes, run_experiment
+# evclt calls no BLAS routine; its only parallelism is the replicate worker
+# pool. numpy and scipy would each start an idle OpenBLAS thread pool at
+# import, so ask for one thread before the imports below load them. A value
+# the user set still wins, and ``import evclt`` alone changes nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__  # noqa: E402
+from .asymptotics import diagnostics_report, lindeberg_sum  # noqa: E402
+from .config import AppConfig, config_hash, load_config  # noqa: E402
+from .design import DesignSequence  # noqa: E402
+from .errors import ConfigError, EvcltError  # noqa: E402
+from .harness import counterexample_run, report_json_bytes, run_experiment  # noqa: E402
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -32,8 +32,10 @@ One YAML (or JSON) file drives every CLI command:
 
 Unknown keys anywhere are rejected so typos cannot silently change a run.
 Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
-``lindeberg.mc_budget``) must be whole numbers and the ``diagnose`` flags
-booleans; nothing is truncated or coerced. The verdict thresholds (KS budget,
+``lindeberg.mc_budget``) must be whole numbers, the other numbers (model,
+design parameters, ``lindeberg.r_grid``) ints or floats, and the
+``diagnose`` flags booleans; nothing is truncated or coerced, so a quoted
+number or a boolean is refused. The verdict thresholds (KS budget,
 coverage, skip and identity gates, trend rule) are fixed, not configured;
 ``report.json`` records the harness ones under ``config.defaults``.
 """
@@ -48,7 +50,7 @@ from pathlib import Path
 import yaml
 
 from .asymptotics import CONDITION_IDS, check_conditions, check_lindeberg
-from .design import DesignSequence, check_grid, whole_number
+from .design import DesignSequence, check_grid, real_number, whole_number
 from .errors import ConfigError
 from .estimator import check_variance_source
 from .harness import ExperimentConfig, check_tests
@@ -148,8 +150,8 @@ def _parse_error_dist(node, where: str) -> ErrorDistribution:
     df = node.get("df")
     return ErrorDistribution(
         family=str(node["family"]),
-        scale=float(node["scale"]),
-        df=float(df) if df is not None else None,
+        scale=real_number(node["scale"], f"{where}.scale"),
+        df=real_number(df, f"{where}.df") if df is not None else None,
     )
 
 
@@ -160,11 +162,11 @@ def _parse_model(node) -> EVModelSpec:
         if key not in node:
             raise ConfigError(f"model.{key} is required")
     return EVModelSpec(
-        theta=float(node["theta"]),
-        beta=float(node["beta"]),
+        theta=real_number(node["theta"], "model.theta"),
+        beta=real_number(node["beta"], "model.beta"),
         eps_dist=_parse_error_dist(node["eps"], "model.eps"),
         delta_dist=_parse_error_dist(node["delta"], "model.delta"),
-        alpha=float(node.get("alpha", 1.0)),
+        alpha=real_number(node.get("alpha", 1.0), "model.alpha"),
     )
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import ndtri
@@ -75,7 +76,7 @@ class DesignSequence:
         for key, value in dict(self.params).items():
             if key not in merged:
                 raise ConfigError(f"design kind {self.kind!r} has no parameter {key!r}")
-            value = float(value)
+            value = real_number(value, f"design parameter {key!r}")
             if not np.isfinite(value):
                 raise ConfigError(f"design parameter {key!r} must be finite")
             merged[key] = value
@@ -163,12 +164,23 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
     return DesignSummary(n=n, mean=mean, s_n=s_n, max_dev=max_dev, s_star=max(float(n), s_n))
 
 
+def real_number(value, what: str) -> float:
+    """``value`` as a float; it must be an int or a float, so that a string or
+    a bool is refused instead of converted."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def whole_number(value, what: str) -> int:
-    """``value`` as an int; a float must be integral and a bool is refused, so
-    that a fractional count is rejected instead of truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
+    """``value`` as an int; it must be an int or an integral float, so that a
+    fractional count is refused instead of truncated, and a string or a bool
+    instead of converted."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what} must be a whole number, got {value!r}")
 
 
 def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:

@@ -141,8 +141,17 @@ def uniforms(
     # since scaling by a power of two is exact.
     bit_gen = np.random.Philox(key=0)
     generator = np.random.Generator(bit_gen)
-    state = bit_gen.state  # zero counter, empty buffer
-    for row, philox_key in zip(out.reshape(len(keys), n), _block_keys(keys)):
+    # Zero counter and empty buffer, as Python ints and lists: the state
+    # setter reads these about three times faster than numpy arrays.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for row, philox_key in zip(out.reshape(len(keys), n), _block_keys(keys).tolist()):
         state["state"]["key"] = philox_key
         bit_gen.state = state
         generator.random(out=row)

@@ -362,6 +362,48 @@ def test_student_t_diagnose_and_lindeberg_leave_scipy_stats_and_integrate_unload
     assert (tmp_path / "out" / "diagnose" / "petrov.csv").is_file()
 
 
+# --- threads ---------------------------------------------------------------------
+
+
+def _fresh_python(code, **env):
+    """stdout of ``code`` run by a fresh interpreter with ``PYTHONPATH=src``,
+    OPENBLAS_NUM_THREADS unset unless given in ``env``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    child_env = dict(os.environ, PYTHONPATH=str(src))
+    child_env.pop("OPENBLAS_NUM_THREADS", None)
+    child_env.update(env)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+def test_cli_import_starts_no_blas_threads():
+    code = (
+        "import os; import evclt.cli; "
+        "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)"
+    )
+    assert _fresh_python(code) == "1 1"
+
+
+def test_cli_keeps_a_user_set_blas_thread_count():
+    code = "import os; import evclt.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_threads():
+    code = (
+        "import os, sys; import evclt; "
+        "before = ('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')); "
+        "from evclt import fit, DesignSequence; "
+        "print(before, callable(fit), DesignSequence('linear').kind)"
+    )
+    assert _fresh_python(code) == "(False, None) True linear"
+
+
 # --- counterexample --------------------------------------------------------------------
 
 

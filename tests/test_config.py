@@ -142,6 +142,17 @@ def test_invalid_configs_rejected(tmp_path, mutate):
         ("lindeberg", lambda d: d.update(lindeberg={"mc_budget": 1500.9})),
         ("diagnose", lambda d: d.update(diagnose={"hierarchy": "no"})),
         ("diagnose", lambda d: d.update(diagnose={"petrov": 1})),
+        ("model", lambda d: d["model"].update(theta=True)),
+        ("model", lambda d: d["model"].update(beta="2.5")),
+        ("model", lambda d: d["model"].update(eps={"family": "normal", "scale": "1"})),
+        ("model", lambda d: d["model"].update(eps={"family": "student-t", "scale": 1.0, "df": "6"})),
+        ("model", lambda d: d["model"].update(alpha="1")),
+        ("design", lambda d: d["design"].update(params={"slope": "2"})),
+        ("lindeberg", lambda d: d.update(lindeberg={"r_grid": ["0.5"]})),
+        ("lindeberg", lambda d: d.update(lindeberg={"r_grid": [float("inf")]})),
+        ("grid", lambda d: d.update(grid=["50", 100])),
+        ("replicates", lambda d: d.update(replicates="150")),
+        ("seed", lambda d: d.update(seed="7")),
     ],
     ids=[
         "grid-string",
@@ -162,6 +173,17 @@ def test_invalid_configs_rejected(tmp_path, mutate):
         "lindeberg-budget-fraction",
         "diagnose-hierarchy-string",
         "diagnose-petrov-int",
+        "model-theta-bool",
+        "model-beta-string",
+        "model-eps-scale-string",
+        "model-eps-df-string",
+        "model-alpha-string",
+        "design-param-string",
+        "lindeberg-r-string",
+        "lindeberg-r-inf",
+        "grid-quoted-entry",
+        "replicates-quoted",
+        "seed-quoted",
     ],
 )
 def test_wrong_value_types_are_config_errors_naming_the_section(tmp_path, section, mutate):
