@@ -17,9 +17,10 @@ lasts the ``run_seconds`` of ``BENCHMARK.json``.
 For every end-to-end metric of ``BENCHMARK.json`` the file records the
 per-pair values, each side's median and quartiles, the number of pairs the
 head wins, and the gap between the medians against the base's
-interquartile range (the gap is signed so that positive means better). One
-``--trace 1`` run per side and workload records the per-layer metrics of
-both.
+interquartile range (the gap is signed so that positive means better).
+``TRACE_RUNS`` ``--trace 1`` runs per side and workload, with seeds 1 to
+``TRACE_RUNS`` and alternating the order as the pairs do, record each
+per-layer metric of both sides: its median and the raw values.
 
 A revision is recorded by its commit id. A working-tree head is recorded by
 its base commit and ``tree_digest``: the sha256 over the path and bytes of
@@ -48,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
+TRACE_RUNS = 3
 
 
 def _git(*args: str, binary: bool = False):
@@ -107,6 +109,8 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
 
 
 def _spread(values: list[float]) -> dict:
+    if len(values) == 1:  # quantiles needs two points; one run is its own spread
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -132,6 +136,23 @@ def summarize_pairs(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "base_iqr": iqr,
             "gap_exceeds_base_iqr": gap > iqr,
         }
+    return summary
+
+
+def summarize_trace(runs: dict[str, list[dict]]) -> dict:
+    """Per per-layer metric and side: the median and the raw values of the
+    traced runs (None where a run did not report the metric)."""
+    names = sorted({name for side in SIDES for metrics in runs[side] for name in metrics})
+    summary = {}
+    for name in names:
+        summary[name] = {}
+        for side in SIDES:
+            values = [metrics.get(name, {}).get("value") for metrics in runs[side]]
+            numbers = [v for v in values if isinstance(v, (int, float))]
+            summary[name][side] = {
+                "median": statistics.median(numbers) if numbers else None,
+                "values": values,
+            }
     return summary
 
 
@@ -175,15 +196,15 @@ def main() -> int:
                 print(f"{workload} pair {index + 1}/{args.pairs}: " + ", ".join(
                     f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}"
                     for side in SIDES), file=sys.stderr)
-            layers = {side: run_perfbench(checkouts[side], workload, 1, seconds, trace=1)[1]
-                      ["metrics"] for side in SIDES}
+            traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for index in range(TRACE_RUNS):
+                for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(run_perfbench(
+                        checkouts[side], workload, index + 1, seconds, trace=1)[1]["metrics"])
             results[workload] = {
                 "summary": summarize_pairs(pairs, config["end_to_end"]),
                 "pairs": pairs,
-                "trace": {
-                    name: {side: layers[side].get(name, {}).get("value") for side in SIDES}
-                    for name in sorted(set(layers["base"]) | set(layers["head"]))
-                },
+                "trace": summarize_trace(traced),
             }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

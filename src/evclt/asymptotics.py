@@ -16,11 +16,14 @@ c17                S_n / (n x_bar^2)                         to-infinity
 petrov-i..iii      truncated-moment sums below               to-zero
 =================  ========================================  ===========
 
+Each diagnostic is one function over the whole grid; the summary-defined
+ones take ``summary_path(design, n_grid)``.
+
 The Lindeberg evaluator works on the normalized triangular array
 X_{n,i} = (x_i - x_bar) nu_i / sqrt(S_n Var(nu)), whose second moments sum
-to one, and reports sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] either by per-i
-truncated-moment quadrature (closed forms where the law allows) or by
-Monte Carlo with a standard error.
+to one, and reports sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] at every (n, r)
+either by per-i truncated-moment quadrature (closed forms where the law
+allows) or by Monte Carlo with a standard error, from one |nu| draw per n.
 
 The Petrov checker instantiates the weak-law equivalence with a_n =
 sqrt(S_n) applied to the squared measurement errors; its condition (iii)
@@ -30,14 +33,14 @@ its verdict must track c6 on every nondegenerate design.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 
-from .design import DesignSequence, DesignSummary, real_number, summarize, summary_path
+from .design import DesignSequence, DesignSummary, check_grid, real_number, summarize
+from .design import summary_path, whole_number
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from .model import ErrorDistribution, EVModelSpec
 from .rng import STREAM_MC_DELTA, STREAM_MC_EPS, uniforms
@@ -117,9 +120,10 @@ def check_conditions(conditions: Sequence[str]) -> tuple[str, ...]:
     return conditions
 
 
-def check_lindeberg(r_grid: Sequence[float], method: str) -> tuple[float, ...]:
-    """The truncation levels as a tuple of floats; there must be at least one,
-    each finite and > 0, and the method must be one of LINDEBERG_METHODS."""
+def check_lindeberg(r_grid: Sequence[float], method: str, mc_budget) -> tuple[tuple, int]:
+    """(r_grid, mc_budget) as floats and an int: at least one truncation level,
+    each finite and > 0, a method of LINDEBERG_METHODS, and a whole-number
+    Monte Carlo budget >= 1000."""
     r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
     if not r_grid or not all(0.0 < r < math.inf for r in r_grid):
         raise ConfigError("each lindeberg.r_grid truncation level r must be finite and > 0")
@@ -127,7 +131,10 @@ def check_lindeberg(r_grid: Sequence[float], method: str) -> tuple[float, ...]:
         raise ConfigError(
             f"unknown Lindeberg method {method!r}; expected one of {LINDEBERG_METHODS}"
         )
-    return r_grid
+    mc_budget = whole_number(mc_budget, "lindeberg.mc_budget")
+    if mc_budget < 1000:
+        raise ConfigError("lindeberg.mc_budget must be >= 1000")
+    return r_grid, mc_budget
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,8 @@ def condition_value(name: str, summary: DesignSummary) -> float:
     raise ConfigError(f"unknown condition id {name!r}; expected one of {CONDITION_IDS}")
 
 
-def condition_path_from_summaries(name: str, summaries: Sequence[DesignSummary]) -> ConditionPath:
+def condition_path(name: str, summaries: Sequence[DesignSummary]) -> ConditionPath:
+    """The condition's values along the summaries' n grid, with their verdict."""
     values = [condition_value(name, s) for s in summaries]
     return _classified_path(name, summaries, values, _CONDITION_TARGETS[name])
 
@@ -238,25 +246,17 @@ def _classified_path(
     )
 
 
-def condition_path(name: str, design: DesignSequence, n_grid: Sequence[int]) -> ConditionPath:
-    return condition_path_from_summaries(name, summary_path(design, n_grid))
-
-
-def scaling_hierarchy(design: DesignSequence, n_grid: Sequence[int]) -> HierarchyReport:
+def scaling_hierarchy(summaries: Sequence[DesignSummary]) -> HierarchyReport:
     """Per-n ratios of the dispersion hierarchy; flagged when the slope-CLT
     conditions do not hold in trend for this design (report still computed)."""
-    return _scaling_hierarchy_from_summaries(summary_path(design, n_grid))
-
-
-def _scaling_hierarchy_from_summaries(summaries: Sequence[DesignSummary]) -> HierarchyReport:
     if any(s.s_n <= 0.0 or s.max_dev <= 0.0 for s in summaries):
         raise DegenerateDesignError("hierarchy ratios need S_n > 0 at every grid point")
     r1 = tuple(s.n / math.sqrt(s.s_n) for s in summaries)
     r2 = tuple(math.sqrt(s.s_n) / s.max_dev**2 for s in summaries)
     r3 = tuple(s.max_dev**2 / s.s_n for s in summaries)
     flagged = not (
-        condition_path_from_summaries("c6", summaries).verdict == VERDICT_SATISFIED
-        and condition_path_from_summaries("c7", summaries).verdict == VERDICT_SATISFIED
+        condition_path("c6", summaries).verdict == VERDICT_SATISFIED
+        and condition_path("c7", summaries).verdict == VERDICT_SATISFIED
     )
     return HierarchyReport(
         n_grid=tuple(s.n for s in summaries),
@@ -292,59 +292,9 @@ def _nu_quadrature_law(spec: EVModelSpec) -> tuple[ErrorDistribution, float]:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _monte_carlo_nu_abs(spec: EVModelSpec, n: int, mc_budget: int, seed: int) -> np.ndarray:
-    """|nu| for the Monte Carlo Lindeberg sum at one grid point, read-only.
-
-    The draws depend on (spec, n, mc_budget, seed) but not on r, so the
-    calls for each r at one grid point share a single draw.
-    """
-    draws_eps = spec.eps_dist.sample(uniforms((seed, n, STREAM_MC_EPS), mc_budget))
-    draws_delta = spec.delta_dist.sample(uniforms((seed, n, STREAM_MC_DELTA), mc_budget))
-    nu_abs = np.abs(draws_eps - spec.beta * draws_delta)
-    nu_abs.setflags(write=False)
-    return nu_abs
-
-
-def lindeberg_sum(
-    design: DesignSequence,
-    n: int,
-    spec: EVModelSpec,
-    r: float,
-    method: str = "quadrature",
-    mc_budget: int = 1_000_000,
-    seed: int = 0,
-) -> LindebergReport:
-    """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array."""
-    check_lindeberg((r,), method)
-    variance = spec.nu_variance()
-    if variance <= 0.0:
-        raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
-    x = design.generate(n)
-    summary = summarize(x)
-    if summary.s_n <= 0.0:
-        raise DegenerateDesignError("Lindeberg array needs S_n > 0")
-
-    # X_{n,i} = coeff_i * nu_i
-    coeff = np.abs(x - summary.mean) / math.sqrt(summary.s_n * variance)
-    active = coeff > 0.0
-    coeff = coeff[active]
-    bound = spec.nu_bound()
-    if math.isfinite(bound) and float(np.max(coeff, initial=0.0)) * bound <= r:
-        # the indicator can never fire: the sum is exactly zero
-        return LindebergReport(n=n, r=r, sum_value=0.0, method=method,
-                               stderr=0.0 if method == "monte-carlo" else None)
-
+def _monte_carlo_sum(coeff: np.ndarray, r: float, nu_abs: np.ndarray) -> tuple[float, float]:
+    """(sum, standard error) of the Lindeberg sum at level r from the |nu| draws."""
     thresholds = r / coeff  # |nu| must exceed this for index i to contribute
-
-    if method == "quadrature":
-        dist, mult = _nu_quadrature_law(spec)
-        tails = mult * mult * dist.tail_second_moment(thresholds / mult)
-        value = float(np.sum(coeff * coeff * tails))
-        return LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
-                               method="quadrature", stderr=None)
-
-    nu_abs = _monte_carlo_nu_abs(spec, n, mc_budget, seed)
     order = np.argsort(thresholds)
     sorted_thr = thresholds[order]
     weight_prefix = np.concatenate([[0.0], np.cumsum((coeff * coeff)[order])])
@@ -352,10 +302,59 @@ def lindeberg_sum(
     # threshold strictly below |nu|
     active_weight = weight_prefix[np.searchsorted(sorted_thr, nu_abs, side="left")]
     per_draw = nu_abs * nu_abs * active_weight
-    value = float(np.mean(per_draw))
-    stderr = float(np.std(per_draw, ddof=1) / math.sqrt(mc_budget))
-    return LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
-                           method="monte-carlo", stderr=stderr)
+    return float(np.mean(per_draw)), float(np.std(per_draw, ddof=1) / math.sqrt(nu_abs.size))
+
+
+def lindeberg_sum(
+    design: DesignSequence,
+    n_grid: Sequence[int],
+    spec: EVModelSpec,
+    r_grid: Sequence[float],
+    method: str = "quadrature",
+    mc_budget: int = 1_000_000,
+    seed: int = 0,
+) -> list[LindebergReport]:
+    """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array, one
+    report per (n, r), n-major. Each n reads a prefix of one generated
+    design; its Monte Carlo |nu| draw, keyed by (seed, n), is made once, by
+    the first r that needs it."""
+    r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
+    variance = spec.nu_variance()
+    if variance <= 0.0:
+        raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
+    grid = check_grid(n_grid)
+    x_full = design.generate(grid[-1])
+    bound = spec.nu_bound()
+    reports = []
+    for n in grid:
+        x = x_full[:n]
+        summary = summarize(x)
+        if summary.s_n <= 0.0:
+            raise DegenerateDesignError("Lindeberg array needs S_n > 0")
+        # X_{n,i} = coeff_i * nu_i
+        coeff = np.abs(x - summary.mean) / math.sqrt(summary.s_n * variance)
+        coeff = coeff[coeff > 0.0]
+        max_coeff = float(np.max(coeff, initial=0.0))
+        nu_abs = None
+        for r in r_grid:
+            if math.isfinite(bound) and max_coeff * bound <= r:
+                # the indicator can never fire: the sum is exactly zero
+                value, stderr = 0.0, 0.0 if method == "monte-carlo" else None
+            elif method == "quadrature":
+                dist, mult = _nu_quadrature_law(spec)
+                tails = mult * mult * dist.tail_second_moment(r / coeff / mult)
+                value, stderr = float(np.sum(coeff * coeff * tails)), None
+            else:
+                if nu_abs is None:
+                    nu_abs = np.abs(
+                        spec.eps_dist.sample(uniforms((seed, n, STREAM_MC_EPS), mc_budget))
+                        - spec.beta
+                        * spec.delta_dist.sample(uniforms((seed, n, STREAM_MC_DELTA), mc_budget))
+                    )
+                value, stderr = _monte_carlo_sum(coeff, r, nu_abs)
+            reports.append(LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
+                                           method=method, stderr=stderr))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +362,7 @@ def lindeberg_sum(
 # ---------------------------------------------------------------------------
 
 
-def petrov_conditions_from_summaries(
-    summaries: Sequence[DesignSummary], spec: EVModelSpec
-) -> PetrovReport:
+def petrov_conditions(summaries: Sequence[DesignSummary], spec: EVModelSpec) -> PetrovReport:
     s_n = np.array([s.s_n for s in summaries])
     if np.any(s_n <= 0.0):
         raise DegenerateDesignError("Petrov normalization a_n = sqrt(S_n) needs S_n > 0")
@@ -385,14 +382,8 @@ def petrov_conditions_from_summaries(
             name: _classified_path(name, summaries, v.tolist(), "to-zero")
             for name, v in values.items()
         },
-        corollary=condition_path_from_summaries("c6", summaries),
+        corollary=condition_path("c6", summaries),
     )
-
-
-def petrov_conditions(
-    design: DesignSequence, spec: EVModelSpec, n_grid: Sequence[int]
-) -> PetrovReport:
-    return petrov_conditions_from_summaries(summary_path(design, n_grid), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +407,14 @@ def diagnostics_report(
         "design": design.to_dict(),
         "n_grid": [int(n) for n in n_grid],
         "conditions": {
-            name: condition_path_from_summaries(name, summaries).to_dict()
+            name: condition_path(name, summaries).to_dict()
             for name in conditions
         },
     }
     if include_hierarchy:
-        report["hierarchy"] = _scaling_hierarchy_from_summaries(summaries).to_dict()
+        report["hierarchy"] = scaling_hierarchy(summaries).to_dict()
     if include_petrov:
         if spec is None:
             raise ConfigError("Petrov conditions need a model spec (the delta law)")
-        report["petrov"] = petrov_conditions_from_summaries(summaries, spec).to_dict()
+        report["petrov"] = petrov_conditions(summaries, spec).to_dict()
     return report

@@ -218,17 +218,16 @@ def _cmd_simulate(args, config: AppConfig) -> int:
 def _cmd_lindeberg(args, config: AppConfig) -> int:
     section = config.lindeberg
     reports = [
-        lindeberg_sum(
+        report.to_dict()
+        for report in lindeberg_sum(
             config.design,
-            n,
+            config.n_grid,
             config.model,
-            r,
+            section.r_grid,
             method=section.method,
             mc_budget=section.mc_budget,
             seed=config.seed,
-        ).to_dict()
-        for n in config.n_grid
-        for r in section.r_grid
+        )
     ]
     out = _write_manifest(args, config)
     _write_json(out / "lindeberg.json", {"reports": reports})

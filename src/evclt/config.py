@@ -197,10 +197,9 @@ def _parse_lindeberg(node) -> LindebergSection:
     node = _require_mapping(node, "lindeberg")
     _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
     method = str(node.get("method", "quadrature"))
-    r_grid = check_lindeberg(node.get("r_grid", DEFAULT_LINDEBERG_R_GRID), method)
-    mc_budget = whole_number(node.get("mc_budget", 1_000_000), "lindeberg.mc_budget")
-    if mc_budget < 1000:
-        raise ConfigError("lindeberg.mc_budget must be >= 1000")
+    r_grid, mc_budget = check_lindeberg(
+        node.get("r_grid", DEFAULT_LINDEBERG_R_GRID), method, node.get("mc_budget", 1_000_000)
+    )
     return LindebergSection(r_grid=r_grid, method=method, mc_budget=mc_budget)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from .asymptotics import VERDICT_SATISFIED, condition_path_from_summaries
-from .design import DesignSequence, DesignSummary, check_grid, summarize
+from .asymptotics import VERDICT_SATISFIED, condition_path
+from .design import DesignSequence, DesignSummary, check_grid, summarize, whole_number
 from .errors import ConfigError, DegenerateDesignError
 from .estimator import (
     Decomposition,
@@ -96,6 +96,8 @@ class ExperimentConfig:
         tests = check_tests(self.tests)
         object.__setattr__(self, "tests", tests)
         check_variance_source(self.variance_source)
+        object.__setattr__(self, "replicates", whole_number(self.replicates, "replicates"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
         needs_r = DISTRIBUTIONAL_TESTS.intersection(tests)
@@ -376,7 +378,7 @@ def run_experiment(
         )
 
     if "theta-clt" in config.tests:
-        c17 = condition_path_from_summaries("c17", summaries)
+        c17 = condition_path("c17", summaries)
         if c17.verdict != VERDICT_SATISFIED:
             msg = (
                 "theta-clt requested but the design's intercept condition "

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
 
-from .design import DesignSequence
+from .design import DesignSequence, real_number
 from .errors import ConfigError
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
 
@@ -81,14 +81,14 @@ class ErrorDistribution:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown error family {self.family!r}; expected one of {FAMILIES}")
-        scale = float(self.scale)
+        scale = real_number(self.scale, "error-distribution scale")
         if not np.isfinite(scale) or scale < 0:
             raise ConfigError("error-distribution scale must be finite and >= 0")
         object.__setattr__(self, "scale", scale)
         if self.family == "student-t":
             if self.df is None:
                 raise ConfigError("student-t needs a df parameter")
-            df = float(self.df)
+            df = real_number(self.df, "student-t df")
             if not np.isfinite(df) or df <= 4:
                 raise ConfigError("student-t df must be finite and > 4")
             object.__setattr__(self, "df", df)
@@ -306,7 +306,7 @@ class EVModelSpec:
 
     def __post_init__(self) -> None:
         for name in ("theta", "beta", "alpha"):
-            value = float(getattr(self, name))
+            value = real_number(getattr(self, name), name)
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
             object.__setattr__(self, name, value)

@@ -14,12 +14,10 @@ from evclt.asymptotics import (
     VERDICT_SATISFIED,
     VERDICT_VIOLATED,
     condition_path,
-    condition_path_from_summaries,
     lindeberg_sum,
     petrov_conditions,
-    petrov_conditions_from_summaries,
 )
-from evclt.design import DesignSequence, DesignSummary, summarize
+from evclt.design import DesignSequence, DesignSummary, summarize, summary_path
 from evclt.estimator import decompose, fit, identity_gaps
 from evclt.harness import (
     DEFAULTS,
@@ -275,7 +273,7 @@ def test_a6_petrov_necessity():
     ok = True
     for kind, grid in grids.items():
         design = DesignSequence(kind, seed=SEED)
-        report = petrov_conditions(design, spec, grid)
+        report = petrov_conditions(summary_path(design, grid), spec)
         agree = report.paths["petrov-iii"].verdict == report.corollary.verdict
         ok = ok and agree
         agreements.append(f"{kind}: {report.paths['petrov-iii'].verdict} ({'=' if agree else '!='} c6)")
@@ -291,9 +289,9 @@ def test_a6_petrov_necessity():
         )
         for n in grids["linear"]
     ]
-    liu_chen = condition_path_from_summaries("liu-chen-beta", summaries)
-    c6 = condition_path_from_summaries("c6", summaries)
-    petrov = petrov_conditions_from_summaries(summaries, spec)
+    liu_chen = condition_path("liu-chen-beta", summaries)
+    c6 = condition_path("c6", summaries)
+    petrov = petrov_conditions(summaries, spec)
     synthetic_ok = (
         liu_chen.verdict == VERDICT_SATISFIED
         and c6.verdict == VERDICT_VIOLATED
@@ -316,15 +314,16 @@ def test_a6_petrov_necessity():
 def test_a7_lindeberg_sums():
     design = DesignSequence("linear", {"slope": 1.0})
     spec = _normal_spec()
-    values = []
-    agree = True
-    for n in (100, 1000, 10000):
-        quad = lindeberg_sum(design, n, spec, r=0.5, method="quadrature")
-        mc = lindeberg_sum(
-            design, n, spec, r=0.5, method="monte-carlo", mc_budget=1_000_000, seed=SEED
-        )
-        values.append(quad.sum_value)
-        agree = agree and abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
+    grid = (100, 1000, 10000)
+    quads = lindeberg_sum(design, grid, spec, [0.5], method="quadrature")
+    mcs = lindeberg_sum(
+        design, grid, spec, [0.5], method="monte-carlo", mc_budget=1_000_000, seed=SEED
+    )
+    values = [quad.sum_value for quad in quads]
+    agree = all(
+        abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
+        for quad, mc in zip(quads, mcs)
+    )
     decreasing = all(a > b for a, b in zip(values, values[1:]))
 
     bounded_spec = EVModelSpec(
@@ -333,7 +332,7 @@ def test_a7_lindeberg_sums():
         eps_dist=ErrorDistribution("uniform-centered", 1.0),
         delta_dist=ErrorDistribution("uniform-centered", 0.5),
     )
-    zero = lindeberg_sum(design, 100, bounded_spec, r=1.0)
+    [zero] = lindeberg_sum(design, [100], bounded_spec, [1.0])
     zero_ok = zero.sum_value == 0.0
 
     ok = decreasing and agree and zero_ok

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evclt import asymptotics
 from evclt.asymptotics import (
     CONDITION_IDS,
     VERDICT_INCONCLUSIVE,
@@ -10,15 +11,13 @@ from evclt.asymptotics import (
     VERDICT_VIOLATED,
     classify_trend,
     condition_path,
-    condition_path_from_summaries,
     condition_value,
     diagnostics_report,
     lindeberg_sum,
     petrov_conditions,
-    petrov_conditions_from_summaries,
     scaling_hierarchy,
 )
-from evclt.design import DesignSequence, DesignSummary, summarize
+from evclt.design import DesignSequence, DesignSummary, summarize, summary_path
 from evclt.errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from evclt.model import ErrorDistribution, EVModelSpec
 
@@ -89,7 +88,8 @@ def test_condition_values_hand_summary():
 
 def test_linear_design_condition_verdicts(linear_design):
     verdicts = {
-        name: condition_path(name, linear_design, GRID).verdict for name in CONDITION_IDS
+        name: condition_path(name, summary_path(linear_design, GRID)).verdict
+        for name in CONDITION_IDS
     }
     assert verdicts["liu-chen-beta"] == VERDICT_SATISFIED
     assert verdicts["c6"] == VERDICT_SATISFIED
@@ -101,7 +101,7 @@ def test_linear_design_condition_verdicts(linear_design):
 
 def test_gaussian_design_fails_consistency_condition():
     design = DesignSequence("gaussian-iid", {"sd": 1.0}, seed=0)
-    path = condition_path("liu-chen-beta", design, GRID)
+    path = condition_path("liu-chen-beta", summary_path(design, GRID))
     # dispersion per observation stabilizes near Var = 1 instead of diverging
     assert all(0.5 < v < 2.0 for v in path.values[-4:])
     assert path.verdict == VERDICT_VIOLATED
@@ -109,11 +109,11 @@ def test_gaussian_design_fails_consistency_condition():
 
 def test_geometric_design_fails_max_deviation_condition():
     design = DesignSequence("geometric", {"base": 2.0})
-    c7 = condition_path("c7", design, GEOMETRIC_GRID)
+    c7 = condition_path("c7", summary_path(design, GEOMETRIC_GRID))
     # one point dominates: the ratio approaches a positive constant
     assert c7.values[-1] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-2)
     assert c7.verdict == VERDICT_VIOLATED
-    assert condition_path("c6", design, GEOMETRIC_GRID).verdict == VERDICT_SATISFIED
+    assert condition_path("c6", summary_path(design, GEOMETRIC_GRID)).verdict == VERDICT_SATISFIED
 
 
 def test_geometric_dispersion_overflow_raises_instead_of_a_zero_c7():
@@ -121,19 +121,19 @@ def test_geometric_dispersion_overflow_raises_instead_of_a_zero_c7():
     # would read 0.0 there.
     design = DesignSequence("geometric", {"base": 2.0})
     with pytest.raises(ConfigError, match="overflows"):
-        condition_path("c7", design, (100, 200, 400, 600))
+        condition_path("c7", summary_path(design, (100, 200, 400, 600)))
 
 
 def test_bounded_design_fails_everything():
     design = DesignSequence("bounded", {"scale": 1.0})
-    assert condition_path("liu-chen-beta", design, GRID).verdict == VERDICT_VIOLATED
-    assert condition_path("c6", design, GRID).verdict == VERDICT_VIOLATED
+    assert condition_path("liu-chen-beta", summary_path(design, GRID)).verdict == VERDICT_VIOLATED
+    assert condition_path("c6", summary_path(design, GRID)).verdict == VERDICT_VIOLATED
 
 
 def test_alternating_design_satisfies_intercept_conditions():
-    design = DesignSequence("alternating", {"scale": 1.0})
-    assert condition_path("c17", design, GRID).verdict == VERDICT_SATISFIED
-    assert condition_path("theta-consistency", design, GRID).verdict == VERDICT_SATISFIED
+    summaries = summary_path(DesignSequence("alternating", {"scale": 1.0}), GRID)
+    assert condition_path("c17", summaries).verdict == VERDICT_SATISFIED
+    assert condition_path("theta-consistency", summaries).verdict == VERDICT_SATISFIED
 
 
 def test_c17_with_zero_mean_reports_infinity():
@@ -141,19 +141,19 @@ def test_c17_with_zero_mean_reports_infinity():
         DesignSummary(n=n, mean=0.0, s_n=float(n**2), max_dev=10.0, s_star=float(n**2))
         for n in (10, 20, 40, 80, 160)
     ]
-    path = condition_path_from_summaries("c17", summaries)
+    path = condition_path("c17", summaries)
     assert all(math.isinf(v) for v in path.values)
     assert path.verdict == VERDICT_SATISFIED
 
 
 def test_constant_design_condition_paths():
-    design = DesignSequence("constant", {"value": 3.0})
-    assert condition_path("c6", design, [10, 20, 40, 80, 160]).verdict == VERDICT_VIOLATED
+    summaries = summary_path(DesignSequence("constant", {"value": 3.0}), [10, 20, 40, 80, 160])
+    assert condition_path("c6", summaries).verdict == VERDICT_VIOLATED
 
 
 def test_condition_path_recomputation_is_bit_stable(linear_design):
-    a = condition_path("c6", linear_design, GRID)
-    b = condition_path("c6", linear_design, GRID)
+    a = condition_path("c6", summary_path(linear_design, GRID))
+    b = condition_path("c6", summary_path(linear_design, GRID))
     assert a == b
 
 
@@ -161,7 +161,7 @@ def test_condition_path_recomputation_is_bit_stable(linear_design):
 
 
 def test_hierarchy_power_design_all_ratios_shrink():
-    report = scaling_hierarchy(DesignSequence("power", {"exponent": 2.0}), GRID)
+    report = scaling_hierarchy(summary_path(DesignSequence("power", {"exponent": 2.0}), GRID))
     for ratios in (report.n_over_root_s, report.root_s_over_maxdev_sq, report.maxdev_sq_over_s):
         assert all(a > b for a, b in zip(ratios[-4:], ratios[-3:]))
         assert ratios[-1] < 0.05
@@ -169,7 +169,7 @@ def test_hierarchy_power_design_all_ratios_shrink():
 
 
 def test_hierarchy_linear_third_ratio_closed_form(linear_design):
-    report = scaling_hierarchy(linear_design, GRID)
+    report = scaling_hierarchy(summary_path(linear_design, GRID))
     n = GRID[-1]
     # max-dev^2 / S_n = 3 (n - 1) / (n (n + 1)) for x_i = i
     oracle = 3.0 * (n - 1) / (n * (n + 1.0))
@@ -177,13 +177,13 @@ def test_hierarchy_linear_third_ratio_closed_form(linear_design):
 
 
 def test_hierarchy_flagged_for_counterexample_design():
-    report = scaling_hierarchy(DesignSequence("gaussian-iid", seed=1), GRID)
+    report = scaling_hierarchy(summary_path(DesignSequence("gaussian-iid", seed=1), GRID))
     assert report.flagged is True
 
 
 def test_hierarchy_constant_design_errors():
     with pytest.raises(DegenerateDesignError):
-        scaling_hierarchy(DesignSequence("constant"), [10, 20, 40])
+        scaling_hierarchy(summary_path(DesignSequence("constant"), [10, 20, 40]))
 
 
 # --- Lindeberg sums -----------------------------------------------------------------
@@ -192,36 +192,35 @@ def test_hierarchy_constant_design_errors():
 def test_lindeberg_bounded_law_exact_zero(linear_design):
     spec = _spec(eps=("uniform-centered", 1.0), delta=("uniform-centered", 0.5), beta=2.0)
     # |nu| <= 1 + 2 * 0.5 = 2; max coeff at n=100 is small, so r=1 never fires
-    report = lindeberg_sum(linear_design, 100, spec, r=1.0)
+    [report] = lindeberg_sum(linear_design, [100], spec, [1.0])
     assert report.sum_value == 0.0
-    mc = lindeberg_sum(linear_design, 100, spec, r=1.0, method="monte-carlo", mc_budget=1000)
+    [mc] = lindeberg_sum(linear_design, [100], spec, [1.0], method="monte-carlo", mc_budget=1000)
     assert mc.sum_value == 0.0 and mc.stderr == 0.0
 
 
 def test_lindeberg_r_to_zero_recovers_normalization(linear_design, standard_spec):
-    report = lindeberg_sum(linear_design, 200, standard_spec, r=1e-9)
+    [report] = lindeberg_sum(linear_design, [200], standard_spec, [1e-9])
     assert report.sum_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lindeberg_monotone_in_r(linear_design, standard_spec):
-    values = [
-        lindeberg_sum(linear_design, 100, standard_spec, r=r).sum_value
-        for r in (0.05, 0.1, 0.5, 1.0)
-    ]
+    reports = lindeberg_sum(linear_design, [100], standard_spec, [0.05, 0.1, 0.5, 1.0])
+    assert [report.r for report in reports] == [0.05, 0.1, 0.5, 1.0]
+    values = [report.sum_value for report in reports]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_lindeberg_decreases_along_n(linear_design, standard_spec):
-    v100 = lindeberg_sum(linear_design, 100, standard_spec, r=0.5).sum_value
-    v1000 = lindeberg_sum(linear_design, 1000, standard_spec, r=0.5).sum_value
-    assert v100 > v1000 > 0.0
+    r100, r1000 = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5])
+    assert (r100.n, r1000.n) == (100, 1000)
+    assert r100.sum_value > r1000.sum_value > 0.0
 
 
 def test_lindeberg_quadrature_matches_monte_carlo(linear_design, standard_spec):
-    quad = lindeberg_sum(linear_design, 100, standard_spec, r=0.5)
-    mc = lindeberg_sum(
-        linear_design, 100, standard_spec, r=0.5, method="monte-carlo", mc_budget=200_000, seed=3
+    [quad] = lindeberg_sum(linear_design, [100], standard_spec, [0.5])
+    [mc] = lindeberg_sum(
+        linear_design, [100], standard_spec, [0.5], method="monte-carlo", mc_budget=200_000, seed=3
     )
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
@@ -232,8 +231,8 @@ def test_lindeberg_single_component_quadrature(linear_design):
     spec = EVModelSpec(
         0.0, 0.0, ErrorDistribution("laplace", 1.0), ErrorDistribution("uniform-centered", 1.0)
     )
-    quad = lindeberg_sum(linear_design, 100, spec, r=0.3)
-    mc = lindeberg_sum(linear_design, 100, spec, r=0.3, method="monte-carlo", mc_budget=200_000)
+    [quad] = lindeberg_sum(linear_design, [100], spec, [0.3])
+    [mc] = lindeberg_sum(linear_design, [100], spec, [0.3], method="monte-carlo", mc_budget=200_000)
     assert abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
 
 
@@ -243,8 +242,10 @@ def test_lindeberg_single_law_student_t_quadrature(linear_design):
     spec = EVModelSpec(
         0.0, 0.0, ErrorDistribution("student-t", 1.0, df=6.0), ErrorDistribution("normal", 1.0)
     )
-    quad = lindeberg_sum(linear_design, 2000, spec, r=0.05)
-    mc = lindeberg_sum(linear_design, 2000, spec, r=0.05, method="monte-carlo", mc_budget=200_000)
+    [quad] = lindeberg_sum(linear_design, [2000], spec, [0.05])
+    [mc] = lindeberg_sum(
+        linear_design, [2000], spec, [0.05], method="monte-carlo", mc_budget=200_000
+    )
     assert 0.1 < quad.sum_value < 0.9
     assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
 
@@ -270,35 +271,89 @@ def test_single_law_quadrature_is_the_sum_of_scalar_tails(linear_design, eps):
         c * c * eps.tail_second_moment(r / c) for c in coeff.tolist() if c > 0.0
     )
     assert 0.1 < expected < 1.0
-    got = lindeberg_sum(linear_design, n, spec, r=r).sum_value
+    got = lindeberg_sum(linear_design, [n], spec, [r])[0].sum_value
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_lindeberg_unsupported_quadrature_law(linear_design):
     spec = _spec(eps=("laplace", 1.0), delta=("uniform-centered", 1.0), beta=2.0)
     with pytest.raises(QuadratureUnsupportedError):
-        lindeberg_sum(linear_design, 100, spec, r=0.5)
+        lindeberg_sum(linear_design, [100], spec, [0.5])
     # the Monte Carlo path covers the same law
-    mc = lindeberg_sum(linear_design, 100, spec, r=0.5, method="monte-carlo", mc_budget=50_000)
+    [mc] = lindeberg_sum(linear_design, [100], spec, [0.5], method="monte-carlo", mc_budget=50_000)
     assert 0.0 <= mc.sum_value <= 1.0
+
+
+def test_lindeberg_quadrature_is_needed_only_where_the_sum_is_not_zero(linear_design):
+    # |nu| <= 2 for this law with no closed form: at n = 1000 the largest
+    # coefficient times 2 stays below r = 0.5, at n = 10 it does not
+    spec = _spec(eps=("uniform-centered", 1.0), delta=("scaled-rademacher", 1.0), beta=1.0)
+    reports = lindeberg_sum(linear_design, [1000], spec, [0.5, 1.0])
+    assert [r.sum_value for r in reports] == [0.0, 0.0]
+    with pytest.raises(QuadratureUnsupportedError):
+        lindeberg_sum(linear_design, [10, 1000], spec, [0.5])
+
+
+def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
+    monkeypatch, linear_design
+):
+    # the same bounded law: every r at n = 1000 is out of reach, so only
+    # n = 10 draws its eps and delta streams
+    calls = []
+    real_uniforms = asymptotics.uniforms
+
+    def counting_uniforms(key, size):
+        calls.append(key[1])
+        return real_uniforms(key, size)
+
+    monkeypatch.setattr(asymptotics, "uniforms", counting_uniforms)
+    spec = _spec(eps=("uniform-centered", 1.0), delta=("scaled-rademacher", 1.0), beta=1.0)
+    reports = lindeberg_sum(
+        linear_design, [10, 1000], spec, [0.5, 1.0], method="monte-carlo", mc_budget=1000
+    )
+    assert calls == [10, 10]
+    assert [r.sum_value for r in reports[2:]] == [0.0, 0.0]
+    assert reports[0].sum_value > 0.0
 
 
 def test_lindeberg_preconditions(linear_design, standard_spec, noiseless_spec):
     with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, 100, standard_spec, r=0.0)
+        lindeberg_sum(linear_design, [100], standard_spec, [0.0])
     with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, 100, standard_spec, r=0.5, method="bootstrap")
+        lindeberg_sum(linear_design, [100], standard_spec, [0.5], method="bootstrap")
     with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, 100, noiseless_spec, r=0.5)
+        lindeberg_sum(linear_design, [100], noiseless_spec, [0.5])
     with pytest.raises(DegenerateDesignError):
-        lindeberg_sum(DesignSequence("constant"), 100, standard_spec, r=0.5)
+        lindeberg_sum(DesignSequence("constant"), [100], standard_spec, [0.5])
+    with pytest.raises(ConfigError, match="n grid"):
+        lindeberg_sum(linear_design, [200, 100], standard_spec, [0.5])
+
+
+@pytest.mark.parametrize("mc_budget", [0, 1, 999, 1500.5, "2000", True])
+def test_lindeberg_mc_budget_is_a_whole_number_of_at_least_1000(
+    linear_design, standard_spec, mc_budget
+):
+    # the rule of the config's lindeberg section: too few draws gave a nan sum
+    # (0 draws) or a nan standard error (1 draw)
+    for method in ("quadrature", "monte-carlo"):
+        with pytest.raises(ConfigError, match="mc_budget"):
+            lindeberg_sum(
+                linear_design, [100], standard_spec, [0.5], method=method, mc_budget=mc_budget
+            )
+
+
+def test_lindeberg_mc_budget_accepts_an_integral_float(linear_design, standard_spec):
+    [mc] = lindeberg_sum(
+        linear_design, [100], standard_spec, [0.5], method="monte-carlo", mc_budget=1000.0
+    )
+    assert math.isfinite(mc.sum_value) and math.isfinite(mc.stderr) and mc.stderr > 0.0
 
 
 # --- Petrov conditions ----------------------------------------------------------------
 
 
 def test_petrov_iii_tracks_c6_values(linear_design, standard_spec):
-    report = petrov_conditions(linear_design, standard_spec, GRID)
+    report = petrov_conditions(summary_path(linear_design, GRID), standard_spec)
     c6 = report.corollary
     iii = report.paths["petrov-iii"]
     # truncation at sqrt(sqrt(S_n)) is far beyond the normal scale here, so
@@ -316,7 +371,7 @@ def test_petrov_student_t_moments_at_large_n(linear_design):
         1.0, 2.0, ErrorDistribution("normal", 1.0), ErrorDistribution("student-t", 1.0, df=df)
     )
     grid = [1000, 10_000, 100_000, 1_000_000]
-    report = petrov_conditions(linear_design, spec, grid)
+    report = petrov_conditions(summary_path(linear_design, grid), spec)
     n = grid[-1]
     second = df / (df - 2)
     fourth = 3 * df**2 / ((df - 2) * (df - 4))
@@ -329,7 +384,7 @@ def test_petrov_student_t_moments_at_large_n(linear_design):
 
 def test_petrov_bounded_delta_first_condition_zero(linear_design):
     spec = _spec(delta=("uniform-centered", 1.0))
-    report = petrov_conditions(linear_design, spec, GRID)
+    report = petrov_conditions(summary_path(linear_design, GRID), spec)
     assert all(v == 0.0 for v in report.paths["petrov-i"].values)
 
 
@@ -346,7 +401,7 @@ def test_petrov_bounded_delta_first_condition_zero(linear_design):
 )
 def test_petrov_iii_verdict_agrees_with_c6(kind, grid, standard_spec):
     design = DesignSequence(kind, seed=0)
-    report = petrov_conditions(design, standard_spec, grid)
+    report = petrov_conditions(summary_path(design, grid), standard_spec)
     assert report.paths["petrov-iii"].verdict == report.corollary.verdict, kind
 
 
@@ -363,9 +418,9 @@ def test_petrov_synthetic_path_shows_necessity(standard_spec):
         )
         for n in GRID
     ]
-    liu_chen = condition_path_from_summaries("liu-chen-beta", summaries)
-    c6 = condition_path_from_summaries("c6", summaries)
-    petrov = petrov_conditions_from_summaries(summaries, standard_spec)
+    liu_chen = condition_path("liu-chen-beta", summaries)
+    c6 = condition_path("c6", summaries)
+    petrov = petrov_conditions(summaries, standard_spec)
     assert liu_chen.verdict == VERDICT_SATISFIED
     assert c6.verdict == VERDICT_VIOLATED
     assert petrov.paths["petrov-iii"].verdict == VERDICT_VIOLATED
@@ -373,7 +428,7 @@ def test_petrov_synthetic_path_shows_necessity(standard_spec):
 
 def test_petrov_constant_design_rejected(standard_spec):
     with pytest.raises(DegenerateDesignError):
-        petrov_conditions(DesignSequence("constant"), standard_spec, [10, 20, 40])
+        petrov_conditions(summary_path(DesignSequence("constant"), [10, 20, 40]), standard_spec)
 
 
 # --- aggregated diagnostics --------------------------------------------------------

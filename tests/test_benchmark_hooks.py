@@ -29,7 +29,8 @@ def test_tracer_installs_on_every_traced_entry_point():
     assert result.returncode == 0, result.stderr
 
 
-def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
+def _traced_counters(tmp_path, command: str, **overrides) -> dict:
+    """The tracer's counters for one CLI ``command`` on a small linear config."""
     config = tmp_path / "config.yaml"
     config.write_text(
         yaml.safe_dump(
@@ -42,9 +43,7 @@ def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
                     "eps": {"family": "normal", "scale": 1.0},
                     "delta": {"family": "normal", "scale": 1.0},
                 },
-                "grid": [100, 200],
-                "replicates": 100,
-                "tests": ["negligibility"],
+                **overrides,
             }
         ),
         encoding="utf-8",
@@ -55,7 +54,7 @@ def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
             sys.executable,
             str(ROOT / "perfbench" / "tracer.py"),
             str(trace),
-            "simulate",
+            command,
             "--config",
             str(config),
             "--out",
@@ -67,7 +66,26 @@ def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    counters = json.loads(trace.read_text(encoding="utf-8"))["counters"]
+    return json.loads(trace.read_text(encoding="utf-8"))["counters"]
+
+
+def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
+    counters = _traced_counters(
+        tmp_path, "simulate", grid=[100, 200], replicates=100, tests=["negligibility"]
+    )
     assert counters["kernels.fit_batch.rows"] == 200
     assert counters["kernels.decompose_batch.rows"] == 200
     assert counters["harness.replicates_simulated"] == 200
+
+
+def test_traced_lindeberg_counts_one_call_for_the_whole_grid(tmp_path):
+    counters = _traced_counters(
+        tmp_path,
+        "lindeberg",
+        grid=[100, 200, 500],
+        lindeberg={"r_grid": [0.1, 0.5], "method": "monte-carlo", "mc_budget": 2000},
+    )
+    assert counters["asymptotics.lindeberg_sum.calls"] == 1
+    # the eps and delta streams, once per grid point
+    assert counters["rng.uniforms.calls"] == 6
+    assert counters["asymptotics.lindeberg_sum.draws"] == 6 * 2000

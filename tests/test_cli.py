@@ -12,6 +12,7 @@ from evclt import asymptotics, cli, harness
 from evclt.asymptotics import lindeberg_sum
 from evclt.cli import main
 from evclt.config import load_config
+from evclt.rng import STREAM_MC_DELTA, STREAM_MC_EPS
 
 
 @pytest.fixture(autouse=True)
@@ -291,44 +292,48 @@ def test_lindeberg_monte_carlo_draws_once_per_grid_point(tmp_path, monkeypatch):
     calls = []
     real_uniforms = asymptotics.uniforms
 
-    def counting_uniforms(*args, **kwargs):
-        calls.append(args)
-        return real_uniforms(*args, **kwargs)
+    def counting_uniforms(key, size):
+        calls.append(key)
+        return real_uniforms(key, size)
 
     monkeypatch.setattr(asymptotics, "uniforms", counting_uniforms)
-    config_path = _write_config(
-        tmp_path,
-        _base_config(
-            grid=[100, 200, 500],
-            lindeberg={"r_grid": [0.1, 0.5, 1.0], "method": "monte-carlo", "mc_budget": 20_000},
-        ),
-    )
-    out = tmp_path / "out"
-    asymptotics._monte_carlo_nu_abs.cache_clear()
-    assert main(["lindeberg", "--config", str(config_path), "--out", str(out)]) == 0
-    assert len(calls) == 6  # eps and delta streams, once per grid point
+    for method in ("monte-carlo", "quadrature"):
+        calls.clear()
+        config_path = _write_config(
+            tmp_path,
+            _base_config(
+                grid=[100, 200, 500],
+                lindeberg={"r_grid": [0.1, 0.5, 1.0], "method": method, "mc_budget": 20_000},
+            ),
+        )
+        out = tmp_path / method
+        assert main(["lindeberg", "--config", str(config_path), "--out", str(out)]) == 0
+        if method == "monte-carlo":
+            # the eps and delta streams, once per grid point
+            streams = (STREAM_MC_EPS, STREAM_MC_DELTA)
+            assert calls == [(9, n, stream) for n in (100, 200, 500) for stream in streams]
+        else:
+            assert calls == []
 
-    # the shared draw gives the same reports as a fresh draw for every call
-    config = load_config(config_path)
-    section = config.lindeberg
-    reports = []
-    for n in config.n_grid:
-        for r in section.r_grid:
-            asymptotics._monte_carlo_nu_abs.cache_clear()
-            reports.append(
-                lindeberg_sum(
-                    config.design,
-                    n,
-                    config.model,
-                    r,
-                    method=section.method,
-                    mc_budget=section.mc_budget,
-                    seed=config.seed,
-                ).to_dict()
-            )
-    expected = tmp_path / "expected.json"
-    cli._write_json(expected, {"reports": reports})
-    assert (out / "lindeberg.json").read_bytes() == expected.read_bytes()
+        # each (n, r) report of the grid call is the report of a call on n and r alone
+        config = load_config(config_path)
+        section = config.lindeberg
+        reports = [
+            lindeberg_sum(
+                config.design,
+                [n],
+                config.model,
+                [r],
+                method=section.method,
+                mc_budget=section.mc_budget,
+                seed=config.seed,
+            )[0].to_dict()
+            for n in config.n_grid
+            for r in section.r_grid
+        ]
+        expected = tmp_path / f"expected-{method}.json"
+        cli._write_json(expected, {"reports": reports})
+        assert (out / "lindeberg.json").read_bytes() == expected.read_bytes()
 
 
 def test_student_t_diagnose_and_lindeberg_leave_scipy_stats_and_integrate_unloaded(tmp_path):

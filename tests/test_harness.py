@@ -137,6 +137,16 @@ def test_config_validation_errors(linear_design, standard_spec):
         _config(linear_design, standard_spec, variance_source="estimated")
     with pytest.raises(ConfigError):
         _config(linear_design, standard_spec, tests=("counterexample",))
+    for bad in ({"replicates": 150.5}, {"replicates": "150"}, {"replicates": True},
+                {"seed": 7.5}, {"seed": "7"}, {"seed": None}):
+        with pytest.raises(ConfigError, match="whole number"):
+            _config(linear_design, standard_spec, **bad)
+    # an integral float is the same count: stored as an int, it records the same bytes
+    config = _config(linear_design, standard_spec, seed=7.0, replicates=200.0)
+    assert type(config.seed) is int and config.seed == 7
+    assert type(config.replicates) is int and config.replicates == 200
+    as_ints = _config(linear_design, standard_spec, seed=7, replicates=200)
+    assert report_json_bytes(config.to_dict()) == report_json_bytes(as_ints.to_dict())
 
 
 def test_single_point_negligibility_fails_before_any_simulation(

@@ -193,6 +193,25 @@ def test_distribution_validation():
         ErrorDistribution("normal", 1.0, df=5.0)
     with pytest.raises(ConfigError):
         ErrorDistribution("cauchy", 1.0)
+    # numbers are read as numbers: a string or a bool is refused, not converted
+    with pytest.raises(ConfigError, match="must be a number"):
+        ErrorDistribution("normal", "1")
+    with pytest.raises(ConfigError, match="must be a number"):
+        ErrorDistribution("normal", True)
+    with pytest.raises(ConfigError, match="must be a number"):
+        ErrorDistribution("student-t", 1.0, df="6")
+    law = ErrorDistribution("normal", 1.0)
+    for name in ("theta", "beta", "alpha"):
+        for bad in ("1", True):
+            fields = dict(theta=1.0, beta=2.0, eps_dist=law, delta_dist=law, alpha=1.0)
+            fields[name] = bad
+            with pytest.raises(ConfigError, match=f"{name} must be a number"):
+                EVModelSpec(**fields)
+    spec = EVModelSpec(1, 2, ErrorDistribution("student-t", 1, df=6), law, alpha=1)
+    assert (spec.theta, spec.beta, spec.alpha, spec.eps_dist.scale, spec.eps_dist.df) == (
+        1.0, 2.0, 1.0, 1.0, 6.0
+    )
+    assert all(type(v) is float for v in (spec.theta, spec.beta, spec.eps_dist.df))
 
 
 # --- composite error variance --------------------------------------------------
