@@ -23,7 +23,10 @@ The Lindeberg evaluator works on the normalized triangular array
 X_{n,i} = (x_i - x_bar) nu_i / sqrt(S_n Var(nu)), whose second moments sum
 to one, and reports sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] at every (n, r)
 either by per-i truncated-moment quadrature (closed forms where the law
-allows) or by Monte Carlo with a standard error, from one |nu| draw per n.
+allows) or by Monte Carlo with a standard error. Only the coefficients
+depend on n; the law of nu does not, so one |nu| draw per run serves every
+(n, r) (common random numbers: each estimate keeps its sample size and
+standard error, and the n-path is smoother).
 
 The Petrov checker instantiates the weak-law equivalence with a_n =
 sqrt(S_n) applied to the squared measurement errors; its condition (iii)
@@ -39,7 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .design import DesignSequence, DesignSummary, check_grid, real_number, summarize
+from .design import DesignSequence, DesignSummary, prefix_summaries, real_number
 from .design import summary_path, whole_number
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from .model import ErrorDistribution, EVModelSpec
@@ -316,26 +319,25 @@ def lindeberg_sum(
 ) -> list[LindebergReport]:
     """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array, one
     report per (n, r), n-major. Each n reads a prefix of one generated
-    design; its Monte Carlo |nu| draw, keyed by (seed, n), is made once, by
-    the first r that needs it."""
+    design. The Monte Carlo |nu| draw, keyed by seed alone, is made at most
+    once per call, by the first (n, r) that needs it, and every (n, r)
+    reuses it."""
     r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
     variance = spec.nu_variance()
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
-    grid = check_grid(n_grid)
-    x_full = design.generate(grid[-1])
+    x_full, summaries = prefix_summaries(design, n_grid)
     bound = spec.nu_bound()
+    nu_abs = None
     reports = []
-    for n in grid:
-        x = x_full[:n]
-        summary = summarize(x)
+    for summary in summaries:
+        n = summary.n
         if summary.s_n <= 0.0:
             raise DegenerateDesignError("Lindeberg array needs S_n > 0")
         # X_{n,i} = coeff_i * nu_i
-        coeff = np.abs(x - summary.mean) / math.sqrt(summary.s_n * variance)
+        coeff = np.abs(x_full[:n] - summary.mean) / math.sqrt(summary.s_n * variance)
         coeff = coeff[coeff > 0.0]
         max_coeff = float(np.max(coeff, initial=0.0))
-        nu_abs = None
         for r in r_grid:
             if math.isfinite(bound) and max_coeff * bound <= r:
                 # the indicator can never fire: the sum is exactly zero
@@ -347,9 +349,9 @@ def lindeberg_sum(
             else:
                 if nu_abs is None:
                     nu_abs = np.abs(
-                        spec.eps_dist.sample(uniforms((seed, n, STREAM_MC_EPS), mc_budget))
+                        spec.eps_dist.sample(uniforms((seed, STREAM_MC_EPS), mc_budget))
                         - spec.beta
-                        * spec.delta_dist.sample(uniforms((seed, n, STREAM_MC_DELTA), mc_budget))
+                        * spec.delta_dist.sample(uniforms((seed, STREAM_MC_DELTA), mc_budget))
                     )
                 value, stderr = _monte_carlo_sum(coeff, r, nu_abs)
             reports.append(LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),

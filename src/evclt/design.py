@@ -191,8 +191,16 @@ def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
     return grid
 
 
-def summary_path(design: DesignSequence, n_grid: Sequence[int]) -> list[DesignSummary]:
-    """Summaries of the design prefixes at each grid point."""
+def prefix_summaries(
+    design: DesignSequence, n_grid: Sequence[int]
+) -> tuple[np.ndarray, list[DesignSummary]]:
+    """The design's values through the last grid point, generated once, and
+    the summary of the prefix at each grid point."""
     grid = check_grid(n_grid)
     x = design.generate(grid[-1])
-    return [summarize(x[:n]) for n in grid]
+    return x, [summarize(x[:n]) for n in grid]
+
+
+def summary_path(design: DesignSequence, n_grid: Sequence[int]) -> list[DesignSummary]:
+    """Summaries of the design prefixes at each grid point."""
+    return prefix_summaries(design, n_grid)[1]

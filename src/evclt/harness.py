@@ -25,7 +25,8 @@ from scipy.special import ndtr, ndtri
 
 from . import kernels
 from .asymptotics import VERDICT_SATISFIED, condition_path
-from .design import DesignSequence, DesignSummary, check_grid, summarize, whole_number
+from .design import DesignSequence, DesignSummary, check_grid, prefix_summaries, whole_number
+from .design import summarize  # noqa: F401  (perfbench/tracer.py patches harness.summarize)
 from .errors import ConfigError, DegenerateDesignError
 from .estimator import (
     Decomposition,
@@ -369,8 +370,7 @@ def run_experiment(
     # Every grid point's design summary comes first, so that a design whose
     # dispersion overflows, or is zero where ratios divide by it, fails
     # before any replicate is simulated.
-    x_full = config.design.generate(config.n_grid[-1])
-    summaries = [summarize(x_full[:n]) for n in config.n_grid]
+    x_full, summaries = prefix_summaries(config.design, config.n_grid)
     degenerate = [s.n for s in summaries if s.s_n <= 0.0]
     if need_latents and degenerate:
         raise DegenerateDesignError(

@@ -9,7 +9,8 @@ sigma2^2 + beta^2 * sigma1^2 drives every standardized statistic.
 
 Error laws form a small symmetric catalog; each one is sampled by inverse
 CDF from a single keyed uniform per index, so a draw is a pure function of
-(seed, n, replicate, stream, i).
+its stream key and index i: (seed, n, replicate, stream) for a replicate,
+(seed, stream) for the one Monte Carlo |nu| draw of a Lindeberg run.
 """
 
 from __future__ import annotations

@@ -23,7 +23,13 @@ from numbers import Integral
 import numpy as np
 
 # Stream identifiers. Fixed constants are part of the reproducibility
-# contract; changing them changes every sampled value.
+# contract; changing them changes every sampled value. Keys come in three
+# shapes: (seed, n, replicate, STREAM_EPS | STREAM_DELTA) for a replicate,
+# (design seed, STREAM_DESIGN) for a gaussian-iid design and
+# (seed, STREAM_MC_EPS | STREAM_MC_DELTA) for a Lindeberg Monte Carlo draw.
+# SeedSequence pads a key of fewer than 4 words with zeros, so (s, 4) and
+# (s, 4, 0) name one stream; every key ends in a non-zero stream id, which
+# keeps the shapes apart.
 STREAM_EPS = 1
 STREAM_DELTA = 2
 STREAM_DESIGN = 3

@@ -20,6 +20,7 @@ from evclt.asymptotics import (
 from evclt.design import DesignSequence, DesignSummary, summarize, summary_path
 from evclt.errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from evclt.model import ErrorDistribution, EVModelSpec
+from evclt.rng import STREAM_MC_DELTA, STREAM_MC_EPS
 
 GRID = [50, 100, 200, 500, 1000, 2000, 5000, 10000]
 GEOMETRIC_GRID = [20, 40, 80, 160, 320]
@@ -297,13 +298,14 @@ def test_lindeberg_quadrature_is_needed_only_where_the_sum_is_not_zero(linear_de
 def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
     monkeypatch, linear_design
 ):
-    # the same bounded law: every r at n = 1000 is out of reach, so only
-    # n = 10 draws its eps and delta streams
+    # the same bounded law: every r at n = 1000 is out of reach, so the one
+    # draw of the eps and delta streams is made for n = 10; on n = 1000
+    # alone nothing is drawn
     calls = []
     real_uniforms = asymptotics.uniforms
 
     def counting_uniforms(key, size):
-        calls.append(key[1])
+        calls.append(key)
         return real_uniforms(key, size)
 
     monkeypatch.setattr(asymptotics, "uniforms", counting_uniforms)
@@ -311,9 +313,12 @@ def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
     reports = lindeberg_sum(
         linear_design, [10, 1000], spec, [0.5, 1.0], method="monte-carlo", mc_budget=1000
     )
-    assert calls == [10, 10]
+    assert calls == [(0, STREAM_MC_EPS), (0, STREAM_MC_DELTA)]
     assert [r.sum_value for r in reports[2:]] == [0.0, 0.0]
     assert reports[0].sum_value > 0.0
+    calls.clear()
+    lindeberg_sum(linear_design, [1000], spec, [0.5, 1.0], method="monte-carlo", mc_budget=1000)
+    assert calls == []
 
 
 def test_lindeberg_preconditions(linear_design, standard_spec, noiseless_spec):

@@ -86,6 +86,6 @@ def test_traced_lindeberg_counts_one_call_for_the_whole_grid(tmp_path):
         lindeberg={"r_grid": [0.1, 0.5], "method": "monte-carlo", "mc_budget": 2000},
     )
     assert counters["asymptotics.lindeberg_sum.calls"] == 1
-    # the eps and delta streams, once per grid point
-    assert counters["rng.uniforms.calls"] == 6
-    assert counters["asymptotics.lindeberg_sum.draws"] == 6 * 2000
+    # the eps and delta streams, once for the whole grid
+    assert counters["rng.uniforms.calls"] == 2
+    assert counters["asymptotics.lindeberg_sum.draws"] == 2 * 2000

@@ -288,7 +288,7 @@ def test_lindeberg_rejects_nonpositive_r(tmp_path):
     assert main(["lindeberg", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_lindeberg_monte_carlo_draws_once_per_grid_point(tmp_path, monkeypatch):
+def test_lindeberg_monte_carlo_draws_once_per_run(tmp_path, monkeypatch):
     calls = []
     real_uniforms = asymptotics.uniforms
 
@@ -309,9 +309,8 @@ def test_lindeberg_monte_carlo_draws_once_per_grid_point(tmp_path, monkeypatch):
         out = tmp_path / method
         assert main(["lindeberg", "--config", str(config_path), "--out", str(out)]) == 0
         if method == "monte-carlo":
-            # the eps and delta streams, once per grid point
-            streams = (STREAM_MC_EPS, STREAM_MC_DELTA)
-            assert calls == [(9, n, stream) for n in (100, 200, 500) for stream in streams]
+            # the eps and delta streams, once for the whole grid
+            assert calls == [(9, STREAM_MC_EPS), (9, STREAM_MC_DELTA)]
         else:
             assert calls == []
 
@@ -533,10 +532,10 @@ _PINNED_OUTPUTS = {
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },
     "lindeberg-monte-carlo": {
-        "lindeberg.csv": "b76b500319b0ecfbb8038f28a6a437278af19b9d059c73e22c908f568b4a458f",
-        "lindeberg.json": "0bbd31b3d40ffb7eb8f0a08d84c5c695acee5adca31792aa05ebcee9e2672ed1",
+        "lindeberg.csv": "4c40ec05d666c92754fd9cc6d22e294dd8b0cfab3dced859fa161b82b3da4ef2",
+        "lindeberg.json": "fb81cdad946db255379d5b837ea7bbfeb921c31c2611c54525388ddcab1b21fd",
         "exit": 0,
-        "stdout": "94ba7c5e479c8f8590b9a31668b3ecdea185b573bdc8526a1bc82e47df329da7",
+        "stdout": "7b75df18f85a65173beee8c959041f0a27a0de74a866422d85b323f70ae12b22",
     },
     "lindeberg-quadrature": {
         "lindeberg.csv": "183dd843a2ba769b993d5f238ebff5dd68b90d22f7a6c318af6d4c31bc89f9fc",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evclt.design import DesignSequence, summarize, summary_path
+from evclt.design import DesignSequence, prefix_summaries, summarize, summary_path
 from evclt.errors import ConfigError
 
 from conftest import catalog_designs
@@ -164,6 +164,14 @@ def test_summary_path_matches_prefix_summaries(linear_design):
     assert path[2].s_n == pytest.approx(83325.0, rel=1e-12)
     direct = summarize(linear_design.generate(10))
     assert path[1] == direct
+
+
+def test_prefix_summaries_return_the_last_grid_point_values_with_the_path():
+    design = DesignSequence("gaussian-iid", {"sd": 2.0}, 7)
+    x, summaries = prefix_summaries(design, [4, 10, 100])
+    assert np.array_equal(x, design.generate(100))
+    assert summaries == summary_path(design, [4, 10, 100])
+    assert summaries == [summarize(x[:n]) for n in (4, 10, 100)]
 
 
 def test_summary_path_constant_design():

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evclt.rng import uniforms
+from evclt.rng import (
+    STREAM_DELTA,
+    STREAM_DESIGN,
+    STREAM_EPS,
+    STREAM_MC_DELTA,
+    STREAM_MC_EPS,
+    _block_keys,
+    uniforms,
+)
 
 _MASK_64 = (1 << 64) - 1
 
@@ -68,3 +76,35 @@ def test_single_key_output_is_a_stream_prefix_in_the_open_interval():
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.array_equal(u[:10], uniforms((7, 2, 3), 10))
     assert np.array_equal(u, uniforms([(7, 2, 3)], 1000)[0])
+
+
+def test_keys_shorter_than_four_words_are_padded_with_zeros():
+    # SeedSequence pads a key of fewer than 4 words with zero words, so for a
+    # one-word seed s the keys (s, 4), (s, 4, 0) and (s, 4, 0, 0) name one
+    # stream; a two-word s makes (s, 4, 0, 0) five words, which are not
+    # padded. Every package key ends in a non-zero stream id to stay clear.
+    def state(key):
+        return tuple(np.random.SeedSequence(key).generate_state(2, np.uint64).tolist())
+
+    for seed in (0, 42, 2**40):
+        keys = [(seed, 4), (seed, 4, 0), (seed, 4, 0, 0)]
+        one_word = seed < 2**32
+        assert state(keys[0]) == state(keys[1])
+        assert (state(keys[0]) == state(keys[2])) == one_word
+        assert [tuple(row) for row in _block_keys(keys).tolist()] == [state(k) for k in keys]
+        block = uniforms(keys, 50)
+        assert np.array_equal(block[0], block[1])
+        assert np.array_equal(block[0], block[2]) == one_word
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**40])
+def test_design_monte_carlo_and_replicate_keys_are_pairwise_distinct(seed):
+    keys = [(seed, STREAM_DESIGN), (seed, STREAM_MC_EPS), (seed, STREAM_MC_DELTA)]
+    keys += [
+        (seed, n, rep, stream)
+        for n in (2, 4, 5, 100)
+        for rep in (0, 1, 3, 4, 5)
+        for stream in (STREAM_EPS, STREAM_DELTA)
+    ]
+    philox_keys = {tuple(row) for row in _block_keys(keys).tolist()}
+    assert len(philox_keys) == len(keys)
