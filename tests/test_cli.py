@@ -532,8 +532,8 @@ _PINNED_OUTPUTS = {
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },
     "lindeberg-monte-carlo": {
-        "lindeberg.csv": "4c40ec05d666c92754fd9cc6d22e294dd8b0cfab3dced859fa161b82b3da4ef2",
-        "lindeberg.json": "fb81cdad946db255379d5b837ea7bbfeb921c31c2611c54525388ddcab1b21fd",
+        "lindeberg.csv": "126cc24c3f135f9e857b0cf75d698b93df8becdd37364dd19395e688aa2e8851",
+        "lindeberg.json": "24a06bf71ac488b469859f6fb43e1bb118e33359f9307375e980cd5cfedd88ee",
         "exit": 0,
         "stdout": "7b75df18f85a65173beee8c959041f0a27a0de74a866422d85b323f70ae12b22",
     },

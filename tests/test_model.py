@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -11,9 +12,11 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtri, stdtrit
 
+from evclt import model
 from evclt.design import DesignSequence
 from evclt.errors import ConfigError
 from evclt.model import (
+    EVEN_T_DF_MAX,
     ErrorDistribution,
     EVModelSpec,
     draw_sample,
@@ -85,6 +88,7 @@ _SAMPLED_LAWS = [
     ErrorDistribution("uniform-centered", 2.0),
     ErrorDistribution("laplace", 0.7),
     ErrorDistribution("student-t", 1.1, df=6.0),
+    pytest.param(ErrorDistribution("student-t", 1.1, df=5.0), id="student-t-1.1-df5"),
     ErrorDistribution("scaled-rademacher", 2.5),
     ErrorDistribution("laplace", 0.0),
 ]
@@ -92,9 +96,11 @@ _SAMPLED_LAWS = [
 
 @pytest.mark.parametrize("dist", _SAMPLED_LAWS, ids=lambda d: f"{d.family}-{d.scale}")
 def test_sampling_into_out_is_bit_identical(dist):
-    # The reference is each family's allocating expression. The block of keyed
-    # uniforms is extended by the midpoint 0.5 and its two neighbours, where
-    # laplace and scaled-rademacher change sign.
+    # The reference is each family's allocating expression; the closed-form
+    # student-t quantile (even df) has none, and its values are checked
+    # against mpmath below. The block of keyed uniforms is extended by the
+    # midpoint 0.5 and its two neighbours, where laplace and
+    # scaled-rademacher change sign.
     u = np.concatenate(
         [uniforms((5, STREAM_EPS), 4000), [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]]
     )
@@ -106,15 +112,127 @@ def test_sampling_into_out_is_bit_identical(dist):
         "laplace": lambda: -s * np.sign(q) * np.log1p(-2.0 * np.abs(q)) if s else np.zeros_like(u),
         "student-t": lambda: s * stdtrit(dist.df, u),
         "scaled-rademacher": lambda: np.where(u < 0.5, -s, s),
-    }[dist.family]()
+    }[dist.family]
     draws = dist.sample(u)
-    assert draws.tobytes() == reference.tobytes()
+    if not (dist.family == "student-t" and dist.df % 2 == 0 and dist.df <= EVEN_T_DF_MAX):
+        assert draws.tobytes() == reference().tobytes()
     out = np.full_like(u, np.nan)
     assert dist.sample(u, out=out) is out
     assert out.tobytes() == draws.tobytes()
     in_place = u.copy()
     assert dist.sample(in_place, out=in_place) is in_place
     assert in_place.tobytes() == draws.tobytes()
+
+
+# --- closed-form student-t quantile (even df) ----------------------------------
+
+# Every even df that takes the closed form is at most EVEN_T_DF_MAX; these
+# cover its low end, the middle and the cutoff itself.
+_CLOSED_FORM_DF = sorted({6.0, 8.0, 10.0, 20.0, float(EVEN_T_DF_MAX)})
+
+# The ends of the uniforms' grid, both sides of the switch between the
+# central and the tail form at p = 1/4, and the band |u - 1/2| < 1.44e-8
+# where stdtrit(6, u) returns 0.0.
+_EDGE_UNIFORMS = [
+    2.0**-54,
+    1 - 2**-53 - 2**-54,
+    0.25,
+    np.nextafter(0.25, 0.0),
+    np.nextafter(0.25, 1.0),
+    0.75,
+    np.nextafter(0.75, 0.0),
+    np.nextafter(0.75, 1.0),
+    0.5 - 2**-54,
+    0.5 + 2**-53,
+    0.5 - 1e-9,
+    0.5 + 1e-9,
+    0.5 - 1.4e-8,
+    0.5 + 1.4e-8,
+]
+
+
+def _ulp_errors(mpmath, df, u, t):
+    """|t - t*| / ulp(t*), with t* the exact t(df) quantile of u, to first
+    order from one 50-digit CDF (incomplete beta) evaluation at each t."""
+    errors = []
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(df)
+        density_scale = mpmath.gamma((nu + 1) / 2) / (
+            mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2)
+        )
+        for ui, ti in zip(u.tolist(), t.tolist()):
+            tm = mpmath.mpf(ti)
+            lower = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + tm * tm), regularized=True) / 2
+            residual = lower - mpmath.mpf(ui) if ti < 0 else (1 - mpmath.mpf(ui)) - lower
+            exact = tm - residual / (density_scale * (1 + tm * tm / nu) ** (-(nu + 1) / 2))
+            errors.append(float(abs(tm - exact)) / math.ulp(float(exact)))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("df", _CLOSED_FORM_DF)
+def test_closed_form_t_quantile_is_within_8_ulp(df):
+    mpmath = pytest.importorskip("mpmath")
+    u = np.concatenate([uniforms((7, STREAM_EPS), 400), _EDGE_UNIFORMS])
+    draws = ErrorDistribution("student-t", 1.0, df=df).sample(u)
+    errors = _ulp_errors(mpmath, df, u, draws)
+    assert errors.max() <= 8.0, u[np.argmax(errors)]
+    # stdtrit's zero band around u = 1/2 is gone.
+    assert np.all(draws != 0.0)
+
+
+@pytest.mark.parametrize("df", _CLOSED_FORM_DF)
+def test_closed_form_t_is_odd_and_monotone(df):
+    dist = ErrorDistribution("student-t", 1.1, df=df)
+    u = np.sort(np.concatenate([uniforms((8, STREAM_EPS), 20000), _EDGE_UNIFORMS[:3]]))
+    draws = dist.sample(u)
+    # Values a few ulp from exact need not be ordered between neighbouring
+    # floats, so the sorted grid above holds no such pairs but the ends.
+    assert np.all(np.diff(draws) >= 0.0)
+    # 1 - u is exact for u >= 1/2, so both give the same p = min(u, 1 - u).
+    upper = u[u >= 0.5]
+    assert np.array_equal(dist.sample(1.0 - upper), -dist.sample(upper))
+    assert dist.sample(np.array([0.5]))[0] == 0.0
+
+
+def test_closed_form_t_ends_of_the_unit_interval():
+    # The uniforms can round to 1.0 (raw output 2^53 - 1); the closed form
+    # gives stdtrit's infinities there, without a warning.
+    dist = ErrorDistribution("student-t", 1.0, df=6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = dist.sample(np.array([0.0, 1.0]))
+    assert draws.tolist() == [-np.inf, np.inf]
+
+
+def test_closed_form_t_writes_a_non_contiguous_out():
+    dist = ErrorDistribution("student-t", 1.0, df=8.0)
+    u = uniforms((9, STREAM_EPS), 3000).reshape(1000, 3)
+    out = np.full((3, 1000), np.nan).T
+    assert dist.sample(u, out=out) is out
+    assert out.tobytes() == dist.sample(u).tobytes()
+
+
+def test_closed_form_t_memory_is_a_few_slices():
+    # One 2 MiB chunk sampled in place; without slices the temporaries of the
+    # closed form grow with the chunk, tens of MB for this one.
+    u = uniforms((10, STREAM_EPS), 262144)
+    dist = ErrorDistribution("student-t", 1.0, df=6.0)
+    tracemalloc.start()
+    try:
+        dist.sample(u, out=u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * model._T_SLICE * 8
+
+
+@pytest.mark.parametrize("df", [5.0, 7.5, float(EVEN_T_DF_MAX + 2)])
+def test_other_student_t_df_keep_stdtrit_bits(df):
+    dist = ErrorDistribution("student-t", 1.1, df=df)
+    u = np.concatenate([uniforms((11, STREAM_EPS), 4000), _EDGE_UNIFORMS])
+    reference = 1.1 * stdtrit(df, u)
+    assert dist.sample(u).tobytes() == reference.tobytes()
+    assert dist.sample(u, out=u).tobytes() == reference.tobytes()
 
 
 # --- moments -----------------------------------------------------------------
