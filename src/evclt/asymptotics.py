@@ -321,7 +321,8 @@ def lindeberg_sum(
     report per (n, r), n-major. Each n reads a prefix of one generated
     design. The Monte Carlo |nu| draw, keyed by seed alone, is made at most
     once per call, by the first (n, r) that needs it, and every (n, r)
-    reuses it."""
+    reuses it. An (n, r) that no draw reaches reads 0 +/- 0 without a pass
+    over the draws."""
     r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
     variance = spec.nu_variance()
     if variance <= 0.0:
@@ -353,7 +354,14 @@ def lindeberg_sum(
                         - spec.beta
                         * spec.delta_dist.sample(uniforms((seed, STREAM_MC_DELTA), mc_budget))
                     )
-                value, stderr = _monte_carlo_sum(coeff, r, nu_abs)
+                    nu_max = float(np.max(nu_abs))
+                # r / max_coeff is the smallest threshold (IEEE division is
+                # monotone), and a draw counts only strictly above it: at or
+                # past the largest draw, _monte_carlo_sum gives exactly 0 +/- 0
+                if math.isfinite(nu_max) and (max_coeff == 0.0 or r / max_coeff >= nu_max):
+                    value, stderr = 0.0, 0.0
+                else:
+                    value, stderr = _monte_carlo_sum(coeff, r, nu_abs)
             reports.append(LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
                                            method=method, stderr=stderr))
     return reports

@@ -389,15 +389,14 @@ class ErrorDistribution:
             out *= s
         elif self.family == "laplace":
             # -s sign(q) log1p(-2|q|) with q = u - 0.5, formed as
-            # s log1p(-2|q|) <= 0 and negated where q >= 0; rounding is
-            # symmetric in sign, and q = 0 gives +0 as sign(0) does.
-            nonnegative = u >= 0.5
-            np.subtract(u, 0.5, out=out)
-            np.abs(out, out=out)
+            # s log1p(-2|q|) <= 0 and given the sign of q; rounding is
+            # symmetric in sign, and q = +0 gives +0 as sign(0) does.
+            q = np.subtract(u, 0.5)
+            np.abs(q, out=out)
             out *= -2.0
             np.log1p(out, out=out)
             out *= s
-            np.negative(out, out=out, where=nonnegative)
+            np.copysign(out, q, out=out)
         elif self.family == "student-t":
             df = self.df
             if df <= EVEN_T_DF_MAX and df % 2 == 0:
@@ -410,9 +409,8 @@ class ErrorDistribution:
                 stdtrit(df, u, out=out)
             out *= s
         else:
-            negative = u < 0.5
-            out.fill(s)
-            np.negative(out, out=out, where=negative)
+            np.subtract(u, 0.5, out=out)
+            np.copysign(s, out, out=out)
         return out
 
     # -- support and truncated moments (condition diagnostics) ---------------

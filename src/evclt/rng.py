@@ -37,6 +37,7 @@ STREAM_MC_EPS = 4
 STREAM_MC_DELTA = 5
 
 _HALF_ULP = 2.0 ** -54  # half the 2^-53 spacing of the uniforms
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))  # 1 - 2^-53, the largest uniform
 
 _MASK_32 = (1 << 32) - 1
 _MASK_64 = (1 << 64) - 1
@@ -128,7 +129,8 @@ def uniforms(
     """n uniforms on the open interval (0, 1) from the keyed stream.
 
     Uses the top 53 bits of each raw Philox output, offset by half an ulp so
-    that 0 and 1 are never produced (inverse-CDF transforms stay finite).
+    that 0 is never produced; the one top value that rounds up to 1 is
+    clipped to 1 - 2^-53, so inverse-CDF transforms stay finite.
 
     Given a list of keys instead of one key, returns a (len(keys), n) block
     whose row i is bit-identical to ``uniforms(keys[i], n)``. The values are
@@ -144,7 +146,9 @@ def uniforms(
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     # Generator.random gives (raw >> 11) * 2^-53, one raw output per value;
     # adding 2^-54 then rounds exactly as ((raw >> 11) + 0.5) * 2^-53 does,
-    # since scaling by a power of two is exact.
+    # since scaling by a power of two is exact. For raw >> 11 = 2^53 - 1 that
+    # is a tie between 1 - 2^-53 and 1, which rounds to even, i.e. to 1; the
+    # clip below moves that value alone.
     bit_gen = np.random.Philox(key=0)
     generator = np.random.Generator(bit_gen)
     # Zero counter and empty buffer, as Python ints and lists: the state
@@ -162,4 +166,5 @@ def uniforms(
         bit_gen.state = state
         generator.random(out=row)
     out += _HALF_ULP
+    np.minimum(out, _BELOW_ONE, out=out)
     return out

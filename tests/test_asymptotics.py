@@ -321,6 +321,120 @@ def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
     assert calls == []
 
 
+def _recording_monte_carlo_sum(monkeypatch):
+    """Wrap ``_monte_carlo_sum``; each call appends (r, coeff, nu_abs)."""
+    calls = []
+    real = asymptotics._monte_carlo_sum
+
+    def recording(coeff, r, nu_abs):
+        calls.append((r, coeff, nu_abs))
+        return real(coeff, r, nu_abs)
+
+    monkeypatch.setattr(asymptotics, "_monte_carlo_sum", recording)
+    return calls
+
+
+def test_lindeberg_monte_carlo_skips_the_pairs_no_draw_reaches(
+    monkeypatch, linear_design, standard_spec
+):
+    # unbounded normal nu: the largest coefficient shrinks like n^-1/2, so
+    # the large r at large n lie past the largest of the draws
+    grid, r_grid = [50, 1000, 10000], [0.01, 0.5, 1.0]
+    calls = _recording_monte_carlo_sum(monkeypatch)
+    reports = lindeberg_sum(
+        linear_design, grid, standard_spec, r_grid, method="monte-carlo", mc_budget=2000
+    )
+    [nu_abs] = {id(nu): nu for _, _, nu in calls}.values()
+    nu_max = float(np.max(nu_abs))
+    # r = 0.01 is reached at every n, which records each n's coefficients
+    coeff_of = {coeff.size: coeff for _, coeff, _ in calls}
+    called = [(coeff.size, r) for r, coeff, _ in calls]
+    skipped = [rep for rep in reports if (rep.n, rep.r) not in called]
+    assert [(rep.n, rep.r) for rep in skipped] == [
+        (50, 1.0), (1000, 0.5), (1000, 1.0), (10000, 0.5), (10000, 1.0)
+    ]
+    assert len(called) + len(skipped) == len(reports)
+    for rep in reports:
+        coeff = coeff_of[rep.n]
+        reached = rep.r / float(np.max(coeff)) < nu_max
+        assert ((rep.n, rep.r) in called) == reached
+        if reached:
+            assert rep.sum_value > 0.0
+        else:
+            assert asymptotics._monte_carlo_sum(coeff, rep.r, nu_abs) == (0.0, 0.0)
+            assert (rep.sum_value, rep.stderr) == (0.0, 0.0)
+
+
+def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standard_spec):
+    # r / max coeff == max |nu| exactly: a draw counts only strictly above
+    # its threshold, so the pair skips; one float lower, the largest draw
+    # counts and the sum is computed
+    n = 1000
+    calls = _recording_monte_carlo_sum(monkeypatch)
+    lindeberg_sum(linear_design, [n], standard_spec, [0.01], method="monte-carlo", mc_budget=2000)
+    [(_, coeff, nu_abs)] = calls
+    max_coeff, nu_max = float(np.max(coeff)), float(np.max(nu_abs))
+    r = nu_max * max_coeff
+    while r / max_coeff < nu_max:
+        r = math.nextafter(r, math.inf)
+    while r / max_coeff > nu_max:
+        r = math.nextafter(r, 0.0)
+    assert r / max_coeff == nu_max
+    below = math.nextafter(r, 0.0)
+    while below / max_coeff >= nu_max:
+        below = math.nextafter(below, 0.0)
+    calls.clear()
+    at, under = lindeberg_sum(
+        linear_design, [n], standard_spec, [r, below], method="monte-carlo", mc_budget=2000
+    )
+    assert [call[0] for call in calls] == [below]
+    assert (at.sum_value, at.stderr) == (0.0, 0.0)
+    assert asymptotics._monte_carlo_sum(coeff, r, nu_abs) == (0.0, 0.0)
+    assert under.sum_value > 0.0 and under.stderr > 0.0
+
+
+def test_lindeberg_monte_carlo_skip_with_no_coefficient(monkeypatch, linear_design):
+    # S_n Var(nu) = 8.3e4 * 1e304 overflows to inf, so every coefficient is 0
+    # and none is kept; the largest is 0, and the skip must not divide by it.
+    # It reads 0 +/- 0, as _monte_carlo_sum does on no coefficient.
+    spec = _spec(eps=("normal", 1e152))
+    calls = _recording_monte_carlo_sum(monkeypatch)
+    [mc] = lindeberg_sum(linear_design, [100], spec, [0.5], method="monte-carlo", mc_budget=1000)
+    assert calls == []
+    assert (mc.sum_value, mc.stderr) == (0.0, 0.0)
+    nu_abs = np.abs(np.linspace(-3.0, 3.0, 1000))
+    assert asymptotics._monte_carlo_sum(np.empty(0), 0.5, nu_abs) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad_uniform", [1.0, math.nan], ids=["inf", "nan"])
+def test_lindeberg_monte_carlo_never_skips_on_a_non_finite_draw(
+    monkeypatch, linear_design, standard_spec, bad_uniform
+):
+    # ndtri(1) = inf and ndtri(nan) = nan make max |nu| non-finite; every
+    # pair then goes through _monte_carlo_sum, even at an r whose smallest
+    # threshold r / max coeff overflows to inf
+    real_uniforms = asymptotics.uniforms
+
+    def spoiled_uniforms(key, size):
+        u = real_uniforms(key, size)
+        if key[-1] == STREAM_MC_EPS:
+            u[0] = bad_uniform
+        return u
+
+    monkeypatch.setattr(asymptotics, "uniforms", spoiled_uniforms)
+    calls = _recording_monte_carlo_sum(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        reports = lindeberg_sum(
+            linear_design, [10000], standard_spec, [0.5, 1.7e308], method="monte-carlo",
+            mc_budget=2000,
+        )
+    assert [call[0] for call in calls] == [0.5, 1.7e308]
+    _, coeff, nu_abs = calls[0]
+    assert 1.7e308 / float(np.max(coeff)) == math.inf
+    assert not math.isfinite(float(np.max(nu_abs)))
+    assert len(reports) == 2
+
+
 def test_lindeberg_preconditions(linear_design, standard_spec, noiseless_spec):
     with pytest.raises(ConfigError):
         lindeberg_sum(linear_design, [100], standard_spec, [0.0])

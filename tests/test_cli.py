@@ -408,6 +408,27 @@ def test_package_import_loads_no_numpy_and_sets_no_threads():
     assert _fresh_python(code) == "(False, None) True linear"
 
 
+def test_cli_import_freezes_its_objects_and_keeps_the_collector_on():
+    code = "import gc; import evclt.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert _fresh_python(code) == "True True"
+
+
+def test_package_import_leaves_the_collector_alone():
+    code = (
+        "import gc; import evclt; from evclt import fit; "
+        "print(gc.isenabled(), gc.get_freeze_count())"
+    )
+    assert _fresh_python(code) == "True 0"
+
+
+def test_cli_import_keeps_a_disabled_collector_disabled():
+    code = (
+        "import gc; gc.disable(); import evclt.cli; "
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    )
+    assert _fresh_python(code) == "False True"
+
+
 # --- counterexample --------------------------------------------------------------------
 
 

@@ -124,6 +124,52 @@ def test_sampling_into_out_is_bit_identical(dist):
     assert in_place.tobytes() == draws.tobytes()
 
 
+def _negated_where(dist, u):
+    """laplace and scaled-rademacher draws signed by a ``where=`` mask, as
+    ``sample`` formed them before it signed them with ``copysign``."""
+    s = dist.scale
+    out = np.empty_like(u)
+    if dist.family == "laplace":
+        nonnegative = u >= 0.5
+        np.subtract(u, 0.5, out=out)
+        np.abs(out, out=out)
+        out *= -2.0
+        np.log1p(out, out=out)
+        out *= s
+        np.negative(out, out=out, where=nonnegative)
+    else:
+        out.fill(s)
+        np.negative(out, out=out, where=u < 0.5)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ErrorDistribution("laplace", 0.7),
+        # small enough that s log1p(-2|q|) underflows to -0.0 next to u = 1/2
+        ErrorDistribution("laplace", 5e-324),
+        ErrorDistribution("scaled-rademacher", 2.5),
+    ],
+    ids=lambda d: f"{d.family}-{d.scale}",
+)
+def test_copysign_signs_match_the_masked_negation(dist):
+    # keyed uniforms, the midpoint and its neighbours, and both ends of the
+    # grid: 2^-54 and 1 - 2^-53
+    u = np.concatenate(
+        [
+            uniforms((5, STREAM_EPS), 4000),
+            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-54, 1.0 - 2.0**-53],
+        ]
+    )
+    expected = _negated_where(dist, u).tobytes()
+    assert dist.sample(u).tobytes() == expected
+    in_place = u.copy()
+    assert dist.sample(in_place, out=in_place).tobytes() == expected
+    # u = 1/2 gives +0 (laplace) or +s (scaled-rademacher), not a negative
+    assert not np.signbit(dist.sample(np.array([0.5]))[0])
+
+
 # --- closed-form student-t quantile (even df) ----------------------------------
 
 # Every even df that takes the closed form is at most EVEN_T_DF_MAX; these

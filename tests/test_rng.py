@@ -108,3 +108,25 @@ def test_design_monte_carlo_and_replicate_keys_are_pairwise_distinct(seed):
     ]
     philox_keys = {tuple(row) for row in _block_keys(keys).tolist()}
     assert len(philox_keys) == len(keys)
+
+
+def test_the_largest_raw_value_is_clipped_below_one(monkeypatch):
+    # Generator.random gives (raw >> 11) * 2^-53. Feed it both ends of that
+    # range and the neighbours of its top: adding half an ulp to the largest
+    # value, 2^53 - 1, ties between 1 - 2^-53 and 1 and rounds to 1.0.
+    top = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.float64)
+
+    class TopRawGenerator:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, out):
+            out[...] = top * 2.0**-53
+
+    monkeypatch.setattr(np.random, "Generator", TopRawGenerator)
+    unclipped = top * 2.0**-53 + 2.0**-54
+    assert unclipped[-1] == 1.0
+    for u in (uniforms((1, 2), top.size), *uniforms([(1, 2), (3, 4)], top.size)):
+        assert u[-1] == np.nextafter(1.0, 0.0)
+        assert np.array_equal(u[:-1], unclipped[:-1])
+        assert np.all((u > 0.0) & (u < 1.0))
