@@ -2,9 +2,10 @@
 the estimators, and test the empirical law against the standard normal.
 
 Determinism contract: every random draw is keyed by (seed, n, replicate,
-stream), a replicate chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows,
-a count that follows from n alone, and each chunk writes its results at its
-own replicate indices, so a run's report is a pure function of its
+stream), and each stream's keys are hashed once per grid point; a replicate
+chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows, a count that follows
+from n alone, draws from its slice of those keys, and writes its results at
+its own replicate indices, so a run's report is a pure function of its
 configuration regardless of worker count. The KS pass threshold is the
 classical 5% critical value 1.36 / sqrt(R) plus a fixed absolute slack
 that budgets for pre-asymptotic (finite-n) deviation separately from
@@ -38,11 +39,15 @@ from .estimator import (
     standardizing_variance,
 )
 from .model import EVModelSpec
-from .rng import STREAM_DELTA, STREAM_EPS, uniforms
+from .rng import MAX_REPLICATES, STREAM_DELTA, STREAM_EPS, replicate_keys, uniforms
 
 # Bytes of one float64 (rows, n) block of a replicate chunk; every block a
-# worker holds at once is a small multiple of this.
-CHUNK_BYTES = 2 << 20
+# worker holds at once is a small multiple of this. With keys hashed once per
+# grid point, CPU time is level from 256 KiB to 2 MiB, and peak RSS falls
+# with the budget (benchmarks/BENCH_chunk-budget.json); 1 MiB is the
+# smallest budget whose one block of headroom holds the closed-form
+# student-t scratch (model._T_SLICE) next to the design rows.
+CHUNK_BYTES = 1 << 20
 
 TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
@@ -101,6 +106,11 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
+        if self.replicates > MAX_REPLICATES:
+            raise ConfigError(
+                f"replicates must not exceed 2^32 (one key word per replicate), "
+                f"got {self.replicates}"
+            )
         needs_r = DISTRIBUTIONAL_TESTS.intersection(tests)
         if needs_r and self.replicates < DEFAULTS.min_distributional_replicates:
             raise ConfigError(
@@ -239,6 +249,9 @@ def _simulate_grid_point(
     sums = np.empty((5, replicates)) if need_latents else None
 
     eta_base = spec.theta + spec.beta * x
+    # Each stream's keys are hashed once per grid point; chunks take slices.
+    eps_keys = replicate_keys(seed, n, replicates, STREAM_EPS)
+    delta_keys = replicate_keys(seed, n, replicates, STREAM_DELTA)
     rows = min(max(1, CHUNK_BYTES // (8 * n)), replicates)
     starts = range(0, replicates, rows)
     workers = min(workers, len(starts))
@@ -254,10 +267,9 @@ def _simulate_grid_point(
         delta_buf, eps_buf = workspace[3:] if need_latents else (xi_buf, eta_buf)
         for lo in starts[first::workers]:
             hi = min(lo + rows, replicates)
-            reps = range(lo, hi)
             k = hi - lo
-            e = uniforms([(seed, n, rep, STREAM_EPS) for rep in reps], n, out=eps_buf[:k])
-            d = uniforms([(seed, n, rep, STREAM_DELTA) for rep in reps], n, out=delta_buf[:k])
+            e = uniforms(eps_keys[lo:hi], n, out=eps_buf[:k])
+            d = uniforms(delta_keys[lo:hi], n, out=delta_buf[:k])
             spec.eps_dist.sample(e, out=e)
             spec.delta_dist.sample(d, out=d)
             xi = np.add(d, x, out=xi_buf[:k])

@@ -74,7 +74,10 @@ def _per_cutoff(cutoff, at_most_zero, value):
 # rises to 11 ulp (past 8 from df 72).
 EVEN_T_DF_MAX = 40
 # Elements per slice of ``_EvenStudentT.quantile``: each temporary stays near
-# 128 KiB, whatever the size of the block.
+# 128 KiB, whatever the size of the block, and at most about four are alive
+# at once, so a slice's scratch fits in the one block of headroom that a
+# harness chunk leaves (``harness.CHUNK_BYTES``). Halving the slice costs
+# about 15% of the sampler's time in per-call overhead.
 _T_SLICE = 16384
 
 
@@ -93,7 +96,11 @@ def _power(y: np.ndarray, k: int) -> np.ndarray:
     result, base = None, y
     while True:
         if k & 1:
-            result = base.copy() if result is None else np.multiply(result, base, out=result)
+            if result is None:
+                # Every base but y itself is a temporary of this call.
+                result = base.copy() if base is y else base
+            else:
+                np.multiply(result, base, out=result)
         k >>= 1
         if not k:
             return result
@@ -144,30 +151,35 @@ class _EvenStudentT:
         ``out``, which may be ``u`` itself, one slice at a time."""
         for lo in range(0, u.size, _T_SLICE):
             u_s, out_s = u[lo : lo + _T_SLICE], out[lo : lo + _T_SLICE]
-            # p = min(u, 1 - u) is exact: 1 - u is, wherever u >= 1/2. The
-            # sign is read before out_s, which may be u_s, is written.
-            p = np.subtract(1.0, u_s)
-            np.minimum(p, u_s, out=p)
-            sign = np.subtract(u_s, 0.5)
-            # Index arrays, as take and integer assignment cost a fraction
-            # of boolean masks on random patterns.
-            tail = np.flatnonzero(p < 0.25)
-            central = np.flatnonzero(p >= 0.25)
-            out_s[tail] = self._tail(p.take(tail))
-            # h = 1/2 - p is exact for p >= 1/4 (Sterbenz).
-            h = p.take(central)
-            out_s[central] = self._central(np.subtract(0.5, h, out=h))
-            np.copysign(out_s, sign, out=out_s)
+            # p = min(u, 1 - u) is exact: 1 - u is, wherever u >= 1/2. So
+            # p >= 1/4 exactly where 1/4 <= u <= 3/4. The sign and both sides
+            # are read before out_s, which may be u_s, is written; each form
+            # then reads u_s only at its own positions. Index arrays, as take
+            # and integer assignment cost a fraction of boolean masks on
+            # random patterns.
+            negative = u_s < 0.5
+            central = u_s >= 0.25
+            central &= u_s <= 0.75
+            for form, side in ((self._central, central), (self._tail, ~central)):
+                index = np.flatnonzero(side)
+                p = u_s.take(index)
+                np.minimum(p, np.subtract(1.0, p), out=p)
+                out_s[index] = form(p)
+            # The sign of u - 1/2: -1/2 where u < 1/2, else +1/2.
+            np.copysign(out_s, np.subtract(0.5, negative), out=out_s)
 
-    def _central(self, h: np.ndarray) -> np.ndarray:
-        """t >= 0 with x P_m(y) / 2 = h, for 0 <= h <= 1/4."""
+    def _central(self, p: np.ndarray) -> np.ndarray:
+        """t >= 0 with P(0 < T < t) = 1/2 - p, for 1/4 <= p <= 1/2."""
         m, k = self.m, self.k
+        # h = 1/2 - p is exact for p >= 1/4 (Sterbenz).
+        h = np.subtract(0.5, p, out=p)
         # Start from the series inverse to third order in v = h / K.
         v = h / k
         x = v * v
         x *= (m - 1) / 3.0
         x += 1.0
         x *= v
+        del v
         y = np.empty_like(x)
         for _ in range(3):
             np.multiply(x, x, out=y)
@@ -180,6 +192,7 @@ class _EvenStudentT:
             slope *= k
             residual /= slope
             x -= residual
+            del residual, slope
         np.multiply(x, x, out=y)
         np.subtract(1.0, y, out=y)
         np.sqrt(y, out=y)
@@ -205,6 +218,8 @@ class _EvenStudentT:
         nu = self.nu
         a, b, c, d = self.hill
         w = np.power(2.0 * d * p, 2.0 / nu)
+        far = np.flatnonzero(w <= 0.05 + a)
+        w = w.take(far)
         z = ndtri(p)
         z2 = z * z
         denominator = 0.05 * d * z
@@ -226,9 +241,7 @@ class _EvenStudentT:
         y *= y
         y *= a
         np.expm1(y, out=y)
-        far = w <= 0.05 + a
-        if far.any():
-            w = w[far]
+        if far.size:
             inner = ((nu + 6.0) / (nu * w) - 0.089 * d - 0.822) * (nu + 2.0) * 3.0
             y[far] = ((1.0 / inner + 0.5 / (nu + 4.0)) * w - 1.0) * (nu + 1.0) / (nu + 2.0) + 1.0 / w
         y *= nu
@@ -245,29 +258,39 @@ class _EvenStudentT:
         argument there, and the step is applied through expm1.
         """
         m, nu = self.m, self.nu
-        z = t * t
-        r2 = z + nu
-        z /= nu
-        y = nu / r2
-        np.sqrt(r2, out=r2)
-        x = np.divide(t, r2, out=r2)
+        # The order keeps at most four arrays the size of t alive besides p
+        # and t: x = t / sqrt(t^2 + nu) is formed once y is released.
+        log_y_m = t * t
+        log_y_m /= nu
+        np.log1p(log_y_m, out=log_y_m)
+        log_y_m *= -m
+        y = t * t
+        y += nu
+        np.divide(nu, y, out=y)
         q = _horner(self.q_coefficients, y)
         w = _horner(self.p_coefficients, y)
+        if final:
+            near = np.flatnonzero(~(log_y_m > -m * math.log1p(4.0)))
+            y_m_near = _power(y.take(near), m)
+        del y
+        x = t * t
+        x += nu
+        np.sqrt(x, out=x)
+        np.divide(t, x, out=x)
         w *= x
         w += 1.0
-        log_y_m = np.log1p(z, out=z)
-        log_y_m *= -m
+        x *= w
+        x *= 2.0 * self.k
+        ratio = np.exp(log_y_m, out=log_y_m)
         if final:
-            y_m = np.where(log_y_m > -m * math.log1p(4.0), np.exp(log_y_m), _power(y, m))
-        else:
-            y_m = np.exp(log_y_m, out=log_y_m)
-        ratio = np.multiply(y_m, q, out=y_m)
+            ratio[near] = y_m_near
+        ratio *= q
         ratio /= w
+        del w
         ratio /= 2.0 * p
         step = np.log(ratio, out=ratio)
         step *= q
-        x *= w
-        x *= 2.0 * self.k
+        del q
         step /= x
         if final:
             np.expm1(step, out=step)
@@ -322,6 +345,9 @@ class ErrorDistribution:
             object.__setattr__(self, "df", df)
         elif self.df is not None:
             raise ConfigError(f"family {self.family!r} takes no df parameter")
+        # Every standardized statistic divides by a variance; one that
+        # overflows float64 is refused here (abs_moment raises).
+        self.variance()
 
     # -- moments ------------------------------------------------------------
 
@@ -331,7 +357,8 @@ class ErrorDistribution:
         return True
 
     def abs_moment(self, order: float) -> float:
-        """E |X|^order, closed form for every family in the catalog."""
+        """E |X|^order, closed form for every family in the catalog; a
+        ``ConfigError`` where it overflows float64."""
         if order < 0:
             raise ConfigError("moment order must be >= 0")
         if not self.moment_exists(order):
@@ -343,23 +370,34 @@ class ErrorDistribution:
             return 1.0
         if s == 0.0:
             return 0.0
-        if self.family == "normal":
-            return s**k * 2 ** (k / 2) * math.gamma((k + 1) / 2) / _SQRT_PI
-        if self.family == "uniform-centered":
-            return s**k / (k + 1)
-        if self.family == "laplace":
-            return s**k * math.gamma(k + 1)
-        if self.family == "student-t":
-            nu = float(self.df)  # type: ignore[arg-type]
-            log_m = (
-                (k / 2) * math.log(nu)
-                + gammaln((k + 1) / 2)
-                + gammaln((nu - k) / 2)
-                - gammaln(nu / 2)
-                - math.log(_SQRT_PI)
+        # Python float powers and math.gamma raise OverflowError; products
+        # of finite factors round to inf instead.
+        try:
+            if self.family == "normal":
+                value = s**k * 2 ** (k / 2) * math.gamma((k + 1) / 2) / _SQRT_PI
+            elif self.family == "uniform-centered":
+                value = s**k / (k + 1)
+            elif self.family == "laplace":
+                value = s**k * math.gamma(k + 1)
+            elif self.family == "student-t":
+                nu = float(self.df)  # type: ignore[arg-type]
+                log_m = (
+                    (k / 2) * math.log(nu)
+                    + gammaln((k + 1) / 2)
+                    + gammaln((nu - k) / 2)
+                    - gammaln(nu / 2)
+                    - math.log(_SQRT_PI)
+                )
+                value = s**k * math.exp(log_m)
+            else:  # scaled-rademacher
+                value = s**k
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"E|X|^{order:g} of the {self.family} law with scale {s:g} overflows float64"
             )
-            return s**k * math.exp(log_m)
-        return s**k  # scaled-rademacher
+        return value
 
     def variance(self) -> float:
         return self.abs_moment(2.0)

@@ -13,6 +13,9 @@ SeedSequence entropy hash (pool size 4, as in numpy's ``bit_generator.pyx``)
 is written below as uint32 array arithmetic over all tuples of one word
 length at once, and one Philox generator is re-keyed for each row, writing
 straight into the caller's block. The streams are bit-identical to numpy's.
+The replicate streams of a grid point differ only in the replicate word, so
+``replicate_keys`` hashes all of them from entropy columns, and the harness
+hands slices of its result to ``uniforms`` chunk by chunk.
 """
 
 from __future__ import annotations
@@ -123,8 +126,30 @@ def _block_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
     return philox_keys
 
 
+# Replicate indices take one SeedSequence word, which bounds the replicate
+# count of one grid point.
+MAX_REPLICATES = 1 << 32
+
+
+def replicate_keys(seed: int, n: int, replicates: int, stream: int) -> np.ndarray:
+    """Philox keys, shape (replicates, 2) uint64: row rep is the key of the
+    stream (seed, n, rep, stream), as ``_block_keys`` gives it, hashed from
+    entropy columns (the seed and n words repeated, the replicate index, the
+    stream word) without a Python tuple per replicate."""
+    if not 0 <= replicates <= MAX_REPLICATES:
+        raise ValueError(f"replicates must lie in [0, 2^32], got {replicates}")
+    head, tail = _words((seed, n)), _words((stream,))
+    entropy = np.empty((replicates, len(head) + 1 + len(tail)), dtype=np.uint32)
+    entropy[:, : len(head)] = head
+    entropy[:, len(head)] = np.arange(replicates, dtype=np.uint32)
+    entropy[:, len(head) + 1 :] = tail
+    return _philox_keys(entropy)
+
+
 def uniforms(
-    key: Sequence[int] | Sequence[Sequence[int]], n: int, out: np.ndarray | None = None
+    key: Sequence[int] | Sequence[Sequence[int]] | np.ndarray,
+    n: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """n uniforms on the open interval (0, 1) from the keyed stream.
 
@@ -133,13 +158,22 @@ def uniforms(
     clipped to 1 - 2^-53, so inverse-CDF transforms stay finite.
 
     Given a list of keys instead of one key, returns a (len(keys), n) block
-    whose row i is bit-identical to ``uniforms(keys[i], n)``. The values are
+    whose row i is bit-identical to ``uniforms(keys[i], n)``. A 2-D array
+    stands for such a list already hashed: its rows are Philox keys, shape
+    (m, 2) uint64, as ``replicate_keys`` returns them. The values are
     written into ``out`` (a C-contiguous float64 array of that shape) when it
     is given, and ``out`` is returned.
     """
-    single = len(key) == 0 or isinstance(key[0], Integral)
-    keys = [key] if single else key
-    shape = (n,) if single else (len(keys), n)
+    if isinstance(key, np.ndarray) and key.ndim == 2:
+        if key.dtype != np.uint64 or key.shape[1] != 2:
+            raise ValueError(
+                f"a key array must hold (m, 2) uint64 Philox keys, got {key.dtype} {key.shape}"
+            )
+        single, philox_keys = False, key
+    else:
+        single = len(key) == 0 or isinstance(key[0], Integral)
+        philox_keys = _block_keys([key] if single else key)
+    shape = (n,) if single else (len(philox_keys), n)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -161,7 +195,7 @@ def uniforms(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, philox_key in zip(out.reshape(len(keys), n), _block_keys(keys).tolist()):
+    for row, philox_key in zip(out.reshape(len(philox_keys), n), philox_keys.tolist()):
         state["state"]["key"] = philox_key
         bit_gen.state = state
         generator.random(out=row)

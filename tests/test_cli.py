@@ -175,6 +175,42 @@ def test_simulate_refuses_small_r(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
 
+def _count_grid_points(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    simulate = harness._simulate_grid_point
+
+    def counted(**kwargs):
+        calls.append(kwargs["n"])
+        return simulate(**kwargs)
+
+    monkeypatch.setattr(harness, "_simulate_grid_point", counted)
+    return calls
+
+
+def test_simulate_refuses_replicate_indices_past_one_key_word(tmp_path, monkeypatch, capsys):
+    calls = _count_grid_points(monkeypatch)
+    config = _write_config(tmp_path, _base_config(replicates=2**32 + 1))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "2^32" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "lindeberg", "diagnose"])
+def test_error_scale_whose_variance_overflows_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command
+):
+    # A finite scale of 1e200 squares past the float64 maximum.
+    calls = _count_grid_points(monkeypatch)
+    model = _base_config()["model"]
+    model["eps"]["scale"] = 1.0e200
+    config = _write_config(tmp_path, _base_config(model=model))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "overflows float64" in err and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_worker_invariance(tmp_path):
     config = _write_config(
         tmp_path, _base_config(design={"kind": "alternating"}, grid=[200], replicates=200)

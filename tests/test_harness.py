@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
-from evclt import harness, kernels
+from evclt import harness, kernels, rng
 from evclt.design import DesignSequence, summarize
 from evclt.errors import ConfigError, ZeroVarianceError
 from evclt.harness import (
@@ -128,6 +128,16 @@ def test_config_refuses_small_r_for_distributional_tests(linear_design, standard
     assert cfg.replicates == 10
 
 
+def test_config_refuses_replicate_indices_past_one_key_word(
+    monkeypatch, linear_design, standard_spec
+):
+    calls = _count_grid_points(monkeypatch)
+    with pytest.raises(ConfigError, match="2\\^32"):
+        _config(linear_design, standard_spec, replicates=2**32 + 1)
+    assert calls == []
+    assert _config(linear_design, standard_spec, replicates=2**32).replicates == 2**32
+
+
 def test_config_validation_errors(linear_design, standard_spec):
     with pytest.raises(ConfigError):
         _config(linear_design, standard_spec, tests=("z-test",))
@@ -238,7 +248,7 @@ def test_report_does_not_depend_on_chunking(monkeypatch, eps, delta, tests):
 )
 def test_chunk_rows_follow_from_n(monkeypatch, standard_spec, n_grid, replicates):
     # A block of one chunk stays within CHUNK_BYTES, down to the one-row
-    # floor once a single row is larger than the budget (n > 262144).
+    # floor once a single row is larger than the budget (n > CHUNK_BYTES / 8).
     blocks: dict[str, list[tuple[int, int]]] = {"fit_batch": [], "decompose_batch": []}
 
     def record(name):
@@ -308,6 +318,39 @@ def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standa
     assert parallel.identity_gap == serial.identity_gap
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, pytest.param(None, id="default")])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_keys_are_hashed_once_per_stream_not_per_chunk(
+    monkeypatch, linear_design, standard_spec, chunk_bytes, workers
+):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
+    hashed = []
+    philox_keys = rng._philox_keys
+
+    def counted(entropy):
+        hashed.append(len(entropy))
+        return philox_keys(entropy)
+
+    monkeypatch.setattr(rng, "_philox_keys", counted)
+    n, replicates = 50, 300
+    x = linear_design.generate(n)
+    harness._simulate_grid_point(
+        spec=standard_spec,
+        x=x,
+        summary=summarize(x),
+        n=n,
+        replicates=replicates,
+        seed=3,
+        need_latents=True,
+        need_rvar=False,
+        workers=workers,
+    )
+    # One hash of all replicates for each of the eps and delta streams,
+    # whatever the number of chunks (300 of them at one row per chunk).
+    assert hashed == [replicates, replicates]
+
+
 # sha256 of report_json_bytes for small runs, taken before the chunk pipeline
 # reused per-worker blocks and transformed them in place (the student-t df 6
 # row since that law's closed-form quantile); a change that moves any output
@@ -354,7 +397,9 @@ _PINNED_REPORTS = [
 
 @pytest.mark.filterwarnings("ignore:theta-clt requested")
 @pytest.mark.parametrize("eps, delta, variance_source, tests, digest", _PINNED_REPORTS)
-@pytest.mark.parametrize("chunk_bytes", [harness.CHUNK_BYTES, 8 * 120 * 7])
+@pytest.mark.parametrize(
+    "chunk_bytes", [pytest.param(harness.CHUNK_BYTES, id="default"), 8 * 120 * 7]
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_report_bytes_are_pinned(
     monkeypatch, eps, delta, variance_source, tests, digest, chunk_bytes, workers
@@ -378,11 +423,12 @@ def test_report_bytes_are_pinned(
 
 @pytest.mark.parametrize("need_latents, blocks", [(False, 4), (True, 6)])
 def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks):
-    # At n = 50000 a chunk holds 5 rows, so one (rows, n) block is just
-    # under CHUNK_BYTES. One worker reuses 3 blocks (xi, eta, a product
-    # scratch), or 5 when the latents are kept; the n-sized design rows fit
-    # in the one block of headroom, and the per-replicate arrays come on top.
-    n, replicates = 50_000, 20
+    # At n = CHUNK_BYTES // 40 a chunk holds 5 rows, so one (rows, n) block
+    # is just under CHUNK_BYTES. One worker reuses 3 blocks (xi, eta, a
+    # product scratch), or 5 when the latents are kept; the n-sized design
+    # rows fit in the one block of headroom, and the per-replicate arrays
+    # come on top.
+    n, replicates = harness.CHUNK_BYTES // 40, 20
     spec = EVModelSpec(
         theta=1.0,
         beta=2.0,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -259,8 +260,10 @@ def test_closed_form_t_writes_a_non_contiguous_out():
 
 
 def test_closed_form_t_memory_is_a_few_slices():
-    # One 2 MiB chunk sampled in place; without slices the temporaries of the
-    # closed form grow with the chunk, tens of MB for this one.
+    # A 2 MiB block sampled in place; without slices the temporaries of the
+    # closed form grow with the block, tens of MB for this one. About four
+    # slice-sized temporaries are alive at once, which keeps a slice's
+    # scratch inside the headroom of a harness chunk.
     u = uniforms((10, STREAM_EPS), 262144)
     dist = ErrorDistribution("student-t", 1.0, df=6.0)
     tracemalloc.start()
@@ -269,7 +272,18 @@ def test_closed_form_t_memory_is_a_few_slices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * model._T_SLICE * 8
+    assert peak < 5 * model._T_SLICE * 8
+
+
+def test_closed_form_t_bits_are_pinned():
+    # sha256 of the draws of every even df up to EVEN_T_DF_MAX, taken before
+    # the quantile was reordered to keep fewer temporaries alive; the same
+    # expressions must give the same bits.
+    digest = hashlib.sha256()
+    for df in range(6, EVEN_T_DF_MAX + 1, 2):
+        u = np.concatenate([uniforms((df, STREAM_EPS), 40000), _EDGE_UNIFORMS])
+        digest.update(ErrorDistribution("student-t", 1.0, df=float(df)).sample(u).tobytes())
+    assert digest.hexdigest() == "db75768cb302c6b1bfd683286e366b4f399773bd226ac79d05418ecf4891241b"
 
 
 @pytest.mark.parametrize("df", [5.0, 7.5, float(EVEN_T_DF_MAX + 2)])
@@ -529,6 +543,41 @@ def test_degenerate_scale_zero():
     assert dist.support_bound() == 0.0
     assert np.array_equal(dist.sample(np.array([0.25, 0.75])), np.zeros(2))
     assert dist.tail_prob(0.5) == 0.0
+
+
+_HUGE_SCALE_LAWS = [
+    ("normal", None),
+    ("uniform-centered", None),
+    ("laplace", None),
+    ("student-t", 6.0),
+    ("student-t", 5.0),
+    ("scaled-rademacher", None),
+]
+
+
+@pytest.mark.parametrize("family, df", _HUGE_SCALE_LAWS)
+def test_scale_whose_variance_overflows_is_refused(family, df):
+    # scale^2 passes the float64 maximum (1.8e308) from scale 1.34e154.
+    for scale in (1e200, 1e155, 1e300):
+        with pytest.raises(ConfigError, match="overflows float64"):
+            ErrorDistribution(family, scale, df=df)
+    dist = ErrorDistribution(family, 1e150, df=df)
+    assert math.isfinite(dist.variance()) and dist.variance() >= 1e299
+
+
+@pytest.mark.parametrize("family, df", _HUGE_SCALE_LAWS)
+def test_abs_moment_overflow_is_a_config_error(family, df):
+    # At scale 1e150 the third moment is past 1e450; at scale 1 laplace's
+    # gamma(k + 1) overflows from k = 171 and the normal's from k = 341.
+    dist = ErrorDistribution(family, 1e150, df=df)
+    assert math.isfinite(dist.abs_moment(2.0))
+    with pytest.raises(ConfigError, match="overflows float64"):
+        dist.abs_moment(3.0)
+    if family in ("normal", "laplace"):
+        unit = ErrorDistribution(family, 1.0)
+        assert math.isfinite(unit.abs_moment(100.0))
+        with pytest.raises(ConfigError, match="overflows float64"):
+            unit.abs_moment(400.0)
 
 
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evclt.rng import (
+    MAX_REPLICATES,
     STREAM_DELTA,
     STREAM_DESIGN,
     STREAM_EPS,
     STREAM_MC_DELTA,
     STREAM_MC_EPS,
     _block_keys,
+    replicate_keys,
     uniforms,
 )
 
@@ -76,6 +78,43 @@ def test_single_key_output_is_a_stream_prefix_in_the_open_interval():
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.array_equal(u[:10], uniforms((7, 2, 3), 10))
     assert np.array_equal(u, uniforms([(7, 2, 3)], 1000)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 42, -1, 2**32, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("n", [2, 2**31])
+@pytest.mark.parametrize("stream", [STREAM_EPS, STREAM_DELTA])
+def test_replicate_keys_are_the_seed_sequence_keys(seed, n, stream):
+    keys = replicate_keys(seed, n, 40, stream)
+    assert keys.shape == (40, 2) and keys.dtype == np.uint64
+    for rep, row in enumerate(keys.tolist()):
+        seed_seq = np.random.SeedSequence((seed & _MASK_64, n, rep, stream))
+        assert row == seed_seq.generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", [42, -1, 2**64 + 5])
+def test_a_key_array_draws_the_streams_of_its_key_tuples(seed):
+    # A chunk of replicates that does not start at 0, sliced as the harness
+    # slices the keys of a grid point.
+    n, lo, hi = 33, 17, 29
+    keys = replicate_keys(seed, n, hi, STREAM_DELTA)[lo:hi]
+    expected = uniforms([(seed, n, rep, STREAM_DELTA) for rep in range(lo, hi)], n)
+    assert uniforms(keys, n).tobytes() == expected.tobytes()
+    buf = np.full((hi - lo + 3, n), np.nan)[: hi - lo]
+    assert uniforms(keys, n, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+    for bad in (keys.astype(np.int64), np.zeros((2, 3), dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            uniforms(bad, n)
+
+
+def test_replicate_indices_past_one_key_word_are_refused():
+    # From 2^32 a replicate index takes two SeedSequence words, which the
+    # column layout of replicate_keys does not have.
+    assert MAX_REPLICATES == 2**32
+    for bad in (-1, MAX_REPLICATES + 1):
+        with pytest.raises(ValueError):
+            replicate_keys(0, 2, bad, STREAM_EPS)
+    assert replicate_keys(0, 2, 0, STREAM_EPS).shape == (0, 2)
 
 
 def test_keys_shorter_than_four_words_are_padded_with_zeros():
