@@ -335,10 +335,13 @@ def lindeberg_sum(
         n = summary.n
         if summary.s_n <= 0.0:
             raise DegenerateDesignError("Lindeberg array needs S_n > 0")
-        # X_{n,i} = coeff_i * nu_i
-        coeff = np.abs(x_full[:n] - summary.mean) / math.sqrt(summary.s_n * variance)
+        # X_{n,i} = coeff_i * nu_i. The two roots divide one at a time: their
+        # product can overflow where S_n and V are each finite. The squared
+        # coefficients sum to 1, so the largest is positive.
+        coeff = np.abs(x_full[:n] - summary.mean) / math.sqrt(summary.s_n)
+        coeff /= math.sqrt(variance)
         coeff = coeff[coeff > 0.0]
-        max_coeff = float(np.max(coeff, initial=0.0))
+        max_coeff = float(np.max(coeff))
         for r in r_grid:
             if math.isfinite(bound) and max_coeff * bound <= r:
                 # the indicator can never fire: the sum is exactly zero
@@ -358,7 +361,7 @@ def lindeberg_sum(
                 # r / max_coeff is the smallest threshold (IEEE division is
                 # monotone), and a draw counts only strictly above it: at or
                 # past the largest draw, _monte_carlo_sum gives exactly 0 +/- 0
-                if math.isfinite(nu_max) and (max_coeff == 0.0 or r / max_coeff >= nu_max):
+                if math.isfinite(nu_max) and r / max_coeff >= nu_max:
                     value, stderr = 0.0, 0.0
                 else:
                     value, stderr = _monte_carlo_sum(coeff, r, nu_abs)

@@ -2,10 +2,9 @@
 
 Subcommands::
 
-    evclt diagnose       --config cfg.yaml --out DIR
-    evclt simulate       --config cfg.yaml --out DIR [--workers N] [--emit-samples]
-    evclt lindeberg      --config cfg.yaml --out DIR
-    evclt counterexample --config cfg.yaml --out DIR [--workers N]
+    evclt diagnose  --config cfg.yaml --out DIR
+    evclt simulate  --config cfg.yaml --out DIR [--workers N] [--emit-samples]
+    evclt lindeberg --config cfg.yaml --out DIR
 
 Exit codes: 0 all requested tests pass, 1 a test failed, 2 usage or config
 error. The EVCLT_SEED environment variable overrides the config seed.
@@ -59,7 +58,11 @@ try:
     from .config import AppConfig, config_hash, load_config  # noqa: E402
     from .design import DesignSequence  # noqa: E402
     from .errors import ConfigError, EvcltError  # noqa: E402
-    from .harness import counterexample_run, report_json_bytes, run_experiment  # noqa: E402
+    from .harness import (  # noqa: E402
+        counterexample_run,  # noqa: F401  (perfbench/tracer.py patches cli.counterexample_run)
+        report_json_bytes,
+        run_experiment,
+    )
 finally:
     gc.freeze()
     if _gc_was_enabled:
@@ -258,29 +261,6 @@ def _cmd_lindeberg(args, config: AppConfig) -> int:
     return 0
 
 
-def _cmd_counterexample(args, config: AppConfig) -> int:
-    entries = counterexample_run(
-        config.design,
-        config.model,
-        config.n_grid,
-        config.replicates,
-        config.seed,
-        workers=args.workers,
-    )
-    out = _write_manifest(args, config)
-    _write_json(out / "counterexample.json", {"entries": entries})
-    _write_counterexample_csv(out, entries)
-    for e in entries:
-        print(
-            f"n={e['n']}: mean beta_hat={e['mean_beta_hat']:.4f} "
-            f"(target {e['attenuation_target']:.4f}), ks={e['ks_distance_z_beta']:.3f}, "
-            f"{'pass' if e['pass'] else 'FAIL'}"
-        )
-    ok = all(e["pass"] for e in entries)
-    print(f"overall: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -289,7 +269,6 @@ _COMMANDS = {
     "diagnose": _cmd_diagnose,
     "simulate": _cmd_simulate,
     "lindeberg": _cmd_lindeberg,
-    "counterexample": _cmd_counterexample,
 }
 
 
@@ -302,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("diagnose", "evaluate asymptotic conditions along the n grid"),
-        ("simulate", "run the Monte Carlo normality/coverage/negligibility tests"),
+        ("simulate", "run the Monte Carlo tests, the counterexample among them"),
         ("lindeberg", "evaluate the truncated-second-moment sums"),
-        ("counterexample", "run the random-regressor attenuation check"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML config file")
         cmd.add_argument("--out", default="evclt-out", help="output directory")
-        if name in ("simulate", "counterexample"):
-            cmd.add_argument("--workers", type=int, default=1, help="replicate worker threads")
         if name == "simulate":
+            cmd.add_argument("--workers", type=int, default=1, help="replicate worker threads")
             cmd.add_argument(
                 "--emit-samples",
                 action="store_true",

@@ -8,20 +8,19 @@ stable: the first n draws of a stream never change when more are requested.
 
 A tuple keys the stream ``Philox(SeedSequence(tuple))``. Building one
 ``SeedSequence`` per stream costs more than drawing a few thousand values
-from it, so the tuples of a block of streams are hashed together: the
-SeedSequence entropy hash (pool size 4, as in numpy's ``bit_generator.pyx``)
-is written below as uint32 array arithmetic over all tuples of one word
-length at once, and one Philox generator is re-keyed for each row, writing
-straight into the caller's block. The streams are bit-identical to numpy's.
+from it, so the SeedSequence entropy hash (pool size 4, as in numpy's
+``bit_generator.pyx``) is written below as uint32 array arithmetic over
+rows of entropy words, and one Philox generator is re-keyed for each
+stream, writing straight into the caller's array. The streams are
+bit-identical to numpy's. A single tuple is hashed as a block of one row.
 The replicate streams of a grid point differ only in the replicate word, so
-``replicate_keys`` hashes all of them from entropy columns, and the harness
-hands slices of its result to ``uniforms`` chunk by chunk.
+``replicate_keys`` hashes all of them at once from entropy columns, and the
+harness hands slices of its result to ``uniforms`` chunk by chunk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from numbers import Integral
 
 import numpy as np
 
@@ -113,29 +112,16 @@ def _philox_keys(entropy: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-def _block_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
-    """Philox keys, shape (len(keys), 2) uint64: row i is the key of
-    ``Philox(SeedSequence(keys[i]))``."""
-    words = [_words(key) for key in keys]
-    philox_keys = np.empty((len(words), 2), dtype=np.uint64)
-    by_length: dict[int, list[int]] = {}
-    for row, w in enumerate(words):
-        by_length.setdefault(len(w), []).append(row)
-    for rows in by_length.values():
-        philox_keys[rows] = _philox_keys(np.array([words[r] for r in rows], dtype=np.uint32))
-    return philox_keys
-
-
 # Replicate indices take one SeedSequence word, which bounds the replicate
 # count of one grid point.
 MAX_REPLICATES = 1 << 32
 
 
 def replicate_keys(seed: int, n: int, replicates: int, stream: int) -> np.ndarray:
-    """Philox keys, shape (replicates, 2) uint64: row rep is the key of the
-    stream (seed, n, rep, stream), as ``_block_keys`` gives it, hashed from
-    entropy columns (the seed and n words repeated, the replicate index, the
-    stream word) without a Python tuple per replicate."""
+    """Philox keys, shape (replicates, 2) uint64: row rep is the key of
+    ``Philox(SeedSequence((seed, n, rep, stream)))``, hashed from entropy
+    columns (the seed and n words repeated, the replicate index, the stream
+    word) without a Python tuple per replicate."""
     if not 0 <= replicates <= MAX_REPLICATES:
         raise ValueError(f"replicates must lie in [0, 2^32], got {replicates}")
     head, tail = _words((seed, n)), _words((stream,))
@@ -147,7 +133,7 @@ def replicate_keys(seed: int, n: int, replicates: int, stream: int) -> np.ndarra
 
 
 def uniforms(
-    key: Sequence[int] | Sequence[Sequence[int]] | np.ndarray,
+    key: Sequence[int] | np.ndarray,
     n: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -157,23 +143,20 @@ def uniforms(
     that 0 is never produced; the one top value that rounds up to 1 is
     clipped to 1 - 2^-53, so inverse-CDF transforms stay finite.
 
-    Given a list of keys instead of one key, returns a (len(keys), n) block
-    whose row i is bit-identical to ``uniforms(keys[i], n)``. A 2-D array
-    stands for such a list already hashed: its rows are Philox keys, shape
-    (m, 2) uint64, as ``replicate_keys`` returns them. The values are
-    written into ``out`` (a C-contiguous float64 array of that shape) when it
-    is given, and ``out`` is returned.
+    Given a 2-D array of Philox keys instead of a tuple, shape (m, 2) uint64
+    as ``replicate_keys`` returns them, returns an (m, n) block whose row i
+    is the stream of key row i. The values are written into ``out`` (a
+    C-contiguous float64 array of the result's shape) when it is given, and
+    ``out`` is returned.
     """
     if isinstance(key, np.ndarray) and key.ndim == 2:
         if key.dtype != np.uint64 or key.shape[1] != 2:
             raise ValueError(
                 f"a key array must hold (m, 2) uint64 Philox keys, got {key.dtype} {key.shape}"
             )
-        single, philox_keys = False, key
+        philox_keys, shape = key, (len(key), n)
     else:
-        single = len(key) == 0 or isinstance(key[0], Integral)
-        philox_keys = _block_keys([key] if single else key)
-    shape = (n,) if single else (len(philox_keys), n)
+        philox_keys, shape = _philox_keys(np.array([_words(key)], dtype=np.uint32)), (n,)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:

@@ -393,17 +393,23 @@ def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standar
     assert under.sum_value > 0.0 and under.stderr > 0.0
 
 
-def test_lindeberg_monte_carlo_skip_with_no_coefficient(monkeypatch, linear_design):
-    # S_n Var(nu) = 8.3e4 * 1e304 overflows to inf, so every coefficient is 0
-    # and none is kept; the largest is 0, and the skip must not divide by it.
-    # It reads 0 +/- 0, as _monte_carlo_sum does on no coefficient.
-    spec = _spec(eps=("normal", 1e152))
-    calls = _recording_monte_carlo_sum(monkeypatch)
-    [mc] = lindeberg_sum(linear_design, [100], spec, [0.5], method="monte-carlo", mc_budget=1000)
-    assert calls == []
-    assert (mc.sum_value, mc.stderr) == (0.0, 0.0)
-    nu_abs = np.abs(np.linspace(-3.0, 3.0, 1000))
-    assert asymptotics._monte_carlo_sum(np.empty(0), 0.5, nu_abs) == (0.0, 0.0)
+def test_lindeberg_sum_is_invariant_to_the_error_scale(linear_design):
+    # X_{n,i} = d(x_i) nu_i / sqrt(S_n V) does not depend on the scale of nu.
+    # At scale 1e152, S_n V = 8.3e4 * 1e304 overflows, while sqrt(S_n) and
+    # sqrt(V) do not; the sums must equal those at scale 1.
+    grid, r_grid = [100, 500], [0.05, 0.15]
+    for method in ("quadrature", "monte-carlo"):
+        unit, huge = (
+            lindeberg_sum(
+                linear_design, grid, _spec(eps=("normal", scale), delta=("normal", 0.0)), r_grid,
+                method=method, mc_budget=2000,
+            )
+            for scale in (1.0, 1e152)
+        )
+        for a, b in zip(unit, huge):
+            assert (a.n, a.r) == (b.n, b.r)
+            assert a.sum_value > 0.0
+            assert b.sum_value == pytest.approx(a.sum_value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad_uniform", [1.0, math.nan], ids=["inf", "nan"])

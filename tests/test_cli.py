@@ -468,45 +468,21 @@ def test_cli_import_keeps_a_disabled_collector_disabled():
 # --- counterexample --------------------------------------------------------------------
 
 
-def test_counterexample_command(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        _base_config(
-            design={"kind": "gaussian-iid", "seed": 5},
-            grid=[1000],
-            replicates=200,
-        ),
-    )
+def test_counterexample_needs_gaussian_design(tmp_path, monkeypatch, capsys):
+    config = _write_config(tmp_path, _base_config(grid=[200], tests=["counterexample"]))
+    simulated = _count_grid_points(monkeypatch)
     out = tmp_path / "out"
-    code = main(["counterexample", "--config", str(config), "--out", str(out)])
-    assert code == 0
-    entries = json.loads((out / "counterexample.json").read_text())["entries"]
-    assert entries[0]["pass"] is True
-    assert "pass" in capsys.readouterr().out
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert simulated == [] and not out.exists()
+    assert "gaussian-iid" in capsys.readouterr().err
 
 
-def test_counterexample_command_is_the_simulate_path(tmp_path):
-    config = _write_config(
-        tmp_path,
-        _base_config(
-            design={"kind": "gaussian-iid", "seed": 5},
-            grid=[200, 400],
-            replicates=200,
-            tests=["counterexample"],
-        ),
-    )
-    ce, sim = tmp_path / "ce", tmp_path / "sim"
-    ce_code = main(["counterexample", "--config", str(config), "--out", str(ce)])
-    sim_code = main(["simulate", "--config", str(config), "--out", str(sim)])
-    assert ce_code == sim_code
-    assert (ce / "counterexample.csv").read_bytes() == (sim / "counterexample.csv").read_bytes()
-    entries = json.loads((ce / "counterexample.json").read_text())["entries"]
-    assert entries == json.loads((sim / "report.json").read_text())["counterexample"]
-
-
-def test_counterexample_needs_gaussian_design(tmp_path):
-    config = _write_config(tmp_path, _base_config(grid=[200]))
-    assert main(["counterexample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+def test_counterexample_is_no_longer_a_command(tmp_path, capsys):
+    config = _write_config(tmp_path, _base_config(**_GAUSSIAN_DESIGN))
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'counterexample'" in capsys.readouterr().err
 
 
 # --- pinned output bytes -----------------------------------------------------------
@@ -558,18 +534,11 @@ _PINNED_RUNS = {
         ["simulate"],
         _base_config(**_GAUSSIAN_DESIGN, tests=["beta-clt", "counterexample"]),
     ),
-    "counterexample": (["counterexample"], _base_config(**_GAUSSIAN_DESIGN)),
 }
 
 # sha256 of every output file but manifest.json, and of stdout, plus the exit
 # code, for each run above; a change that moves any output byte changes these.
 _PINNED_OUTPUTS = {
-    "counterexample": {
-        "counterexample.csv": "2776d1b6e7aaaeda275ad9c4df3ded190cab4a3c45e2cebc4e36a58abeca767a",
-        "counterexample.json": "e2056a4629fe028b2a3f0a36769bc032fdfb5c66db9c94f4bb63f2abd5709d75",
-        "exit": 0,
-        "stdout": "ee03c762abf7a743c9f232e3d80debdd2e08cb07ea31c04c01bfe9b2e74837c1",
-    },
     "diagnose-normal": {
         "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
         "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
@@ -589,14 +558,14 @@ _PINNED_OUTPUTS = {
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },
     "lindeberg-monte-carlo": {
-        "lindeberg.csv": "126cc24c3f135f9e857b0cf75d698b93df8becdd37364dd19395e688aa2e8851",
-        "lindeberg.json": "24a06bf71ac488b469859f6fb43e1bb118e33359f9307375e980cd5cfedd88ee",
+        "lindeberg.csv": "584977a403e9fae8c9d8bddddf59f77fa877ed795596b30d6ff884dbcff3c32c",
+        "lindeberg.json": "1cfa98c1cb5f820a84eaf9eabda72dc48a8d5f3f689a8fdaff4fef7a33b27ea7",
         "exit": 0,
         "stdout": "7b75df18f85a65173beee8c959041f0a27a0de74a866422d85b323f70ae12b22",
     },
     "lindeberg-quadrature": {
-        "lindeberg.csv": "183dd843a2ba769b993d5f238ebff5dd68b90d22f7a6c318af6d4c31bc89f9fc",
-        "lindeberg.json": "23af7e354d080e059c8f7a3104f2d33c6fbeccaa5654ba15f9fd7ed8dafb233c",
+        "lindeberg.csv": "06fd65f250144cb5b60ed4f1d928817d36b3b965081a1dc8e9ef78c17b598a98",
+        "lindeberg.json": "0660e7b20b628656fc2cb7a77ee8b24417e771cb7e029bc9742bbf812b17f620",
         "exit": 0,
         "stdout": "92a86321cd6955ddb0a0e0c22e2acbcc191e25cf8449bc8cd2ddcc65696d6252",
     },
