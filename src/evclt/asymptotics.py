@@ -37,7 +37,7 @@ its verdict must track c6 on every nondegenerate design.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -104,23 +104,13 @@ class HierarchyReport:
 
 @dataclass(frozen=True)
 class PetrovReport:
-    paths: dict[str, ConditionPath] = field(default_factory=dict)
-    corollary: ConditionPath | None = None
+    paths: dict[str, ConditionPath]
+    corollary: ConditionPath
 
     def to_dict(self) -> dict:
         out = {key: path.to_dict() for key, path in self.paths.items()}
-        if self.corollary is not None:
-            out["corollary-c6"] = self.corollary.to_dict()
+        out["corollary-c6"] = self.corollary.to_dict()
         return out
-
-
-def check_conditions(conditions: Sequence[str]) -> tuple[str, ...]:
-    """The condition ids as a tuple; each must be one of CONDITION_IDS."""
-    conditions = tuple(str(c) for c in conditions)
-    for c in conditions:
-        if c not in CONDITION_IDS:
-            raise ConfigError(f"unknown condition id {c!r}; expected one of {CONDITION_IDS}")
-    return conditions
 
 
 def check_lindeberg(r_grid: Sequence[float], method: str, mc_budget) -> tuple[tuple, int]:
@@ -404,30 +394,16 @@ def petrov_conditions(summaries: Sequence[DesignSummary], spec: EVModelSpec) -> 
 # ---------------------------------------------------------------------------
 
 
-def diagnostics_report(
-    design: DesignSequence,
-    spec: EVModelSpec | None,
-    n_grid: Sequence[int],
-    conditions: Sequence[str] = CONDITION_IDS,
-    include_hierarchy: bool = False,
-    include_petrov: bool = False,
-) -> dict:
-    """Condition paths (plus optional hierarchy and Petrov sections) as one
-    JSON-ready mapping."""
-    conditions = check_conditions(conditions)
+def diagnostics_report(design: DesignSequence, spec: EVModelSpec, n_grid: Sequence[int]) -> dict:
+    """Every condition path of CONDITION_IDS, the scaling hierarchy and the
+    Petrov paths of the delta law, as one JSON-ready mapping. The hierarchy
+    and Petrov need S_n > 0 at every grid point: a constant design raises
+    DegenerateDesignError (``condition_path`` still evaluates it)."""
     summaries = summary_path(design, n_grid)
-    report: dict = {
+    return {
         "design": design.to_dict(),
         "n_grid": [int(n) for n in n_grid],
-        "conditions": {
-            name: condition_path(name, summaries).to_dict()
-            for name in conditions
-        },
+        "conditions": {name: condition_path(name, summaries).to_dict() for name in CONDITION_IDS},
+        "hierarchy": scaling_hierarchy(summaries).to_dict(),
+        "petrov": petrov_conditions(summaries, spec).to_dict(),
     }
-    if include_hierarchy:
-        report["hierarchy"] = scaling_hierarchy(summaries).to_dict()
-    if include_petrov:
-        if spec is None:
-            raise ConfigError("Petrov conditions need a model spec (the delta law)")
-        report["petrov"] = petrov_conditions(summaries, spec).to_dict()
-    return report

@@ -156,15 +156,7 @@ def _write_counterexample_csv(out: Path, entries: list[dict]) -> None:
 
 
 def _cmd_diagnose(args, config: AppConfig) -> int:
-    section = config.diagnose
-    report = diagnostics_report(
-        config.design,
-        config.model,
-        config.n_grid,
-        conditions=section.conditions,
-        include_hierarchy=section.hierarchy,
-        include_petrov=section.petrov,
-    )
+    report = diagnostics_report(config.design, config.model, config.n_grid)
     out = _write_manifest(args, config)
     _write_json(out / "diagnostics.json", report)
     _write_csv(
@@ -172,23 +164,17 @@ def _cmd_diagnose(args, config: AppConfig) -> int:
         ("condition", "n", "value", "target", "verdict"),
         _path_records(report["conditions"]),
     )
-    paths = dict(report["conditions"])
-    if "hierarchy" in report:
-        _write_csv(
-            out / "hierarchy.csv",
-            ("n", "n_over_root_s", "root_s_over_maxdev_sq", "maxdev_sq_over_s", "flagged"),
-            _hierarchy_records(report["hierarchy"]),
-        )
-    if "petrov" in report:
-        petrov = {name: report["petrov"][name] for name in ("petrov-i", "petrov-ii", "petrov-iii")}
-        _write_csv(
-            out / "petrov.csv", ("condition", "n", "value", "verdict"), _path_records(petrov)
-        )
-        paths.update(petrov)
+    _write_csv(
+        out / "hierarchy.csv",
+        ("n", "n_over_root_s", "root_s_over_maxdev_sq", "maxdev_sq_over_s", "flagged"),
+        _hierarchy_records(report["hierarchy"]),
+    )
+    petrov = {name: report["petrov"][name] for name in ("petrov-i", "petrov-ii", "petrov-iii")}
+    _write_csv(out / "petrov.csv", ("condition", "n", "value", "verdict"), _path_records(petrov))
     export_design_csv(config.design, config.n_grid[-1], out / "design.csv")
 
     print(f"{'condition':<20} {'verdict':<18} final value")
-    for name, path in paths.items():
+    for name, path in {**report["conditions"], **petrov}.items():
         print(f"{name:<20} {path['verdict']:<18} {path['values'][-1]:.6g}")
     return 0
 

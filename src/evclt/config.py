@@ -21,10 +21,6 @@ One YAML (or JSON) file drives every CLI command:
     variance_source: "true"        # "true" | "plug-in" (quote the former!)
     tests: [beta-clt]              # beta-clt | theta-clt | coverage
                                    # | negligibility | counterexample
-    diagnose:
-      conditions: [liu-chen-beta, c6, c7, theta-consistency, c17]
-      hierarchy: true
-      petrov: true
     lindeberg:
       r_grid: [0.1, 0.5, 1.0]
       method: quadrature           # quadrature | monte-carlo
@@ -33,11 +29,12 @@ One YAML (or JSON) file drives every CLI command:
 Unknown keys anywhere are rejected so typos cannot silently change a run.
 Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
 ``lindeberg.mc_budget``) must be whole numbers, the other numbers (model,
-design parameters, ``lindeberg.r_grid``) ints or floats, and the
-``diagnose`` flags booleans; nothing is truncated or coerced, so a quoted
-number or a boolean is refused. The verdict thresholds (KS budget,
-coverage, skip and identity gates, trend rule) are fixed, not configured;
-``report.json`` records the harness ones under ``config.defaults``.
+design parameters, ``lindeberg.r_grid``) ints or floats; nothing is
+truncated or coerced, so a quoted number or a boolean is refused. The
+verdict thresholds (KS budget, coverage, skip and identity gates, trend
+rule) are fixed, not configured; ``report.json`` records the harness ones
+under ``config.defaults``. ``evclt diagnose`` always reports every
+condition, the scaling hierarchy and the Petrov paths, so it has no section.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from pathlib import Path
 
 import yaml
 
-from .asymptotics import CONDITION_IDS, check_conditions, check_lindeberg
+from .asymptotics import check_lindeberg
 from .design import DesignSequence, check_grid, real_number, whole_number
 from .errors import ConfigError
 from .estimator import check_variance_source
@@ -58,13 +55,6 @@ from .model import ErrorDistribution, EVModelSpec
 
 DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
 DEFAULT_LINDEBERG_R_GRID = (0.1, 0.5, 1.0)
-
-
-@dataclass(frozen=True)
-class DiagnoseSection:
-    conditions: tuple[str, ...] = CONDITION_IDS
-    hierarchy: bool = True
-    petrov: bool = True
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,6 @@ class AppConfig:
     replicates: int
     variance_source: str
     tests: tuple[str, ...]
-    diagnose: DiagnoseSection = field(default_factory=DiagnoseSection)
     lindeberg: LindebergSection = field(default_factory=LindebergSection)
 
     def experiment(self) -> ExperimentConfig:
@@ -176,23 +165,6 @@ def _parse_variance_source(value) -> str:
     return check_variance_source(value)
 
 
-def _parse_diagnose(node) -> DiagnoseSection:
-    node = _require_mapping(node, "diagnose")
-    _check_keys(node, {"conditions", "hierarchy", "petrov"}, "diagnose")
-
-    def flag(key: str) -> bool:
-        value = node.get(key, True)
-        if not isinstance(value, bool):
-            raise ConfigError(f"diagnose.{key} must be true or false, got {value!r}")
-        return value
-
-    return DiagnoseSection(
-        conditions=check_conditions(node.get("conditions", CONDITION_IDS)),
-        hierarchy=flag("hierarchy"),
-        petrov=flag("petrov"),
-    )
-
-
 def _parse_lindeberg(node) -> LindebergSection:
     node = _require_mapping(node, "lindeberg")
     _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
@@ -211,7 +183,6 @@ _TOP_KEYS = {
     "replicates",
     "variance_source",
     "tests",
-    "diagnose",
     "lindeberg",
 }
 
@@ -239,7 +210,6 @@ def parse_config(data: dict) -> AppConfig:
         replicates=parse("replicates", lambda v: whole_number(v, "config.replicates"), 1000),
         variance_source=parse("variance_source", _parse_variance_source, "true"),
         tests=parse("tests", check_tests, ("beta-clt",)),
-        diagnose=parse("diagnose", _parse_diagnose, {}),
         lindeberg=parse("lindeberg", _parse_lindeberg, {}),
     )
 

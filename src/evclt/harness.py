@@ -192,14 +192,14 @@ def coverage(
     n: int | None = None,
 ) -> CoverageResult:
     """Empirical two-sided symmetric coverage of the standardized statistic;
-    it passes within ``DEFAULTS.coverage_slack`` of ``nominal``."""
+    it passes within ``DEFAULTS.coverage_slack`` of ``nominal``. The floor on
+    R is ``ExperimentConfig``'s; replicates skipped below it are the skip
+    gate's to flag."""
     if not 0.0 < nominal < 1.0:
         raise ConfigError("nominal coverage must lie in (0, 1)")
     z = np.asarray(z_samples, dtype=np.float64)
-    if z.size < DEFAULTS.min_distributional_replicates:
-        raise ConfigError(
-            f"coverage needs at least {DEFAULTS.min_distributional_replicates} samples"
-        )
+    if z.size == 0:
+        raise ConfigError("coverage needs at least one sample")
     half_width = float(ndtri((1.0 + nominal) / 2.0))
     empirical = float(np.mean(np.abs(z) <= half_width))
     stderr = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / z.size)

@@ -486,12 +486,66 @@ class ErrorDistribution:
     def truncated_abs_moment(self, order: float, cutoff):
         """E[|X|^order ; |X| < cutoff] (strict truncation).
 
-        Closed form for every family; student-t needs order < df.
+        Closed form for every family at cutoffs from the scale up, and the
+        series of ``_truncated_below_scale`` below it; student-t needs
+        order < df.
         """
-        s, c, k = self.scale, np.maximum(cutoff, 0.0), float(order)
+        s, c, k = self.scale, np.asarray(np.maximum(cutoff, 0.0)), float(order)
         if s == 0.0:
-            value = 0.0
-        elif self.family == "normal":
+            return _per_cutoff(cutoff, 0.0, 0.0)
+        if self.family == "student-t" and not self.moment_exists(k):
+            raise ConfigError(
+                f"student-t with df={self.df} has no closed-form truncated moment of order {k}"
+            )
+        # Each form runs on its own cutoffs only: the closed form's s^k
+        # overflows, or its incomplete gamma or beta underflows, at a cutoff
+        # far below a huge scale.
+        value = np.empty(np.shape(c))
+        below = c < s
+        if np.any(below):
+            value[below] = self._truncated_below_scale(k, c[below])
+        if not np.all(below):
+            value[~below] = self._truncated_from_scale(k, c[~below])
+        return _per_cutoff(cutoff, 0.0, value)
+
+    # Terms of the series in ``_truncated_below_scale``: below the scale,
+    # from the fifth term on, each is at most 0.36 times the one before, so
+    # 40 terms reach the last bit of the sum.
+    _SERIES_TERMS = 40
+
+    def _truncated_below_scale(self, k: float, c: np.ndarray) -> np.ndarray:
+        """E[|X|^k ; |X| < c] for 0 <= c < scale, as c^k m g(m) with m = c / s.
+
+        On [0, m] the density of Z = X / s is f(0) sum_j t_j w^j, where w is
+        z^2 / 2, z or z^2 / df (z^e) and t_{j+1} = -t_j (p + q j) / (j + 1):
+        exp(-w) for q = 0, (1 + w)^(-p) for q = 1. Term by term,
+        g(m) = 2 f(0) sum_j t_j w(m)^j / (k + 1 + e j), which is bounded for
+        m < 1, so the moment is finite wherever c^k is.
+        """
+        m = c / self.scale
+        if self.family == "scaled-rademacher":
+            return np.zeros_like(m)  # |X| = scale > c
+        if self.family == "uniform-centered":
+            return np.power(c, k) * m / (k + 1)  # f = 1/2 on (-1, 1)
+        if self.family == "normal":
+            f0, e, w, p, q = 1.0 / math.sqrt(2.0 * math.pi), 2, m * m / 2, 1.0, 0
+        elif self.family == "laplace":
+            f0, e, w, p, q = 0.5, 1, m, 1.0, 0
+        else:  # student-t
+            nu = float(self.df)  # type: ignore[arg-type]
+            f0 = 1.0 / (math.sqrt(nu) * float(beta_function(0.5, nu / 2)))
+            e, w, p, q = 2, m * m / nu, (nu + 1) / 2, 1
+        term = np.ones_like(m)
+        total = term / (k + 1)
+        for j in range(self._SERIES_TERMS - 1):
+            term *= -(p + q * j) / (j + 1) * w
+            total += term / (k + 1 + e * (j + 1))
+        return np.power(c, k) * m * (2.0 * f0) * total
+
+    def _truncated_from_scale(self, k: float, c: np.ndarray) -> np.ndarray:
+        """E[|X|^k ; |X| < c] for c >= scale, in closed form."""
+        s = self.scale
+        if self.family == "normal":
             m = c / s
             value = (
                 s**k
@@ -505,11 +559,6 @@ class ErrorDistribution:
         elif self.family == "laplace":
             value = s**k * math.gamma(k + 1) * gammainc(k + 1, c / s)
         elif self.family == "student-t":
-            if not self.moment_exists(k):
-                raise ConfigError(
-                    f"student-t with df={self.df} has no closed-form truncated moment "
-                    f"of order {k}"
-                )
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)
             a, b = (k + 1) / 2, (nu - k) / 2
@@ -517,7 +566,7 @@ class ErrorDistribution:
             value = s**k * nu ** (k / 2) * float(ratio) * _regularized_beta(a, b, x, y)
         else:
             value = np.where(s < c, s**k, 0.0)
-        return _per_cutoff(cutoff, 0.0, value)
+        return value
 
     def tail_second_moment(self, cutoff):
         """E[X^2 ; |X| > cutoff], computed directly (no cancellation)."""

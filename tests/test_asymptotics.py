@@ -560,22 +560,21 @@ def test_petrov_constant_design_rejected(standard_spec):
 
 
 def test_diagnostics_report_structure(linear_design, standard_spec):
-    report = diagnostics_report(
-        linear_design,
-        standard_spec,
-        GRID,
-        conditions=["c6", "c7"],
-        include_hierarchy=True,
-        include_petrov=True,
-    )
-    assert set(report["conditions"]) == {"c6", "c7"}
+    report = diagnostics_report(linear_design, standard_spec, GRID)
+    assert list(report) == ["design", "n_grid", "conditions", "hierarchy", "petrov"]
+    assert list(report["conditions"]) == list(CONDITION_IDS)
     assert report["conditions"]["c6"]["verdict"] == VERDICT_SATISFIED
-    assert "hierarchy" in report and "petrov" in report
+    summaries = summary_path(linear_design, GRID)
+    assert report["hierarchy"] == scaling_hierarchy(summaries).to_dict()
+    assert report["petrov"] == petrov_conditions(summaries, standard_spec).to_dict()
+    assert list(report["petrov"]) == ["petrov-i", "petrov-ii", "petrov-iii", "corollary-c6"]
     assert report["petrov"]["petrov-iii"]["target"] == "to-zero"
 
 
-def test_diagnostics_report_validation(linear_design):
-    with pytest.raises(ConfigError):
-        diagnostics_report(linear_design, None, GRID, conditions=["nope"])
-    with pytest.raises(ConfigError):
-        diagnostics_report(linear_design, None, GRID, include_petrov=True)
+def test_diagnostics_report_validation(standard_spec):
+    # The hierarchy and Petrov need S_n > 0; the condition paths alone still
+    # evaluate a constant design.
+    constant = DesignSequence("constant")
+    with pytest.raises(DegenerateDesignError, match="hierarchy ratios need S_n > 0"):
+        diagnostics_report(constant, standard_spec, [10, 20, 40])
+    assert condition_path("c6", summary_path(constant, [10, 20, 40])).values[-1] == math.inf

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,9 @@ from evclt.asymptotics import lindeberg_sum
 from evclt.cli import main
 from evclt.config import load_config
 from evclt.rng import STREAM_MC_DELTA, STREAM_MC_EPS
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(autouse=True)
@@ -47,22 +51,40 @@ def _base_config(**overrides):
 # --- diagnose ---------------------------------------------------------------------
 
 
+_DIAGNOSE_FILES = (
+    "manifest.json",
+    "diagnostics.json",
+    "conditions.csv",
+    "hierarchy.csv",
+    "petrov.csv",
+    "design.csv",
+)
+
+
 def test_diagnose_linear_design(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        _base_config(
-            diagnose={"conditions": ["c6", "c7", "liu-chen-beta"], "hierarchy": True, "petrov": True}
-        ),
-    )
+    config = _write_config(tmp_path, _base_config())
     out = tmp_path / "out"
     code = main(["diagnose", "--config", str(config), "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
     assert printed.count("satisfied-trend") >= 3
     report = json.loads((out / "diagnostics.json").read_text())
-    assert set(report["conditions"]) == {"c6", "c7", "liu-chen-beta"}
-    for name in ("manifest.json", "conditions.csv", "hierarchy.csv", "petrov.csv", "design.csv"):
-        assert (out / name).is_file()
+    assert sorted(report["conditions"]) == sorted(asymptotics.CONDITION_IDS)
+    assert sorted(p.name for p in out.iterdir()) == sorted(_DIAGNOSE_FILES)
+
+
+@pytest.mark.parametrize(
+    "name", ["counterexample-gaussian", "diagnose-linear", "theta-clt-alternating"]
+)
+def test_diagnose_writes_every_table_on_each_shipped_config(tmp_path, capsys, name):
+    config = _CONFIGS / f"{name}.yaml"
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(_DIAGNOSE_FILES)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[1:]] == [
+        *asymptotics.CONDITION_IDS, "petrov-i", "petrov-ii", "petrov-iii"
+    ]
 
 
 @pytest.mark.parametrize("command", ["diagnose", "lindeberg"])
@@ -79,7 +101,6 @@ def test_diagnose_counterexample_design_verdict(tmp_path):
         _base_config(
             design={"kind": "gaussian-iid", "seed": 3},
             grid=[50, 100, 200, 500, 1000, 2000],
-            diagnose={"conditions": ["liu-chen-beta"], "hierarchy": False, "petrov": False},
         ),
     )
     out = tmp_path / "out"
@@ -170,6 +191,35 @@ def test_simulate_degenerate_run_fails_with_exit_1(tmp_path):
     assert code == 1
 
 
+def test_coverage_runs_on_the_replicates_left_after_skips(tmp_path):
+    # At n = 2 a +/-1 delta makes both xi equal in half the replicates, so
+    # fewer than R = 100 are used: the skip gate fails the run, and coverage
+    # still reports on what is left.
+    config = _write_config(
+        tmp_path,
+        _base_config(
+            seed=1,
+            design={"kind": "linear", "params": {"slope": 2.0}},
+            model={
+                "theta": 1.0,
+                "beta": 2.0,
+                "eps": {"family": "normal", "scale": 1.0},
+                "delta": {"family": "scaled-rademacher", "scale": 1.0},
+            },
+            grid=[2, 3],
+            replicates=100,
+            tests=["beta-clt", "coverage"],
+        ),
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["skip_ok"] is False
+    assert report["grid"][0]["replicates_used"] < 100
+    assert [entry["coverage"]["z_beta"]["n"] for entry in report["grid"]] == [2, 3]
+    assert (out / "coverage.csv").is_file()
+
+
 def test_simulate_refuses_small_r(tmp_path):
     config = _write_config(tmp_path, _base_config(replicates=10))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -209,6 +259,20 @@ def test_error_scale_whose_variance_overflows_is_a_config_error(
     assert "overflows float64" in err and "Traceback" not in err
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+def test_diagnose_at_a_huge_delta_scale(tmp_path, capsys):
+    # The Petrov cutoffs S_n^(1/4) sit 1e-149 delta scales out; the truncated
+    # moments there are finite and positive.
+    data = yaml.safe_load((_CONFIGS / "diagnose-linear.yaml").read_text(encoding="utf-8"))
+    data["model"]["delta"]["scale"] = 1.0e150
+    config = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(config), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    petrov = json.loads((out / "diagnostics.json").read_text())["petrov"]
+    for name in ("petrov-ii", "petrov-iii"):
+        assert all(0.0 < v < math.inf for v in petrov[name]["values"]), name
 
 
 def test_simulate_worker_invariance(tmp_path):
@@ -379,7 +443,6 @@ def test_student_t_diagnose_and_lindeberg_leave_scipy_stats_and_integrate_unload
         tmp_path,
         _base_config(
             model={"theta": 1.0, "beta": 0.0, "eps": t_law, "delta": t_law},
-            diagnose={"petrov": True},
             lindeberg={"r_grid": [0.1, 0.5], "method": "quadrature"},
         ),
     )

@@ -6,7 +6,7 @@ import yaml
 
 from evclt import config as config_module
 from evclt.cli import main
-from evclt.config import DEFAULT_N_GRID, DiagnoseSection, config_hash, load_config, parse_config
+from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
 from evclt.errors import ConfigError
 from evclt.harness import DEFAULTS
 
@@ -38,7 +38,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.variance_source == "true"
     assert config.seed == 0
     assert config.replicates == 1000
-    assert config.diagnose == DiagnoseSection()
     assert config.lindeberg.r_grid == (0.1, 0.5, 1.0)
     # the fixed thresholds are recorded next to every report's verdicts
     assert config.experiment().to_dict()["defaults"] == DEFAULTS.to_dict()
@@ -52,7 +51,6 @@ def test_full_config_round_trip(tmp_path):
         replicates=500,
         variance_source="plug-in",
         tests=["beta-clt", "coverage"],
-        diagnose={"conditions": ["c6"], "hierarchy": False, "petrov": False},
         lindeberg={"r_grid": [0.5], "method": "monte-carlo", "mc_budget": 10_000},
     )
     config = load_config(_write(tmp_path, data))
@@ -60,7 +58,6 @@ def test_full_config_round_trip(tmp_path):
     assert config.n_grid == (100, 200, 400)
     assert config.variance_source == "plug-in"
     assert config.tests == ("beta-clt", "coverage")
-    assert config.diagnose == DiagnoseSection(conditions=("c6",), hierarchy=False, petrov=False)
     assert config.lindeberg.r_grid == (0.5,)
     assert config.lindeberg.method == "monte-carlo"
     assert config.lindeberg.mc_budget == 10_000
@@ -82,9 +79,9 @@ def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
 # The canonical form is what manifest.json's config_sha256 is computed from;
 # these are the hashes of the shipped configs, which must not drift.
 SHIPPED_CONFIG_HASHES = {
-    "counterexample-gaussian.yaml": "7e608db35e467feee8caa531978812787e578bb1c026be139be4aa3d7816fd97",
-    "diagnose-linear.yaml": "4fce5053c63e2a1deeb413a47077051eb7e2decb4c2d00f2e999db21e71c7353",
-    "theta-clt-alternating.yaml": "2d9c0c611af114d2eeb8879b6cc1b6f5b93a794257d016da2f42f06a6e693fe5",
+    "counterexample-gaussian.yaml": "be59a245641a4789e18c934781224ef115b39be7125a2393e59b83477388ff67",
+    "diagnose-linear.yaml": "4669662d518bb982b55c9c031227f78c30b702a1eb2776844d0b04e64ea5b88b",
+    "theta-clt-alternating.yaml": "7566209e85a790cf008c77b4529bdb7ae5deb37259e41ebc4bfa0e15682e31b2",
 }
 
 
@@ -228,6 +225,28 @@ def test_any_defaults_key_fails_before_simulation(tmp_path, monkeypatch):
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
     assert calls == []
+
+
+# The former ``diagnose:`` section: every key it accepted, and an empty one.
+FORMER_DIAGNOSE = [
+    {},
+    {"conditions": ["c6"]},
+    {"hierarchy": False},
+    {"petrov": False},
+]
+
+
+def test_any_diagnose_key_fails_before_output(tmp_path):
+    # ``evclt diagnose`` always writes the one full report: a ``diagnose:``
+    # section is an unknown key, refused before any file is written.
+    for i, section in enumerate(FORMER_DIAGNOSE):
+        data = dict(MINIMAL, grid=[50, 100, 200], diagnose=section)
+        with pytest.raises(ConfigError, match="unknown keys in config: \\['diagnose'\\]"):
+            parse_config(data)
+        path = _write(tmp_path, data, name=f"config{i}.yaml")
+        out = tmp_path / f"out{i}"
+        assert main(["diagnose", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_load_errors(tmp_path):

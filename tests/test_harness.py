@@ -84,8 +84,10 @@ def test_coverage_degenerate_cases():
 
 
 def test_coverage_preconditions():
+    # The floor of 100 is on R (ExperimentConfig), not on the replicates used.
+    assert coverage(np.zeros(99), 0.95).empirical == 1.0
     with pytest.raises(ConfigError):
-        coverage(np.zeros(99), 0.95)
+        coverage(np.zeros(0), 0.95)
     with pytest.raises(ConfigError):
         coverage(np.zeros(200), 1.0)
 

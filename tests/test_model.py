@@ -580,6 +580,58 @@ def test_abs_moment_overflow_is_a_config_error(family, df):
             unit.abs_moment(400.0)
 
 
+def _truncated_moment_reference(mpmath, family, scale, df, k, cutoff):
+    """E[|X|^k ; |X| < cutoff] at 50 digits, from the regularized incomplete
+    gamma and beta functions (an argument of 1e-298 is no underflow there)."""
+    with mpmath.workdps(50):
+        s, c, k = mpmath.mpf(scale), mpmath.mpf(cutoff), mpmath.mpf(k)
+        m = c / s
+        if family == "normal":
+            a = (k + 1) / 2
+            return (
+                s**k * 2 ** (k / 2) * mpmath.gamma(a) / mpmath.sqrt(mpmath.pi)
+                * mpmath.gammainc(a, 0, m * m / 2, regularized=True)
+            )
+        if family == "uniform-centered":
+            return min(c, s) ** (k + 1) / (s * (k + 1))
+        if family == "laplace":
+            return s**k * mpmath.gamma(k + 1) * mpmath.gammainc(k + 1, 0, m, regularized=True)
+        if family == "student-t":
+            nu = mpmath.mpf(df)
+            a, b = (k + 1) / 2, (nu - k) / 2
+            pre = s**k * nu ** (k / 2) * mpmath.beta(a, b) / mpmath.beta(0.5, nu / 2)
+            return pre * mpmath.betainc(a, b, 0, m * m / (nu + m * m), regularized=True)
+        return s**k if s < c else mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("scale", [1e150, 2.0])
+@pytest.mark.parametrize("family, df", _HUGE_SCALE_LAWS)
+def test_truncated_moment_below_the_scale_matches_mpmath(family, df, scale):
+    # At scale 1e150 the Petrov cutoffs of a linear design (S_n^(1/4) = 10.1
+    # at n = 50) sit 1e-149 scales out: there s^k overflows (k = 4) and the
+    # regularized incomplete gamma or beta underflows to 0 (k = 2). Scale 2
+    # puts cutoffs on both sides of it and just below it.
+    mpmath = pytest.importorskip("mpmath")
+    dist = ErrorDistribution(family, scale, df=df)
+    cutoffs = np.array([1e-3, 0.3, 1.0, 1.999, 10.101567114056747, 1e4, 1e60])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in (2.0, 3.0, 4.0):
+            for c, got in zip(cutoffs, dist.truncated_abs_moment(k, cutoffs)):
+                ref = _truncated_moment_reference(mpmath, family, scale, df, k, c)
+                if ref == 0:
+                    assert got == 0.0, (k, c)
+                else:
+                    assert got == pytest.approx(float(ref), rel=1e-12), (k, c)
+
+
+def test_truncated_normal_moments_at_a_huge_scale_are_pinned():
+    dist = ErrorDistribution("normal", 1e150)
+    cutoff = 10.101567114056747  # S_50^(1/4) on the linear design
+    assert dist.truncated_abs_moment(2.0, cutoff) == pytest.approx(2.7414799e-148, rel=1e-7)
+    assert dist.truncated_abs_moment(4.0, cutoff) == pytest.approx(1.6784709e-146, rel=1e-7)
+
+
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
