@@ -26,7 +26,10 @@ either by per-i truncated-moment quadrature (closed forms where the law
 allows) or by Monte Carlo with a standard error. Only the coefficients
 depend on n; the law of nu does not, so one |nu| draw per run serves every
 (n, r) (common random numbers: each estimate keeps its sample size and
-standard error, and the n-path is smoother).
+standard error, and the n-path is smoother). The draw is sorted once, with
+running sums of nu^2 and nu^4 from its largest value down, so that each
+(n, r) costs a binary search per coefficient rather than a pass over the
+draws (see :func:`_monte_carlo_sum`).
 
 The Petrov checker instantiates the weak-law equivalence with a_n =
 sqrt(S_n) applied to the squared measurement errors; its condition (iii)
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,11 +82,17 @@ class ConditionPath:
 
 @dataclass(frozen=True)
 class LindebergReport:
+    """The Lindeberg sum at one (n, r). ``unreached`` is true only for a
+    Monte Carlo estimate that no draw reaches (r / max coeff at or past the
+    largest |nu| drawn): its 0 +/- 0 says the draw is too small to resolve
+    the sum, not that the sum is zero, as the bound shortcut's 0 +/- 0 does."""
+
     n: int
     r: float
     sum_value: float
     method: str  # "quadrature" | "monte-carlo"
     stderr: float | None = None
+    unreached: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -285,17 +295,63 @@ def _nu_quadrature_law(spec: EVModelSpec) -> tuple[ErrorDistribution, float]:
     )
 
 
-def _monte_carlo_sum(coeff: np.ndarray, r: float, nu_abs: np.ndarray) -> tuple[float, float]:
-    """(sum, standard error) of the Lindeberg sum at level r from the |nu| draws."""
-    thresholds = r / coeff  # |nu| must exceed this for index i to contribute
-    order = np.argsort(thresholds)
-    sorted_thr = thresholds[order]
-    weight_prefix = np.concatenate([[0.0], np.cumsum((coeff * coeff)[order])])
-    # per-draw contribution: nu^2 times the total weight of indices with
-    # threshold strictly below |nu|
-    active_weight = weight_prefix[np.searchsorted(sorted_thr, nu_abs, side="left")]
-    per_draw = nu_abs * nu_abs * active_weight
-    return float(np.mean(per_draw)), float(np.std(per_draw, ddof=1) / math.sqrt(nu_abs.size))
+class _SortedDraw(NamedTuple):
+    """The Monte Carlo |nu| draw of a Lindeberg run, sorted once.
+
+    ``tail2[m - 1]`` and ``tail4[m - 1]`` are the sums of (|nu| / sigma)^2 and
+    (|nu| / sigma)^4 over the m largest draws, with sigma = sqrt(Var(nu)):
+    scaled so, they stay finite wherever the per-draw terms of the sum do.
+    """
+
+    nu: np.ndarray  # |nu| ascending, NaN last
+    tail2: np.ndarray
+    tail4: np.ndarray
+    sigma: float
+
+
+def _sorted_draw(nu_abs: np.ndarray, sigma: float, scratch: np.ndarray) -> _SortedDraw:
+    """Sorts ``nu_abs`` in place and turns ``scratch`` (of the same size)
+    into ``tail2``; ``tail4`` is the one array of the draw's size made here."""
+    nu_abs.sort()
+    tail2 = np.divide(nu_abs[::-1], sigma, out=scratch)
+    np.square(tail2, out=tail2)
+    tail4 = np.square(tail2)
+    np.cumsum(tail2, out=tail2)
+    np.cumsum(tail4, out=tail4)
+    return _SortedDraw(nu_abs, tail2, tail4, sigma)
+
+
+def _monte_carlo_sum(coeff: np.ndarray, r: float, draw: _SortedDraw) -> tuple[float, float]:
+    """(sum, standard error) of the Lindeberg sum at level r from the sorted
+    |nu| draw; ``coeff`` must be in descending order.
+
+    Per draw, the estimate averages p_j = nu_j^2 W(nu_j), where W(nu) is the
+    total c_i^2 of the indices whose threshold r / c_i lies strictly below nu.
+    Summed over the draws instead, that is sum_i c_i^2 times the nu^2 mass
+    strictly above r / c_i, and the sum of p_j^2 is sum_i (W_i^2 - W_{i-1}^2)
+    times the nu^4 mass above the i-th smallest threshold, W_i being the
+    weight of the i smallest. One binary search per index finds each mass.
+    """
+    m = draw.nu.size
+    thresholds = r / coeff  # ascending, as coeff descends
+    above = m - np.searchsorted(draw.nu, thresholds, side="right")
+    below = m - int(above[0])  # draws that no threshold lies below
+    if below and draw.nu[below - 1] == math.inf:
+        # such a draw has weight 0, and its term is inf * 0 = NaN
+        return math.nan, math.nan
+    weight = coeff * draw.sigma  # c_i^2 sigma^2, which scales with the tails
+    weight *= weight
+    cumulative = np.cumsum(weight)
+    step = cumulative.copy()  # W_i + W_{i-1}, so that W_i^2 - W_{i-1}^2 = c_i^2 step_i
+    step[1:] += cumulative[:-1]
+    step *= weight
+    reached = above > 0  # where nothing is above, index -1 is masked out
+    sum_p = float(np.dot(weight, np.where(reached, draw.tail2[above - 1], 0.0)))
+    sum_p_sq = float(np.dot(step, np.where(reached, draw.tail4[above - 1], 0.0)))
+    variance = (sum_p_sq - sum_p * sum_p / m) / (m - 1)
+    if variance < 0.0:  # rounding, where every p_j is (nearly) the same
+        variance = 0.0
+    return sum_p / m, math.sqrt(variance / m)
 
 
 def lindeberg_sum(
@@ -309,17 +365,17 @@ def lindeberg_sum(
 ) -> list[LindebergReport]:
     """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array, one
     report per (n, r), n-major. Each n reads a prefix of one generated
-    design. The Monte Carlo |nu| draw, keyed by seed alone, is made at most
-    once per call, by the first (n, r) that needs it, and every (n, r)
-    reuses it. An (n, r) that no draw reaches reads 0 +/- 0 without a pass
-    over the draws."""
+    design. The Monte Carlo |nu| draw, keyed by seed alone, is made and
+    sorted at most once per call, by the first (n, r) that needs it, and
+    every (n, r) reuses it. An (n, r) that no draw reaches reads 0 +/- 0,
+    flagged ``unreached``, without a search of the draw."""
     r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
     variance = spec.nu_variance()
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
     x_full, summaries = prefix_summaries(design, n_grid)
     bound = spec.nu_bound()
-    nu_abs = None
+    draw = None
     reports = []
     for summary in summaries:
         n = summary.n
@@ -332,7 +388,10 @@ def lindeberg_sum(
         coeff /= math.sqrt(variance)
         coeff = coeff[coeff > 0.0]
         max_coeff = float(np.max(coeff))
+        if method == "monte-carlo":
+            coeff = np.sort(coeff)[::-1]  # so the thresholds r / coeff ascend
         for r in r_grid:
+            unreached = False
             if math.isfinite(bound) and max_coeff * bound <= r:
                 # the indicator can never fire: the sum is exactly zero
                 value, stderr = 0.0, 0.0 if method == "monte-carlo" else None
@@ -341,22 +400,27 @@ def lindeberg_sum(
                 tails = mult * mult * dist.tail_second_moment(r / coeff / mult)
                 value, stderr = float(np.sum(coeff * coeff * tails)), None
             else:
-                if nu_abs is None:
-                    nu_abs = np.abs(
-                        spec.eps_dist.sample(uniforms((seed, STREAM_MC_EPS), mc_budget))
-                        - spec.beta
-                        * spec.delta_dist.sample(uniforms((seed, STREAM_MC_DELTA), mc_budget))
-                    )
-                    nu_max = float(np.max(nu_abs))
+                if draw is None:
+                    # |eps - beta delta|, formed in the eps uniforms' buffer;
+                    # the delta buffer then holds the nu^2 tail sums
+                    nu_abs = uniforms((seed, STREAM_MC_EPS), mc_budget)
+                    spec.eps_dist.sample(nu_abs, out=nu_abs)
+                    scratch = uniforms((seed, STREAM_MC_DELTA), mc_budget)
+                    spec.delta_dist.sample(scratch, out=scratch)
+                    scratch *= spec.beta
+                    np.subtract(nu_abs, scratch, out=nu_abs)
+                    np.abs(nu_abs, out=nu_abs)
+                    draw = _sorted_draw(nu_abs, math.sqrt(variance), scratch)
+                    nu_max = float(draw.nu[-1])  # NaN if any draw is NaN
                 # r / max_coeff is the smallest threshold (IEEE division is
                 # monotone), and a draw counts only strictly above it: at or
                 # past the largest draw, _monte_carlo_sum gives exactly 0 +/- 0
                 if math.isfinite(nu_max) and r / max_coeff >= nu_max:
-                    value, stderr = 0.0, 0.0
+                    value, stderr, unreached = 0.0, 0.0, True
                 else:
-                    value, stderr = _monte_carlo_sum(coeff, r, nu_abs)
+                    value, stderr = _monte_carlo_sum(coeff, r, draw)
             reports.append(LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
-                                           method=method, stderr=stderr))
+                                           method=method, stderr=stderr, unreached=unreached))
     return reports
 
 

@@ -240,9 +240,13 @@ def _cmd_lindeberg(args, config: AppConfig) -> int:
     ]
     out = _write_manifest(args, config)
     _write_json(out / "lindeberg.json", {"reports": reports})
-    _write_csv(out / "lindeberg.csv", ("n", "r", "sum_value", "method", "stderr"), reports)
+    _write_csv(
+        out / "lindeberg.csv", ("n", "r", "sum_value", "method", "stderr", "unreached"), reports
+    )
     for r in reports:
         extra = f" stderr={r['stderr']:.3g}" if r["stderr"] is not None else ""
+        if r["unreached"]:
+            extra += ", no draw reached"
         print(f"n={r['n']} r={r['r']}: sum={r['sum_value']:.6g} ({r['method']}{extra})")
     return 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -255,6 +256,10 @@ def _simulate_grid_point(
     rows = min(max(1, CHUNK_BYTES // (8 * n)), replicates)
     starts = range(0, replicates, rows)
     workers = min(workers, len(starts))
+    # Set when a worker fails or the wait on the pool ends: each worker checks
+    # it before its next chunk, so that leaving the pool, which joins every
+    # worker, waits for at most one more chunk per worker (a Ctrl-C, say).
+    stop = threading.Event()
 
     def work(first: int) -> None:
         # A worker takes every workers-th chunk and reuses one workspace for
@@ -265,29 +270,40 @@ def _simulate_grid_point(
         workspace = np.empty((5 if need_latents else 3, rows, n))
         xi_buf, eta_buf, scratch_buf = workspace[:3]
         delta_buf, eps_buf = workspace[3:] if need_latents else (xi_buf, eta_buf)
-        for lo in starts[first::workers]:
-            hi = min(lo + rows, replicates)
-            k = hi - lo
-            e = uniforms(eps_keys[lo:hi], n, out=eps_buf[:k])
-            d = uniforms(delta_keys[lo:hi], n, out=delta_buf[:k])
-            spec.eps_dist.sample(e, out=e)
-            spec.delta_dist.sample(d, out=d)
-            xi = np.add(d, x, out=xi_buf[:k])
-            eta = np.add(e, eta_base, out=eta_buf[:k])
-            scratch = scratch_buf[:k]
-            beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], xi_mean[lo:hi] = kernels.fit_batch(
-                xi, eta, scratch=scratch
-            )
-            if need_rvar:
-                rvar[lo:hi] = kernels.residual_variance(xi, eta, beta_hat[lo:hi], scratch=scratch)
-            if need_latents:
-                sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d, scratch=scratch)
+        try:
+            for lo in starts[first::workers]:
+                if stop.is_set():
+                    return
+                hi = min(lo + rows, replicates)
+                k = hi - lo
+                e = uniforms(eps_keys[lo:hi], n, out=eps_buf[:k])
+                d = uniforms(delta_keys[lo:hi], n, out=delta_buf[:k])
+                spec.eps_dist.sample(e, out=e)
+                spec.delta_dist.sample(d, out=d)
+                xi = np.add(d, x, out=xi_buf[:k])
+                eta = np.add(e, eta_base, out=eta_buf[:k])
+                scratch = scratch_buf[:k]
+                beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], xi_mean[lo:hi] = kernels.fit_batch(
+                    xi, eta, scratch=scratch
+                )
+                if need_rvar:
+                    rvar[lo:hi] = kernels.residual_variance(
+                        xi, eta, beta_hat[lo:hi], scratch=scratch
+                    )
+                if need_latents:
+                    sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d, scratch=scratch)
+        except BaseException:
+            stop.set()  # the other workers stop too
+            raise
 
     if workers <= 1:
         work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+            try:
+                list(pool.map(work, range(workers)))
+            finally:
+                stop.set()
 
     valid = sxx >= singular_threshold(n, xi_mean)
 

@@ -23,12 +23,12 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
 
 from .design import DesignSequence, real_number
 from .errors import ConfigError
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
+from .special import gamma_ratio
 
 FAMILIES = (
     "normal",
@@ -533,7 +533,7 @@ class ErrorDistribution:
             f0, e, w, p, q = 0.5, 1, m, 1.0, 0
         else:  # student-t
             nu = float(self.df)  # type: ignore[arg-type]
-            f0 = 1.0 / (math.sqrt(nu) * float(beta_function(0.5, nu / 2)))
+            f0 = gamma_ratio(nu / 2, 0.5) / math.sqrt(nu * math.pi)
             e, w, p, q = 2, m * m / nu, (nu + 1) / 2, 1
         term = np.ones_like(m)
         total = term / (k + 1)
@@ -562,8 +562,9 @@ class ErrorDistribution:
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)
             a, b = (k + 1) / 2, (nu - k) / 2
-            ratio = beta_function(a, b) / beta_function(0.5, nu / 2)
-            value = s**k * nu ** (k / 2) * float(ratio) * _regularized_beta(a, b, x, y)
+            # B(a, b) / B(1/2, nu/2) = Gamma(a) Gamma(b) / (sqrt(pi) Gamma(nu/2))
+            ratio = math.gamma(a) / _SQRT_PI / gamma_ratio(b, k / 2)
+            value = s**k * nu ** (k / 2) * ratio * _regularized_beta(a, b, x, y)
         else:
             value = np.where(s < c, s**k, 0.0)
         return value

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evclt import asymptotics
 from evclt.asymptotics import (
@@ -197,6 +198,7 @@ def test_lindeberg_bounded_law_exact_zero(linear_design):
     assert report.sum_value == 0.0
     [mc] = lindeberg_sum(linear_design, [100], spec, [1.0], method="monte-carlo", mc_budget=1000)
     assert mc.sum_value == 0.0 and mc.stderr == 0.0
+    assert not mc.unreached and not report.unreached  # an exact zero, not an unresolved one
 
 
 def test_lindeberg_r_to_zero_recovers_normalization(linear_design, standard_spec):
@@ -322,13 +324,13 @@ def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
 
 
 def _recording_monte_carlo_sum(monkeypatch):
-    """Wrap ``_monte_carlo_sum``; each call appends (r, coeff, nu_abs)."""
+    """Wrap ``_monte_carlo_sum``; each call appends (r, coeff, draw)."""
     calls = []
     real = asymptotics._monte_carlo_sum
 
-    def recording(coeff, r, nu_abs):
-        calls.append((r, coeff, nu_abs))
-        return real(coeff, r, nu_abs)
+    def recording(coeff, r, draw):
+        calls.append((r, coeff, draw))
+        return real(coeff, r, draw)
 
     monkeypatch.setattr(asymptotics, "_monte_carlo_sum", recording)
     return calls
@@ -344,8 +346,8 @@ def test_lindeberg_monte_carlo_skips_the_pairs_no_draw_reaches(
     reports = lindeberg_sum(
         linear_design, grid, standard_spec, r_grid, method="monte-carlo", mc_budget=2000
     )
-    [nu_abs] = {id(nu): nu for _, _, nu in calls}.values()
-    nu_max = float(np.max(nu_abs))
+    [draw] = {id(d): d for _, _, d in calls}.values()
+    nu_max = float(np.max(draw.nu))
     # r = 0.01 is reached at every n, which records each n's coefficients
     coeff_of = {coeff.size: coeff for _, coeff, _ in calls}
     called = [(coeff.size, r) for r, coeff, _ in calls]
@@ -358,10 +360,11 @@ def test_lindeberg_monte_carlo_skips_the_pairs_no_draw_reaches(
         coeff = coeff_of[rep.n]
         reached = rep.r / float(np.max(coeff)) < nu_max
         assert ((rep.n, rep.r) in called) == reached
+        assert rep.unreached == (not reached)
         if reached:
             assert rep.sum_value > 0.0
         else:
-            assert asymptotics._monte_carlo_sum(coeff, rep.r, nu_abs) == (0.0, 0.0)
+            assert asymptotics._monte_carlo_sum(coeff, rep.r, draw) == (0.0, 0.0)
             assert (rep.sum_value, rep.stderr) == (0.0, 0.0)
 
 
@@ -372,8 +375,8 @@ def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standar
     n = 1000
     calls = _recording_monte_carlo_sum(monkeypatch)
     lindeberg_sum(linear_design, [n], standard_spec, [0.01], method="monte-carlo", mc_budget=2000)
-    [(_, coeff, nu_abs)] = calls
-    max_coeff, nu_max = float(np.max(coeff)), float(np.max(nu_abs))
+    [(_, coeff, draw)] = calls
+    max_coeff, nu_max = float(np.max(coeff)), float(np.max(draw.nu))
     r = nu_max * max_coeff
     while r / max_coeff < nu_max:
         r = math.nextafter(r, math.inf)
@@ -389,20 +392,23 @@ def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standar
     )
     assert [call[0] for call in calls] == [below]
     assert (at.sum_value, at.stderr) == (0.0, 0.0)
-    assert asymptotics._monte_carlo_sum(coeff, r, nu_abs) == (0.0, 0.0)
+    assert asymptotics._monte_carlo_sum(coeff, r, draw) == (0.0, 0.0)
     assert under.sum_value > 0.0 and under.stderr > 0.0
+    assert at.unreached and not under.unreached
 
 
 def test_lindeberg_sum_is_invariant_to_the_error_scale(linear_design):
     # X_{n,i} = d(x_i) nu_i / sqrt(S_n V) does not depend on the scale of nu.
     # At scale 1e152, S_n V = 8.3e4 * 1e304 overflows, while sqrt(S_n) and
-    # sqrt(V) do not; the sums must equal those at scale 1.
+    # sqrt(V) do not; the sums must equal those at scale 1. So must the
+    # Monte Carlo standard errors: 1e5 draws of nu^2 ~ 1e304 would overflow
+    # an unscaled running sum.
     grid, r_grid = [100, 500], [0.05, 0.15]
     for method in ("quadrature", "monte-carlo"):
         unit, huge = (
             lindeberg_sum(
                 linear_design, grid, _spec(eps=("normal", scale), delta=("normal", 0.0)), r_grid,
-                method=method, mc_budget=2000,
+                method=method, mc_budget=100_000,
             )
             for scale in (1.0, 1e152)
         )
@@ -410,6 +416,9 @@ def test_lindeberg_sum_is_invariant_to_the_error_scale(linear_design):
             assert (a.n, a.r) == (b.n, b.r)
             assert a.sum_value > 0.0
             assert b.sum_value == pytest.approx(a.sum_value, rel=1e-12, abs=0.0)
+            if method == "monte-carlo":
+                assert a.stderr > 0.0 and math.isfinite(b.stderr)
+                assert b.stderr == pytest.approx(a.stderr, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad_uniform", [1.0, math.nan], ids=["inf", "nan"])
@@ -435,10 +444,102 @@ def test_lindeberg_monte_carlo_never_skips_on_a_non_finite_draw(
             mc_budget=2000,
         )
     assert [call[0] for call in calls] == [0.5, 1.7e308]
-    _, coeff, nu_abs = calls[0]
+    _, coeff, draw = calls[0]
     assert 1.7e308 / float(np.max(coeff)) == math.inf
-    assert not math.isfinite(float(np.max(nu_abs)))
+    assert not math.isfinite(float(np.max(draw.nu)))
     assert len(reports) == 2
+
+
+def _per_draw_reference(coeff, r, nu_abs):
+    """(sum, standard error, per-draw terms) averaged draw by draw: the
+    formula that ``_monte_carlo_sum`` rearranges, kept as its reference."""
+    thresholds = r / coeff
+    order = np.argsort(thresholds)
+    weight_prefix = np.concatenate([[0.0], np.cumsum((coeff * coeff)[order])])
+    active_weight = weight_prefix[np.searchsorted(thresholds[order], nu_abs, side="left")]
+    per_draw = nu_abs * nu_abs * active_weight
+    return (
+        float(np.mean(per_draw)),
+        float(np.std(per_draw, ddof=1) / math.sqrt(nu_abs.size)),
+        per_draw,
+    )
+
+
+def _sorted_sum(coeff, r, nu_abs, sigma=1.0):
+    """``_monte_carlo_sum`` on copies of the coefficients and the draw."""
+    nu_abs = np.array(nu_abs, dtype=np.float64)
+    draw = asymptotics._sorted_draw(nu_abs, sigma, np.empty_like(nu_abs))
+    return asymptotics._monte_carlo_sum(np.sort(coeff)[::-1], r, draw)
+
+
+@given(
+    coeff=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=40),
+    nu=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=200),
+    r=st.floats(1e-3, 10.0),
+    sigma=st.floats(0.25, 4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_sorted_monte_carlo_sum_matches_the_per_draw_formula(coeff, nu, r, sigma):
+    coeff, nu = np.array(coeff), np.array(nu)
+    ref_sum, ref_stderr, per_draw = _per_draw_reference(coeff, r, nu)
+    got_sum, got_stderr = _sorted_sum(coeff, r, nu, sigma)
+    assert got_sum == pytest.approx(ref_sum, rel=1e-12, abs=0.0)
+    # The variance is the mean of p_j^2 less the squared mean, so its
+    # rounding is relative to the mean of p_j^2; it cancels where every p_j
+    # is about the same.
+    variance_gap = abs(got_stderr**2 - ref_stderr**2) * nu.size
+    assert variance_gap <= 1e-12 * float(np.mean(per_draw**2))
+
+
+def test_sorted_monte_carlo_sum_at_draws_equal_to_thresholds():
+    # thresholds r / coeff = 2 and 4, both drawn: a draw counts only strictly
+    # above a threshold. Every product is exact: p = (0, 0, 9/4, 16/4, 25 (1/4 + 1/16)).
+    coeff, nu = np.array([0.25, 0.5]), np.array([4.0, 1.0, 5.0, 2.0, 3.0])
+    got = _sorted_sum(coeff, 1.0, nu)
+    ref_sum, ref_stderr, _ = _per_draw_reference(coeff, 1.0, nu)
+    assert got[0] == ref_sum == 14.0625 / 5
+    assert got[1] == pytest.approx(ref_stderr, rel=1e-12, abs=0.0)
+    # one float past the threshold, the draw counts
+    above = nu.copy()
+    above[3] = math.nextafter(2.0, math.inf)
+    assert _sorted_sum(coeff, 1.0, above)[0] > got[0]
+    # from the largest draw on, no draw counts: exactly 0 +/- 0
+    for r in (5.0 * 0.5, 10.0):
+        assert _sorted_sum(coeff, r, nu) == (0.0, 0.0) == _per_draw_reference(coeff, r, nu)[:2]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("coeff", [[0.1, 0.3, 0.2], [2.0, 0.1, 0.3]], ids=["small", "mixed"])
+@pytest.mark.parametrize("r", [0.5, 1.7e308])
+def test_sorted_monte_carlo_sum_keeps_the_non_finite_results(bad, coeff, r):
+    # At r = 1.7e308 the thresholds of coefficients below 1 overflow to inf:
+    # with only those, an infinite draw has weight 0 and its term is
+    # inf * 0 = NaN; with a finite threshold too, it is inf.
+    coeff, nu = np.array(coeff), np.array([0.5, 2.0, bad, 7.0, 1.0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = _per_draw_reference(coeff, r, nu)[:2]
+        got = _sorted_sum(coeff, r, nu)
+    assert not math.isfinite(ref[1])
+    np.testing.assert_equal(got, ref)
+
+
+def test_lindeberg_monte_carlo_matches_the_per_draw_formula(monkeypatch, linear_design):
+    # the keyed draw of a student-t delta law, at every (n, r) that reaches it
+    spec = _spec(delta=("student-t", 1.0))
+    calls = _recording_monte_carlo_sum(monkeypatch)
+    reports = lindeberg_sum(
+        linear_design, [50, 500, 5000], spec, [0.1, 0.5, 1.0], method="monte-carlo",
+        mc_budget=20_000,
+    )
+    assert len(calls) >= 6
+    computed = {(coeff.size, r): (coeff, draw) for r, coeff, draw in calls}
+    for rep in reports:
+        if (rep.n, rep.r) not in computed:
+            continue
+        coeff, draw = computed[rep.n, rep.r]
+        ref_sum, ref_stderr, _ = _per_draw_reference(coeff, rep.r, draw.nu)
+        assert rep.sum_value == pytest.approx(ref_sum, rel=1e-12, abs=0.0)
+        assert rep.stderr == pytest.approx(ref_stderr, rel=1e-12, abs=0.0)
 
 
 def test_lindeberg_preconditions(linear_design, standard_spec, noiseless_spec):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -383,6 +384,41 @@ def test_lindeberg_bounded_zero_case(tmp_path):
     assert report["reports"][0]["sum_value"] == 0.0
 
 
+def test_lindeberg_flags_the_monte_carlo_pairs_no_draw_reaches(tmp_path, capsys):
+    # diagnose-linear by Monte Carlo: at (n = 100, r = 1.0) no draw of 1e5
+    # reaches the smallest threshold, so the estimate reads 0 +/- 0 where
+    # quadrature gives 2.2e-8; the flag tells it from an exact zero
+    data = yaml.safe_load((_CONFIGS / "diagnose-linear.yaml").read_text(encoding="utf-8"))
+    data["lindeberg"].update(method="monte-carlo", mc_budget=100_000)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, data)
+    assert main(["lindeberg", "--config", str(config), "--out", str(out)]) == 0
+    reports = json.loads((out / "lindeberg.json").read_text())["reports"]
+    unreached = [(r["n"], r["r"]) for r in reports if r["unreached"]]
+    assert (100, 1.0) in unreached and len(unreached) < len(reports)
+    for r in reports:
+        if r["unreached"]:
+            assert (r["sum_value"], r["stderr"]) == (0.0, 0.0)
+        else:
+            assert r["sum_value"] > 0.0
+    with open(out / "lindeberg.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["unreached"] for row in rows] == [str(r["unreached"]) for r in reports]
+    lines = capsys.readouterr().out.splitlines()
+    assert "n=100 r=1.0: sum=0 (monte-carlo stderr=0, no draw reached)" in lines
+    assert sum(line.endswith(", no draw reached)") for line in lines) == len(unreached)
+
+    # a bounded |nu| that no threshold can reach: the sum is exactly zero,
+    # and no draw is made, so nothing is flagged
+    data["model"]["eps"] = data["model"]["delta"] = {"family": "uniform-centered", "scale": 1.0}
+    data.update(grid=[1000], lindeberg={"r_grid": [0.5], "method": "monte-carlo"})
+    out = tmp_path / "bounded"
+    config = _write_config(tmp_path, data)
+    assert main(["lindeberg", "--config", str(config), "--out", str(out)]) == 0
+    [report] = json.loads((out / "lindeberg.json").read_text())["reports"]
+    assert (report["sum_value"], report["stderr"], report["unreached"]) == (0.0, 0.0, False)
+
+
 def test_lindeberg_rejects_nonpositive_r(tmp_path):
     config = _write_config(tmp_path, _base_config(lindeberg={"r_grid": [-0.5]}))
     assert main(["lindeberg", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -614,21 +650,21 @@ _PINNED_OUTPUTS = {
     "diagnose-student-t-delta": {
         "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
         "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
-        "diagnostics.json": "2a6feb288543189412b4fae2c08b0cff8926785d94b3e9f7a22278b1b52dda8e",
+        "diagnostics.json": "6a1cd011e685c0f1c0319837417564401fa13d3f22cb3715423286efe58a21e6",
         "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
-        "petrov.csv": "c55eef588c76a71652dc22beecb1b278172a06dbf04994bd25e5e5a8701bc572",
+        "petrov.csv": "a13ff61353339209d8ce39a264b6dbb085eab7f2725d84ee60b0f77e7277fb31",
         "exit": 0,
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },
     "lindeberg-monte-carlo": {
-        "lindeberg.csv": "584977a403e9fae8c9d8bddddf59f77fa877ed795596b30d6ff884dbcff3c32c",
-        "lindeberg.json": "1cfa98c1cb5f820a84eaf9eabda72dc48a8d5f3f689a8fdaff4fef7a33b27ea7",
+        "lindeberg.csv": "cc47762191fd45467bda257b5df5b5a04f5cd7c8c97e97af461aff3e89922934",
+        "lindeberg.json": "4402961dfdcddc4169d04e1a7a530ff543928b2c9dfbb58740d0bf5c87fcb514",
         "exit": 0,
-        "stdout": "7b75df18f85a65173beee8c959041f0a27a0de74a866422d85b323f70ae12b22",
+        "stdout": "c6d62366504e3f41869a09b8a7e1f5bd2e908ebc55074cddabdd555e82c2465c",
     },
     "lindeberg-quadrature": {
-        "lindeberg.csv": "06fd65f250144cb5b60ed4f1d928817d36b3b965081a1dc8e9ef78c17b598a98",
-        "lindeberg.json": "0660e7b20b628656fc2cb7a77ee8b24417e771cb7e029bc9742bbf812b17f620",
+        "lindeberg.csv": "fbfc059c259fd0e012e098fba120091cf76c1e3c32ecfb8d434e285716d20b96",
+        "lindeberg.json": "a88d7b3a450b1456a1645827499f209a69689de3c12cde37b9053edc290d7f6e",
         "exit": 0,
         "stdout": "92a86321cd6955ddb0a0e0c22e2acbcc191e25cf8449bc8cd2ddcc65696d6252",
     },

@@ -320,6 +320,52 @@ def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standa
     assert parallel.identity_gap == serial.identity_gap
 
 
+def test_a_failing_worker_stops_the_pool_within_one_chunk(
+    monkeypatch, linear_design, standard_spec
+):
+    # One-row chunks under 2 workers, and the 3rd fit_batch call raises. The
+    # other worker stops before its next chunk, so the error reaches the
+    # caller after at most one more call per worker, not after that
+    # worker's whole share of the 300 chunks. A Ctrl-C in the waiting thread
+    # stops the workers the same way.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    workers, calls, lock = 2, [], threading.Lock()
+    # each worker's first call waits for the other's, so that both are
+    # running when one fails
+    all_started, started = threading.Barrier(workers, timeout=60), set()
+    real_fit_batch = harness.kernels.fit_batch
+
+    def failing_fit_batch(*args, **kwargs):
+        with lock:
+            first = threading.get_ident() not in started
+            started.add(threading.get_ident())
+        if first:
+            all_started.wait()
+        with lock:
+            calls.append(None)
+            call = len(calls)
+        if call == 3:
+            raise RuntimeError("chunk failed")
+        return real_fit_batch(*args, **kwargs)
+
+    monkeypatch.setattr(harness.kernels, "fit_batch", failing_fit_batch)
+    n = 50
+    x = linear_design.generate(n)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        harness._simulate_grid_point(
+            spec=standard_spec,
+            x=x,
+            summary=summarize(x),
+            n=n,
+            replicates=300,
+            seed=3,
+            need_latents=False,
+            need_rvar=False,
+            workers=workers,
+        )
+    assert 3 <= len(calls) <= 2 + workers
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, pytest.param(None, id="default")])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_replicate_keys_are_hashed_once_per_stream_not_per_chunk(

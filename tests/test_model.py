@@ -24,6 +24,7 @@ from evclt.model import (
     moment,
 )
 from evclt.rng import STREAM_EPS, uniforms
+from evclt.special import gamma_ratio
 
 
 # --- sampling ----------------------------------------------------------------
@@ -657,10 +658,23 @@ def test_student_t_truncated_moments_pinned():
     assert dist.tail_second_moment(10.0) == pytest.approx(0.08589366631823883, rel=1e-12)
 
 
-@pytest.mark.parametrize("df", [4.5, 6.0, 30.0, 200.0])
+def test_gamma_ratio_matches_mpmath_at_every_size():
+    # Gamma(x + a) / Gamma(x) on both sides of the shift to x >= 16 and far
+    # past it, at the half-integer and integer a of the student-t moments
+    mpmath = pytest.importorskip("mpmath")
+    for x in (0.05, 0.25, 1.0, 2.35, 7.5, 15.9, 16.0, 100.0, 5e3, 5e5, 5e7, 1e12):
+        for a in (0.5, 1.0, 1.5, 2.0, 2.5):
+            with mpmath.workdps(50):
+                ref = mpmath.exp(mpmath.loggamma(mpmath.mpf(x) + a) - mpmath.loggamma(x))
+            assert gamma_ratio(x, a) == pytest.approx(float(ref), rel=4e-15), (x, a)
+
+
+@pytest.mark.parametrize("df", [4.5, 6.0, 30.0, 200.0, 1e3, 1e4, 1e5, 1e6])
 def test_student_t_truncated_moments_match_incomplete_beta_reference(df):
     # T^2 / (nu + T^2) ~ Beta(1/2, nu/2): both moments are regularized
-    # incomplete beta functions, evaluated here at 50 digits.
+    # incomplete beta functions, evaluated here at 50 digits. Their
+    # prefactors are gamma ratios, which scipy's beta function loses to
+    # 1e-11 at df 1e4 and 1e-9 at df 1e6.
     mpmath = pytest.importorskip("mpmath")
     scale = 2.0  # a power of two, so cutoff / scale is exact
     dist = ErrorDistribution("student-t", scale, df=df)
