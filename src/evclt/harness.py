@@ -6,7 +6,9 @@ stream), and each stream's keys are hashed once per grid point; a replicate
 chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows, a count that follows
 from n alone, draws from its slice of those keys, and writes its results at
 its own replicate indices, so a run's report is a pure function of its
-configuration regardless of worker count. The KS pass threshold is the
+configuration regardless of worker count. Each worker reuses one workspace:
+its (rows, n) data blocks and a product scratch of one slice
+(``kernels.SLICE``). The KS pass threshold is the
 classical 5% critical value 1.36 / sqrt(R) plus a fixed absolute slack
 that budgets for pre-asymptotic (finite-n) deviation separately from
 Monte Carlo noise.
@@ -42,13 +44,14 @@ from .estimator import (
 from .model import EVModelSpec
 from .rng import MAX_REPLICATES, STREAM_DELTA, STREAM_EPS, replicate_keys, uniforms
 
-# Bytes of one float64 (rows, n) block of a replicate chunk; every block a
-# worker holds at once is a small multiple of this. With keys hashed once per
-# grid point, CPU time is level from 256 KiB to 2 MiB, and peak RSS falls
-# with the budget (benchmarks/BENCH_chunk-budget.json); 1 MiB is the
-# smallest budget whose one block of headroom holds the closed-form
-# student-t scratch (model._T_SLICE) next to the design rows.
-CHUNK_BYTES = 1 << 20
+# Bytes of one float64 (rows, n) data block of a replicate chunk. A worker
+# holds 2 data blocks (4 with the latents) and slice-sized buffers only
+# (kernels.SLICE): the kernels' product scratch and the closed-form
+# student-t temporaries. With keys hashed once per grid point, CPU time is
+# level from 256 KiB to 2 MiB, and peak RSS falls with the budget
+# (benchmarks/BENCH_chunk-budget.json). 512 KiB keeps the rows of a chunk
+# (8 of them at n = 8192) long enough that per-call overhead stays small.
+CHUNK_BYTES = 1 << 19
 
 TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
@@ -263,13 +266,14 @@ def _simulate_grid_point(
 
     def work(first: int) -> None:
         # A worker takes every workers-th chunk and reuses one workspace for
-        # all of them: xi, eta and a product scratch, plus the latent eps and
+        # all of them: the data blocks xi and eta, plus the latent eps and
         # delta when they are kept (else delta becomes xi and eps eta in
-        # place). Each chunk owns the disjoint slice [lo, hi) of every
-        # output array.
-        workspace = np.empty((5 if need_latents else 3, rows, n))
-        xi_buf, eta_buf, scratch_buf = workspace[:3]
-        delta_buf, eps_buf = workspace[3:] if need_latents else (xi_buf, eta_buf)
+        # place), and the kernels' product scratch of one slice. Each chunk
+        # owns the disjoint slice [lo, hi) of every output array.
+        workspace = np.empty((4 if need_latents else 2, rows, n))
+        xi_buf, eta_buf = workspace[:2]
+        delta_buf, eps_buf = workspace[2:] if need_latents else (xi_buf, eta_buf)
+        scratch = kernels.slice_scratch(n, rows)
         try:
             for lo in starts[first::workers]:
                 if stop.is_set():
@@ -282,7 +286,6 @@ def _simulate_grid_point(
                 spec.delta_dist.sample(d, out=d)
                 xi = np.add(d, x, out=xi_buf[:k])
                 eta = np.add(e, eta_base, out=eta_buf[:k])
-                scratch = scratch_buf[:k]
                 beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], xi_mean[lo:hi] = kernels.fit_batch(
                     xi, eta, scratch=scratch
                 )

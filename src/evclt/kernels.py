@@ -7,16 +7,24 @@ this keeps S_n within 1e-15 relative of the exact rational value, so no
 compensated summation is needed; ``tests/test_design.py`` pins that bound.
 
 The batched kernels work on (rows, n) float64 C-contiguous blocks and
-allocate no block of their own when given one: ``fit_batch`` centers its
-inputs in place, and ``residual_variance`` and ``decompose_batch`` read the
-centered rows it leaves. Each product is formed in a ``scratch`` block of
-the same shape (a fresh one when none is given) and summed along the row,
-so every value is the one the unbuffered expression would give.
+allocate no block of their own: ``fit_batch`` centers its inputs in place,
+and ``residual_variance`` and ``decompose_batch`` read the centered rows it
+leaves. Each product is formed in a ``scratch`` of one slice
+(``slice_scratch``; a fresh one when none is given) and summed along the
+row, one slice of rows at a time. numpy sums each row of a C-contiguous
+block pairwise on its own, whatever the number of rows reduced together, so
+every value is the one the unbuffered expression would give.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Elements of one slice, 128 KiB of float64. The batched kernels form their
+# products in a scratch of one slice, and ``model._EvenStudentT`` samples
+# in slices of this size: small enough to stay in a 2 MiB L2 next to the
+# rows it reads, and large enough that per-call overhead stays small.
+SLICE = 16384
 
 
 def _as_f64(a) -> np.ndarray:
@@ -31,8 +39,29 @@ def summary_stats(x) -> tuple[float, float, float]:
     return mean, float(np.sum(dev * dev)), float(np.max(np.abs(dev)))
 
 
+def slice_scratch(n: int, rows: int | None = None) -> np.ndarray:
+    """An uninitialized (r, n) product scratch of one slice: r = SLICE // n
+    rows, at least one (a row longer than a slice) and at most ``rows``."""
+    r = max(1, SLICE // n)
+    return np.empty((r if rows is None else max(1, min(r, rows)), n))
+
+
+def _row_slices(rows: int, scratch: np.ndarray):
+    """(lo, hi, s) for each slice [lo, hi) of a block's ``rows`` rows, with s
+    the first hi - lo rows of ``scratch``."""
+    step = scratch.shape[0]
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        yield lo, hi, scratch[: hi - lo]
+
+
 def _row_sum_of_products(a, b, scratch) -> np.ndarray:
-    return np.multiply(a, b, out=scratch).sum(axis=1)
+    """sum_j a[i, j] b[i, j] for each row i of ``b``; a 1-D ``a`` is one row
+    broadcast to every row."""
+    out = np.empty(b.shape[0])
+    for lo, hi, s in _row_slices(b.shape[0], scratch):
+        np.multiply(a if a.ndim == 1 else a[lo:hi], b[lo:hi], out=s).sum(axis=1, out=out[lo:hi])
+    return out
 
 
 def fit_batch(xi, eta, scratch=None):
@@ -44,7 +73,7 @@ def fit_batch(xi, eta, scratch=None):
     of squares, regressor mean). Rows with a constant regressor yield
     non-finite slopes; the caller decides how to treat them.
     """
-    scratch = np.empty_like(xi) if scratch is None else scratch
+    scratch = slice_scratch(xi.shape[1], xi.shape[0]) if scratch is None else scratch
     xi_mean = xi.mean(axis=1)
     eta_mean = eta.mean(axis=1)
     xi -= xi_mean[:, None]
@@ -60,10 +89,15 @@ def fit_batch(xi, eta, scratch=None):
 def residual_variance(dxi, deta, beta, scratch=None):
     """Row-wise mean squared residual (divisor n) of the fits ``beta``, from
     the centered blocks that ``fit_batch`` leaves in its inputs."""
-    scratch = np.empty_like(dxi) if scratch is None else scratch
-    np.multiply(dxi, beta[:, None], out=scratch)
-    np.subtract(deta, scratch, out=scratch)
-    return _row_sum_of_products(scratch, scratch, scratch) / dxi.shape[1]
+    rows, n = dxi.shape
+    scratch = slice_scratch(n, rows) if scratch is None else scratch
+    out = np.empty(rows)
+    for lo, hi, s in _row_slices(rows, scratch):
+        np.multiply(dxi[lo:hi], beta[lo:hi, None], out=s)
+        np.subtract(deta[lo:hi], s, out=s)
+        np.multiply(s, s, out=s).sum(axis=1, out=out[lo:hi])
+    out /= n
+    return out
 
 
 def decompose_batch(x, xi, eps, delta, scratch=None):
@@ -75,7 +109,7 @@ def decompose_batch(x, xi, eps, delta, scratch=None):
     sum d(delta)_i^2, sum d(delta)_i eps_i. The fit supplies the sixth
     sum, sum d(xi)_i^2.
     """
-    scratch = np.empty_like(xi) if scratch is None else scratch
+    scratch = slice_scratch(xi.shape[1], xi.shape[0]) if scratch is None else scratch
     x = _as_f64(x)
     xdev = x - np.mean(x)
     s_xi_eps = _row_sum_of_products(xi, eps, scratch)

@@ -27,6 +27,7 @@ from scipy.special import betainc, erfc, gammainc, gammaln, ndtri, stdtr, stdtri
 
 from .design import DesignSequence, real_number
 from .errors import ConfigError
+from .kernels import SLICE
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
 from .special import gamma_ratio
 
@@ -73,12 +74,13 @@ def _per_cutoff(cutoff, at_most_zero, value):
 # within 5.3 ulp up to df 40; above, its gain falls toward 2.2x and its error
 # rises to 11 ulp (past 8 from df 72).
 EVEN_T_DF_MAX = 40
-# Elements per slice of ``_EvenStudentT.quantile``: each temporary stays near
-# 128 KiB, whatever the size of the block, and at most about four are alive
-# at once, so a slice's scratch fits in the one block of headroom that a
-# harness chunk leaves (``harness.CHUNK_BYTES``). Halving the slice costs
-# about 15% of the sampler's time in per-call overhead.
-_T_SLICE = 16384
+# Elements per slice of ``_EvenStudentT.quantile``, the kernels' slice: each
+# temporary stays near 128 KiB, whatever the size of the block, and at most
+# about four are alive at once. A harness worker holds them on top of its
+# data blocks, next to the kernels' product scratch of the same size
+# (``harness.CHUNK_BYTES``). Halving the slice costs about 15% of the
+# sampler's time in per-call overhead.
+_T_SLICE = SLICE
 
 
 def _horner(coefficients: tuple[float, ...], y: np.ndarray) -> np.ndarray:

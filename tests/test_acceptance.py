@@ -90,8 +90,9 @@ def test_a1_beta_clt_linear_design():
         variance_source="true",
         tests=("beta-clt",),
     )
-    # Each worker holds blocks of about CHUNK_BYTES (1 MiB) whatever n is,
-    # and reports are worker-invariant (A8), so two workers only save time.
+    # Each worker holds data blocks of about CHUNK_BYTES (512 KiB) and a
+    # scratch of one slice whatever n is, and reports are worker-invariant
+    # (A8), so two workers only save time.
     report, _ = run_experiment(config, workers=2)
     small, large = (entry["normality"]["z_beta"] for entry in report["grid"])
 

@@ -345,3 +345,82 @@ def test_batched_kernels_center_once_and_match_the_direct_sums():
     for got, want in zip(sums, expected):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(delta_buf, ddelta)
+
+
+def _one_row_dot(a, b) -> float:
+    return float(np.multiply(a, b).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 3000), st.integers(kernels.SLICE + 1, 2 * kernels.SLICE + 7)),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slice_sums_match_the_one_row_sums_bit_for_bit(n, data, seed):
+    # The kernels sum a block one slice of rows at a time; every per-row
+    # result equals the 1-D computation on that row alone, for row counts
+    # that are not a multiple of the slice rows, for rows longer than a
+    # slice, for the broadcast d(x) row, and whatever scratch is given
+    # (None, as estimator.fit and estimator.decompose pass, included).
+    slice_rows = max(1, kernels.SLICE // n)
+    rows = data.draw(st.integers(1, min(2 * slice_rows + 3, 40)), label="rows")
+    scratch_rows = data.draw(st.sampled_from([None, 1, slice_rows, rows]), label="scratch_rows")
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.exponential(size=n))
+    delta = rng.standard_t(5, size=(rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    eps = rng.standard_normal((rows, n))
+    xi, eta = x + delta, 1.0 - 3.0 * x + eps
+    scratch = None if scratch_rows is None else np.full((scratch_rows, n), np.nan)
+
+    xi_buf, eta_buf, delta_buf = xi.copy(), eta.copy(), delta.copy()
+    beta, theta, sxx, xi_mean = kernels.fit_batch(xi_buf, eta_buf, scratch=scratch)
+    rvar = kernels.residual_variance(xi_buf, eta_buf, beta, scratch=scratch)
+    sums = kernels.decompose_batch(x, xi_buf, eps, delta_buf, scratch=scratch)
+    xdev = x - np.mean(x)
+    for i in range(rows):
+        dxi = xi[i] - xi[i].mean()
+        deta = eta[i] - eta[i].mean()
+        ddelta = delta[i] - delta[i].mean()
+        row_sxx = _one_row_dot(dxi, dxi)
+        row_beta = _one_row_dot(dxi, deta) / row_sxx
+        assert (sxx[i], beta[i], xi_mean[i]) == (row_sxx, row_beta, xi[i].mean())
+        assert theta[i] == eta[i].mean() - row_beta * xi[i].mean()
+        resid = deta - dxi * row_beta
+        assert rvar[i] == _one_row_dot(resid, resid) / n
+        expected = (
+            _one_row_dot(dxi, eps[i]),
+            _one_row_dot(xdev, delta[i]),
+            _one_row_dot(xdev, eps[i]),
+            _one_row_dot(ddelta, ddelta),
+            _one_row_dot(ddelta, eps[i]),
+        )
+        assert tuple(s[i] for s in sums) == expected
+
+
+def test_one_sample_fit_longer_than_a_slice_matches_the_one_row_sums():
+    # estimator.fit and estimator.decompose run the kernels on one-row copies
+    # with no scratch; draw_sample samples the t law in slices of the same
+    # size. At n above a slice both must still give the 1-D sums.
+    n = kernels.SLICE + 4099
+    spec = EVModelSpec(
+        theta=1.0,
+        beta=2.0,
+        eps_dist=ErrorDistribution("student-t", 1.0, df=6.0),
+        delta_dist=ErrorDistribution("laplace", 0.5),
+    )
+    design = DesignSequence("linear")
+    sample = draw_sample(spec, design, n, seed=4, retain_latents=True)
+    dxi = sample.xi - sample.xi.mean()
+    deta = sample.eta - sample.eta.mean()
+    beta = _one_row_dot(dxi, deta) / _one_row_dot(dxi, dxi)
+    result = fit(sample)
+    assert result.sxx_obs == _one_row_dot(dxi, dxi)
+    assert result.beta_hat == beta
+    resid = deta - dxi * beta
+    assert result.residual_var == _one_row_dot(resid, resid) / n
+    decomp = decompose(sample, spec)
+    ddelta = sample.latent_delta - sample.latent_delta.mean()
+    assert decomp.term_xi_eps == _one_row_dot(dxi, sample.latent_eps)
+    assert decomp.sum_delta_sq == _one_row_dot(ddelta, ddelta)
+    assert decomp.term_delta_eps == _one_row_dot(ddelta, sample.latent_eps)

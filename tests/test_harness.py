@@ -469,13 +469,17 @@ def test_report_bytes_are_pinned(
     assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest
 
 
-@pytest.mark.parametrize("need_latents, blocks", [(False, 4), (True, 6)])
-def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks):
-    # At n = CHUNK_BYTES // 40 a chunk holds 5 rows, so one (rows, n) block
-    # is just under CHUNK_BYTES. One worker reuses 3 blocks (xi, eta, a
-    # product scratch), or 5 when the latents are kept; the n-sized design
-    # rows fit in the one block of headroom, and the per-replicate arrays
-    # come on top.
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("need_latents, blocks", [(False, 2), (True, 4)])
+def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks, workers):
+    # At n = CHUNK_BYTES // 40 a chunk holds 5 rows, so one (rows, n) data
+    # block is just under CHUNK_BYTES, and one row is under a slice. Each
+    # worker reuses 2 data blocks (xi, eta), or 4 when the latents are kept,
+    # plus slice-sized buffers only: the kernels' product scratch and the
+    # student-t sampler's temporaries (under 5 slices, see test_model.py).
+    # The design rows eta_base and, with the latents, d(x) are shared, and
+    # the per-replicate arrays come on top. A spare block per worker, as a
+    # full (rows, n) product scratch would take, breaks the bound.
     n, replicates = harness.CHUNK_BYTES // 40, 20
     spec = EVModelSpec(
         theta=1.0,
@@ -486,6 +490,7 @@ def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks):
     x = DesignSequence("linear").generate(n)
     summary = summarize(x)
     assert harness.CHUNK_BYTES // (8 * n) == 5
+    assert 8 * n <= kernels.SLICE * 8
     tracemalloc.start()
     try:
         harness._simulate_grid_point(
@@ -497,13 +502,16 @@ def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks):
             seed=1,
             need_latents=need_latents,
             need_rvar=True,
-            workers=1,
+            workers=workers,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    slice_bytes = 8 * kernels.SLICE
+    per_worker = blocks * harness.CHUNK_BYTES + (1 + 5) * slice_bytes
+    design_rows = 2 * slice_bytes
     per_replicate = 8 * replicates * 16
-    assert peak < blocks * harness.CHUNK_BYTES + per_replicate
+    assert peak < workers * per_worker + design_rows + per_replicate
 
 
 def test_beta_clt_passes_at_moderate_scale(standard_spec):
