@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import betainc, erfc, gammainc, gammaln, ndtri, stdtr, stdtrit
+from scipy.special import betainc, erfc, gammainc, ndtri, stdtr, stdtrit
 
 from .design import DesignSequence, real_number
 from .errors import ConfigError
@@ -382,15 +382,13 @@ class ErrorDistribution:
             elif self.family == "laplace":
                 value = s**k * math.gamma(k + 1)
             elif self.family == "student-t":
+                # nu^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (Gamma(1/2) Gamma(nu/2))
+                # as two gamma ratios: a difference of log-gammas cancels as
+                # nu grows (6.6e-10 of the variance at df 1e6), and an even k
+                # makes both ratios exact products
                 nu = float(self.df)  # type: ignore[arg-type]
-                log_m = (
-                    (k / 2) * math.log(nu)
-                    + gammaln((k + 1) / 2)
-                    + gammaln((nu - k) / 2)
-                    - gammaln(nu / 2)
-                    - math.log(_SQRT_PI)
-                )
-                value = s**k * math.exp(log_m)
+                ratio = gamma_ratio(0.5, k / 2) / gamma_ratio((nu - k) / 2, k / 2)
+                value = s**k * nu ** (k / 2) * ratio
             else:  # scaled-rademacher
                 value = s**k
         except OverflowError:

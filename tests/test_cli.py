@@ -650,9 +650,9 @@ _PINNED_OUTPUTS = {
     "diagnose-student-t-delta": {
         "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
         "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
-        "diagnostics.json": "6a1cd011e685c0f1c0319837417564401fa13d3f22cb3715423286efe58a21e6",
+        "diagnostics.json": "eda1ba1a09f8cff851d876f3dbdda1d405fc13a2dca2b569be5f2d0328a71701",
         "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
-        "petrov.csv": "a13ff61353339209d8ce39a264b6dbb085eab7f2725d84ee60b0f77e7277fb31",
+        "petrov.csv": "7c1a0255dce644d208fbb8b6ba02b5a3126a95b6f01049e2a79b6c003635b8f0",
         "exit": 0,
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },

@@ -401,8 +401,9 @@ def test_replicate_keys_are_hashed_once_per_stream_not_per_chunk(
 
 # sha256 of report_json_bytes for small runs, taken before the chunk pipeline
 # reused per-worker blocks and transformed them in place (the student-t df 6
-# row since that law's closed-form quantile); a change that moves any output
-# bit changes these. Every error family appears, two with scale 0,
+# row since that law's closed-form quantile, the student-t df 5 row since its
+# variance became the exact fraction); a change that moves any output bit
+# changes these. Every error family appears, two with scale 0,
 # under both variance sources, with and without the negligibility latents.
 _PINNED_REPORTS = [
     (
@@ -424,7 +425,7 @@ _PINNED_REPORTS = [
         ErrorDistribution("scaled-rademacher", 0.5),
         "true",
         ("negligibility",),
-        "d8aff92a68076ece2e100783963469f4725f3ce0c6286bc5c5b420933ce784f0",
+        "5ea778e06f0784dc8a63ec7f1879e9aac12cfd69f9a341d78fc68e8fd9250ca5",
     ),
     (
         ErrorDistribution("normal", 0.0),
