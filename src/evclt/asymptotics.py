@@ -301,12 +301,15 @@ class _SortedDraw(NamedTuple):
     ``tail2[m - 1]`` and ``tail4[m - 1]`` are the sums of (|nu| / sigma)^2 and
     (|nu| / sigma)^4 over the m largest draws, with sigma = sqrt(Var(nu)):
     scaled so, they stay finite wherever the per-draw terms of the sum do.
+    ``square_variance`` is the sample variance of (|nu| / sigma)^2 over the
+    whole draw, from a two-pass sum.
     """
 
     nu: np.ndarray  # |nu| ascending, NaN last
     tail2: np.ndarray
     tail4: np.ndarray
     sigma: float
+    square_variance: float
 
 
 def _sorted_draw(nu_abs: np.ndarray, sigma: float, scratch: np.ndarray) -> _SortedDraw:
@@ -315,10 +318,13 @@ def _sorted_draw(nu_abs: np.ndarray, sigma: float, scratch: np.ndarray) -> _Sort
     nu_abs.sort()
     tail2 = np.divide(nu_abs[::-1], sigma, out=scratch)
     np.square(tail2, out=tail2)
-    tail4 = np.square(tail2)
+    tail4 = np.subtract(tail2, tail2.mean())
+    np.square(tail4, out=tail4)
+    square_variance = float(tail4.sum()) / (tail4.size - 1)
+    np.square(tail2, out=tail4)
     np.cumsum(tail2, out=tail2)
     np.cumsum(tail4, out=tail4)
-    return _SortedDraw(nu_abs, tail2, tail4, sigma)
+    return _SortedDraw(nu_abs, tail2, tail4, sigma, square_variance)
 
 
 def _monte_carlo_sum(coeff: np.ndarray, r: float, draw: _SortedDraw) -> tuple[float, float]:
@@ -331,6 +337,10 @@ def _monte_carlo_sum(coeff: np.ndarray, r: float, draw: _SortedDraw) -> tuple[fl
     strictly above r / c_i, and the sum of p_j^2 is sum_i (W_i^2 - W_{i-1}^2)
     times the nu^4 mass above the i-th smallest threshold, W_i being the
     weight of the i smallest. One binary search per index finds each mass.
+    Where no threshold lies between two draws, every p_j is W (nu_j / sigma)^2
+    for one weight W, and the variance is W^2 times the draw's two-pass
+    ``square_variance``: the difference of sums would cancel there, and
+    leave about 1e-10 where every draw is the same.
     """
     m = draw.nu.size
     thresholds = r / coeff  # ascending, as coeff descends
@@ -348,7 +358,12 @@ def _monte_carlo_sum(coeff: np.ndarray, r: float, draw: _SortedDraw) -> tuple[fl
     reached = above > 0  # where nothing is above, index -1 is masked out
     sum_p = float(np.dot(weight, np.where(reached, draw.tail2[above - 1], 0.0)))
     sum_p_sq = float(np.dot(step, np.where(reached, draw.tail4[above - 1], 0.0)))
-    variance = (sum_p_sq - sum_p * sum_p / m) / (m - 1)
+    full = int(np.count_nonzero(above == m))  # the thresholds below every draw
+    if full == np.count_nonzero(reached):
+        whole = float(cumulative[full - 1]) if full else 0.0
+        variance = whole * whole * draw.square_variance
+    else:
+        variance = (sum_p_sq - sum_p * sum_p / m) / (m - 1)
     if variance < 0.0:  # rounding, where every p_j is (nearly) the same
         variance = 0.0
     return sum_p / m, math.sqrt(variance / m)

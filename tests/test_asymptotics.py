@@ -508,6 +508,32 @@ def test_sorted_monte_carlo_sum_at_draws_equal_to_thresholds():
         assert _sorted_sum(coeff, r, nu) == (0.0, 0.0) == _per_draw_reference(coeff, r, nu)[:2]
 
 
+def test_sorted_monte_carlo_sum_where_no_threshold_splits_the_draws():
+    # Thresholds 0.2, 0.4 and 9 lie below every draw or above every draw, so
+    # each p_j is the weight of the first two times nu_j^2: the variance
+    # comes from the two-pass over the draw's squares, not from a difference
+    # of sums, and it is exactly 0 where every draw is equal.
+    coeff = np.array([0.5, 0.25, 0.1 / 9.0])
+    nu = np.array([1.0, 3.0, 2.0, 5.0, 1.5, 4.0])
+    got = _sorted_sum(coeff, 0.1, nu, sigma=1.5)
+    ref_sum, ref_stderr, _ = _per_draw_reference(coeff, 0.1, nu)
+    assert got[0] == pytest.approx(ref_sum, rel=1e-14, abs=0.0)
+    assert got[1] == pytest.approx(ref_stderr, rel=1e-14, abs=0.0)
+    assert _sorted_sum(coeff, 0.1, np.full(6, 3.0), sigma=1.5)[1] == 0.0
+
+
+def test_lindeberg_monte_carlo_stderr_of_equal_draws_is_exactly_zero(linear_design):
+    # beta = 0 makes |nu| = |eps|, the one atom of a scaled-rademacher law, at
+    # every draw. Every per-draw term is the same, so the standard error is
+    # exactly 0; the difference of sums left 3.8e-10.
+    spec = _spec(eps=("scaled-rademacher", 1.0), beta=0.0)
+    (rep,) = lindeberg_sum(
+        linear_design, [100], spec, [0.01], method="monte-carlo", mc_budget=5000
+    )
+    assert rep.sum_value > 0.99 and not rep.unreached
+    assert rep.stderr == 0.0
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("coeff", [[0.1, 0.3, 0.2], [2.0, 0.1, 0.3]], ids=["small", "mixed"])
 @pytest.mark.parametrize("r", [0.5, 1.7e308])
