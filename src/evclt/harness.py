@@ -47,10 +47,11 @@ from .rng import MAX_REPLICATES, STREAM_DELTA, STREAM_EPS, replicate_keys, unifo
 # Bytes of one float64 (rows, n) data block of a replicate chunk. A worker
 # holds 2 data blocks (4 with the latents) and slice-sized buffers only
 # (kernels.SLICE): the kernels' product scratch and the closed-form
-# student-t temporaries. With keys hashed once per grid point, CPU time is
-# level from 256 KiB to 2 MiB, and peak RSS falls with the budget
-# (benchmarks/BENCH_chunk-budget.json). 512 KiB keeps the rows of a chunk
-# (8 of them at n = 8192) long enough that per-call overhead stays small.
+# student-t temporaries, so no block of headroom ties the budget to the
+# slice. With keys hashed once per grid point, peak RSS falls with the
+# budget, and CPU time is level from 512 KiB to 2 MiB; 256 KiB cost 3 to
+# 10% more on two of the three simulate workloads
+# (benchmarks/BENCH_chunk-budget.json).
 CHUNK_BYTES = 1 << 19
 
 TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")

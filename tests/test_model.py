@@ -263,8 +263,8 @@ def test_closed_form_t_writes_a_non_contiguous_out():
 def test_closed_form_t_memory_is_a_few_slices():
     # A 2 MiB block sampled in place; without slices the temporaries of the
     # closed form grow with the block, tens of MB for this one. About four
-    # slice-sized temporaries are alive at once, which keeps a slice's
-    # scratch inside the headroom of a harness chunk.
+    # slice-sized temporaries are alive at once; a harness worker holds them
+    # next to its data blocks (tests/test_harness.py bounds the sum).
     u = uniforms((10, STREAM_EPS), 262144)
     dist = ErrorDistribution("student-t", 1.0, df=6.0)
     tracemalloc.start()
