@@ -491,7 +491,7 @@ def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks, w
     x = DesignSequence("linear").generate(n)
     summary = summarize(x)
     assert harness.CHUNK_BYTES // (8 * n) == 5
-    assert 8 * n <= kernels.SLICE * 8
+    assert n <= kernels.SLICE
     tracemalloc.start()
     try:
         harness._simulate_grid_point(
