@@ -93,23 +93,10 @@ class DesignSequence:
         """First n values of the sequence (1-based index formulas)."""
         if n < 2:
             raise ConfigError(f"design length must be >= 2, got {n}")
-        i = np.arange(1, n + 1, dtype=np.float64)
-        p = self.params
-        if self.kind == "linear":
-            return p["slope"] * i
-        if self.kind == "power":
-            return i ** p["exponent"]
-        if self.kind == "alternating":
-            sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-            return sign * p["scale"] * i
-        if self.kind == "geometric":
-            return p["base"] ** i
-        if self.kind == "bounded":
-            return p["scale"] * np.sin(i)
         if self.kind == "gaussian-iid":
             u = uniforms((self.seed, STREAM_DESIGN), n)
-            return p["sd"] * ndtri(u)
-        return np.full(n, p["value"])
+            return self.params["sd"] * ndtri(u)
+        return self._formula(np.arange(1, n + 1, dtype=np.float64))
 
     def finite_through(self, n: int) -> bool:
         """Whether the first n values are all finite, without generating them.
@@ -117,19 +104,25 @@ class DesignSequence:
         The unbounded kinds peak in magnitude at i = n, so their last value
         decides; bounded, gaussian-iid and constant designs never overflow.
         """
-        p, i = self.params, np.float64(n)
+        if self.kind == "gaussian-iid":
+            return True
         with np.errstate(over="ignore"):
-            if self.kind == "linear":
-                last = np.multiply(p["slope"], i)
-            elif self.kind == "alternating":
-                last = np.multiply(p["scale"], i)
-            elif self.kind == "power":
-                last = np.power(i, p["exponent"])
-            elif self.kind == "geometric":
-                last = np.power(p["base"], i)
-            else:
-                return True
-        return bool(np.isfinite(last))
+            return bool(np.isfinite(self._formula(np.float64(n))))
+
+    def _formula(self, i: np.ndarray | np.float64) -> np.ndarray:
+        """The deterministic kinds' values at the float indices i (1-based)."""
+        p = self.params
+        if self.kind == "linear":
+            return p["slope"] * i
+        if self.kind == "power":
+            return i ** p["exponent"]
+        if self.kind == "alternating":
+            return np.where(i % 2 == 0, 1.0, -1.0) * p["scale"] * i
+        if self.kind == "geometric":
+            return p["base"] ** i
+        if self.kind == "bounded":
+            return p["scale"] * np.sin(i)
+        return np.full(np.shape(i), p["value"])
 
     def to_dict(self) -> dict:
         return asdict(self)

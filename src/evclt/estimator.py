@@ -158,8 +158,9 @@ def decompose(sample: EVSample, spec: EVModelSpec) -> Decomposition:
     if not sample.has_latents:
         raise MissingLatentsError("decompose needs a sample drawn with retain_latents=True")
     (_, _, sxx, _), dxi, _ = _fit_rows(sample)
+    x = sample.design.generate(sample.n)
     sums = kernels.decompose_batch(
-        sample.design.generate(sample.n),
+        x - np.mean(x),
         dxi,
         np.asarray(sample.latent_eps, dtype=np.float64)[None, :],
         np.array(sample.latent_delta, dtype=np.float64)[None, :],

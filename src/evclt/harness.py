@@ -8,7 +8,13 @@ from n alone, draws from its slice of those keys, and writes its results at
 its own replicate indices, so a run's report is a pure function of its
 configuration regardless of worker count. Each worker reuses one workspace:
 its (rows, n) data blocks and a product scratch of one slice
-(``kernels.SLICE``). The KS pass threshold is the
+(``kernels.SLICE``).
+
+Every verdict takes one path. At each grid point the replicates are
+standardized once per variance source the report reads (the run's own, and
+the true V for the counterexample), each (statistic, source) pair it reads
+is KS-tested once into one record, and the pass flags come from one table
+(``_VERDICTS``) over the report's entries. The KS pass threshold is the
 classical 5% critical value 1.36 / sqrt(R) plus a fixed absolute slack
 that budgets for pre-asymptotic (finite-n) deviation separately from
 Monte Carlo noise.
@@ -54,7 +60,30 @@ from .rng import MAX_REPLICATES, STREAM_DELTA, STREAM_EPS, replicate_keys, unifo
 # (benchmarks/BENCH_chunk-budget.json).
 CHUNK_BYTES = 1 << 19
 
-TEST_KINDS = ("beta-clt", "theta-clt", "coverage", "negligibility", "counterexample")
+_STATISTICS = ("z_beta", "z_theta")
+
+
+def _coverage_verdict(grid: list[dict], counterexample: list[dict], tests: Sequence[str]) -> bool:
+    """Coverage of the statistics whose CLT is requested, of both if neither is."""
+    names = [s for s, t in zip(_STATISTICS, ("beta-clt", "theta-clt")) if t in tests]
+    return all(e["coverage"][s]["pass"] for e in grid for s in names or _STATISTICS)
+
+
+# Each test kind's pass flag, from the report's grid entries, its
+# counterexample entries and the requested kinds; the keys are the kinds.
+_VERDICTS = {
+    "beta-clt": lambda grid, ce, tests: all(e["normality"]["z_beta"]["pass"] for e in grid),
+    "theta-clt": lambda grid, ce, tests: all(e["normality"]["z_theta"]["pass"] for e in grid),
+    "coverage": _coverage_verdict,
+    # every negligibility median falls strictly from one grid point to the next
+    "negligibility": lambda grid, ce, tests: all(
+        a["negligibility"][k] > b["negligibility"][k]
+        for a, b in zip(grid, grid[1:])
+        for k in a["negligibility"]
+    ),
+    "counterexample": lambda grid, ce, tests: all(e["pass"] for e in ce),
+}
+TEST_KINDS = tuple(_VERDICTS)
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
 
 
@@ -137,20 +166,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class NormalityResult:
-    n: int
-    statistic: str  # "z_beta" | "z_theta"
-    ks_distance: float
-    ks_threshold: float
-    mean: float
-    variance: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return _pass_record(self)
-
-
-@dataclass(frozen=True)
 class CoverageResult:
     n: int
     nominal: float
@@ -160,14 +175,10 @@ class CoverageResult:
     ok: bool
 
     def to_dict(self) -> dict:
-        return _pass_record(self)
-
-
-def _pass_record(result) -> dict:
-    """The result's fields with ``ok`` written as ``pass``, a Python keyword."""
-    record = asdict(result)
-    record["pass"] = record.pop("ok")
-    return record
+        """The fields with ``ok`` written as ``pass``, a Python keyword."""
+        record = asdict(self)
+        record["pass"] = record.pop("ok")
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +199,21 @@ def ks_statistic(samples: Sequence[float] | np.ndarray) -> float:
     cdf = ndtr(z)
     i = np.arange(1, count + 1, dtype=np.float64)
     return float(max(np.max(i / count - cdf), np.max(cdf - (i - 1) / count)))
+
+
+def _ks_record(n: int, statistic: str, z: np.ndarray, threshold: float) -> dict:
+    """The KS record of one standardized statistic at one grid point, which
+    the normality entries and the counterexample read."""
+    ks = ks_statistic(z)
+    return {
+        "n": n,
+        "statistic": statistic,
+        "ks_distance": ks,
+        "ks_threshold": threshold,
+        "mean": float(np.mean(z)),
+        "variance": float(np.var(z, ddof=1)),
+        "pass": ks < threshold,
+    }
 
 
 def coverage(
@@ -254,6 +280,7 @@ def _simulate_grid_point(
     sums = np.empty((5, replicates)) if need_latents else None
 
     eta_base = spec.theta + spec.beta * x
+    x_dev = x - np.mean(x) if need_latents else None  # d(x), for decompose_batch
     # Each stream's keys are hashed once per grid point; chunks take slices.
     eps_keys = replicate_keys(seed, n, replicates, STREAM_EPS)
     delta_keys = replicate_keys(seed, n, replicates, STREAM_DELTA)
@@ -295,7 +322,7 @@ def _simulate_grid_point(
                         xi, eta, beta_hat[lo:hi], scratch=scratch
                     )
                 if need_latents:
-                    sums[:, lo:hi] = kernels.decompose_batch(x, xi, e, d, scratch=scratch)
+                    sums[:, lo:hi] = kernels.decompose_batch(x_dev, xi, e, d, scratch=scratch)
         except BaseException:
             stop.set()  # the other workers stop too
             raise
@@ -338,33 +365,33 @@ def _simulate_grid_point(
 
 def _standardized(
     stats: _GridPointStats, spec: EVModelSpec, variance_source: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(z_beta, z_theta) over the valid replicates."""
+) -> dict[str, np.ndarray]:
+    """z_beta and z_theta over the valid replicates, by name."""
     valid = stats.valid
     rvar = None if stats.rvar is None else stats.rvar[valid]
-    return standardized_errors(
+    z = standardized_errors(
         stats.beta_hat[valid] - spec.beta,
         stats.theta_hat[valid] - spec.theta,
         stats.s_n,
         stats.n,
         standardizing_variance(spec, variance_source, rvar),
     )
+    return dict(zip(_STATISTICS, z))
 
 
 def _counterexample_entry(
-    stats: _GridPointStats, design: DesignSequence, spec: EVModelSpec
+    stats: _GridPointStats, design: DesignSequence, spec: EVModelSpec, record: dict
 ) -> dict:
     """Random-regressor attenuation check at one grid point: the slope
     estimate drifts to the analytic limit beta * V_x / (V_x + sigma1^2) and
-    its standardized version fails normality. Standardizes with the true V
-    whatever the run's variance source."""
+    its standardized version fails normality. ``record`` is the KS record of
+    z_beta under the true V, whatever the run's variance source."""
     v_x = design.params["sd"] ** 2
     sigma1_sq = spec.delta_dist.variance()
     target = spec.beta * v_x / (v_x + sigma1_sq) if (v_x + sigma1_sq) > 0 else spec.beta
-    z_beta, _ = _standardized(stats, spec, "true")
     beta_valid = stats.beta_hat[stats.valid]
     mean_beta = float(np.mean(beta_valid))
-    ks = ks_statistic(z_beta)
+    ks = record["ks_distance"]
     refuted = ks >= DEFAULTS.counterexample_ks_min
     mean_ok = abs(mean_beta - target) <= DEFAULTS.counterexample_mean_tol
     return {
@@ -398,6 +425,12 @@ def run_experiment(
         raise ConfigError("workers must be >= 1")
     report_warnings: list[str] = []
     need_latents = "negligibility" in config.tests
+    source = config.variance_source
+    # The (statistic, variance source) pairs the report reads: the run's
+    # own two and, for the counterexample, z_beta under the true V.
+    pairs = [("z_beta", "true")] if "counterexample" in config.tests else []
+    pairs = list(dict.fromkeys(pairs + [(name, source) for name in _STATISTICS]))
+    sources = list(dict.fromkeys(src for _, src in pairs))
 
     # Every grid point's design summary comes first, so that a design whose
     # dispersion overflows, or is zero where ratios divide by it, fails
@@ -421,8 +454,7 @@ def run_experiment(
 
     grid_entries: list[dict] = []
     counterexample_entries: list[dict] = []
-    samples: dict[str, dict[int, np.ndarray]] = {"z_beta": {}, "z_theta": {}}
-    medians_by_ratio: list[list[float]] = [[], [], []]
+    samples: dict[str, dict[int, np.ndarray]] = {name: {} for name in _STATISTICS}
     skip_ok = True
     identity_ok = True
 
@@ -435,7 +467,7 @@ def run_experiment(
             replicates=config.replicates,
             seed=config.seed,
             need_latents=need_latents,
-            need_rvar=config.variance_source == "plug-in",
+            need_rvar=source == "plug-in",
             workers=workers,
         )
         used = int(np.count_nonzero(stats.valid))
@@ -447,35 +479,21 @@ def run_experiment(
             raise ConfigError(
                 f"fewer than 2 non-singular replicates at n={n}; design/model degenerate"
             )
-        if "counterexample" in config.tests:
-            counterexample_entries.append(_counterexample_entry(stats, config.design, config.model))
-        z_beta, z_theta = _standardized(stats, config.model, config.variance_source)
-        if collect_samples:
-            samples["z_beta"][n] = z_beta
-            samples["z_theta"][n] = z_theta
-
         ks_threshold = (
             DEFAULTS.ks_critical_coefficient / math.sqrt(used) + DEFAULTS.ks_absolute_slack
         )
-        normality = {}
-        for name, z in (("z_beta", z_beta), ("z_theta", z_theta)):
-            ks = ks_statistic(z)
-            normality[name] = NormalityResult(
-                n=n,
-                statistic=name,
-                ks_distance=ks,
-                ks_threshold=ks_threshold,
-                mean=float(np.mean(z)),
-                variance=float(np.var(z, ddof=1)),
-                ok=ks < ks_threshold,
+        # Each variance source is standardized once, each pair KS-tested once.
+        z = {src: _standardized(stats, config.model, src) for src in sources}
+        records = {
+            (name, src): _ks_record(n, name, z[src][name], ks_threshold) for name, src in pairs
+        }
+        if "counterexample" in config.tests:
+            counterexample_entries.append(
+                _counterexample_entry(stats, config.design, config.model, records["z_beta", "true"])
             )
-
-        coverage_results = {}
-        if "coverage" in config.tests:
-            for name, z in (("z_beta", z_beta), ("z_theta", z_theta)):
-                coverage_results[name] = coverage(
-                    z, DEFAULTS.coverage_nominal, half_width_basis=name, n=n
-                )
+        if collect_samples:
+            for name in _STATISTICS:
+                samples[name][n] = z[source][name]
 
         entry: dict = {
             "n": n,
@@ -484,55 +502,32 @@ def run_experiment(
             "replicates_used": used,
             "skipped": skipped,
             "skip_fraction": skip_fraction,
-            "normality": {k: v.to_dict() for k, v in normality.items()},
+            "normality": {name: records[name, source] for name in _STATISTICS},
         }
-        if coverage_results:
-            entry["coverage"] = {k: v.to_dict() for k, v in coverage_results.items()}
+        if "coverage" in config.tests:
+            entry["coverage"] = {
+                name: coverage(
+                    z[source][name], DEFAULTS.coverage_nominal, half_width_basis=name, n=n
+                ).to_dict()
+                for name in _STATISTICS
+            }
         if need_latents:
             valid_ratios = stats.ratios[stats.valid]
-            meds = [
-                float(np.median(valid_ratios[:, 0])),
-                float(np.median(valid_ratios[:, 1])),
-                float(np.median(np.abs(valid_ratios[:, 2]))),
-            ]
-            for store, value in zip(medians_by_ratio, meds):
-                store.append(value)
             entry["negligibility"] = {
-                "median_delta_sq": meds[0],
-                "median_delta_eps": meds[1],
-                "median_sxx_gap": meds[2],
+                "median_delta_sq": float(np.median(valid_ratios[:, 0])),
+                "median_delta_eps": float(np.median(valid_ratios[:, 1])),
+                "median_sxx_gap": float(np.median(np.abs(valid_ratios[:, 2]))),
             }
             entry["identity_max_gap"] = stats.identity_gap
             if stats.identity_gap > DEFAULTS.identity_gap_max:
                 identity_ok = False
         grid_entries.append(entry)
 
-    # per-test pass flags
-    tests_pass: dict[str, bool] = {}
-    if "beta-clt" in config.tests:
-        tests_pass["beta-clt"] = all(
-            e["normality"]["z_beta"]["pass"] for e in grid_entries
-        )
-    if "theta-clt" in config.tests:
-        tests_pass["theta-clt"] = all(
-            e["normality"]["z_theta"]["pass"] for e in grid_entries
-        )
-    if "coverage" in config.tests:
-        gated = [
-            name
-            for name, test in (("z_beta", "beta-clt"), ("z_theta", "theta-clt"))
-            if test in config.tests
-        ] or ["z_beta", "z_theta"]
-        tests_pass["coverage"] = all(
-            e["coverage"][name]["pass"] for e in grid_entries for name in gated
-        )
-    if "negligibility" in config.tests:
-        tests_pass["negligibility"] = all(
-            all(a > b for a, b in zip(path, path[1:])) for path in medians_by_ratio
-        )
-    if "counterexample" in config.tests:
-        tests_pass["counterexample"] = all(e["pass"] for e in counterexample_entries)
-
+    tests_pass = {
+        kind: verdict(grid_entries, counterexample_entries, config.tests)
+        for kind, verdict in _VERDICTS.items()
+        if kind in config.tests
+    }
     overall = all(tests_pass.values()) and skip_ok and identity_ok
 
     report = {

@@ -103,18 +103,18 @@ def residual_variance(dxi, deta, beta, scratch=None):
 def decompose_batch(x, xi, eps, delta, scratch=None):
     """Row-wise raw sums feeding the slope-error decomposition.
 
-    ``xi`` holds the centered observed regressor rows d(xi) that
-    ``fit_batch`` leaves; ``delta`` is centered in place. Returns, per row:
-    sum d(xi)_i eps_i, sum d(x)_i delta_i, sum d(x)_i eps_i,
-    sum d(delta)_i^2, sum d(delta)_i eps_i. The fit supplies the sixth
-    sum, sum d(xi)_i^2.
+    ``x`` is the centered design row d(x), which the caller forms once for
+    every block of its n; ``xi`` holds the centered observed regressor rows
+    d(xi) that ``fit_batch`` leaves; ``delta`` is centered in place.
+    Returns, per row: sum d(xi)_i eps_i, sum d(x)_i delta_i,
+    sum d(x)_i eps_i, sum d(delta)_i^2, sum d(delta)_i eps_i. The fit
+    supplies the sixth sum, sum d(xi)_i^2.
     """
     scratch = slice_scratch(xi.shape[1], xi.shape[0]) if scratch is None else scratch
     x = _as_f64(x)
-    xdev = x - np.mean(x)
     s_xi_eps = _row_sum_of_products(xi, eps, scratch)
-    s_x_delta = _row_sum_of_products(xdev, delta, scratch)
-    s_x_eps = _row_sum_of_products(xdev, eps, scratch)
+    s_x_delta = _row_sum_of_products(x, delta, scratch)
+    s_x_eps = _row_sum_of_products(x, eps, scratch)
     delta -= delta.mean(axis=1, keepdims=True)
     s_delta_sq = _row_sum_of_products(delta, delta, scratch)
     s_delta_eps = _row_sum_of_products(delta, eps, scratch)

@@ -29,8 +29,9 @@ def test_tracer_installs_on_every_traced_entry_point():
     assert result.returncode == 0, result.stderr
 
 
-def _traced_counters(tmp_path, command: str, **overrides) -> dict:
-    """The tracer's counters for one CLI ``command`` on a small linear config."""
+def _traced_counters(tmp_path, command: str, code: int = 0, **overrides) -> dict:
+    """The tracer's counters for one CLI ``command`` on a small linear config;
+    the command must exit with ``code``."""
     config = tmp_path / "config.yaml"
     config.write_text(
         yaml.safe_dump(
@@ -65,7 +66,7 @@ def _traced_counters(tmp_path, command: str, **overrides) -> dict:
         text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return json.loads(trace.read_text(encoding="utf-8"))["counters"]
 
 
@@ -76,6 +77,22 @@ def test_traced_simulate_counts_kernel_rows_and_replicates(tmp_path):
     assert counters["kernels.fit_batch.rows"] == 200
     assert counters["kernels.decompose_batch.rows"] == 200
     assert counters["harness.replicates_simulated"] == 200
+
+
+def test_traced_counterexample_simulates_each_replicate_once(tmp_path):
+    # beta-clt fails on the attenuated gaussian-iid slope, so the run exits 1;
+    # the counterexample reads the replicates of the same simulation pass.
+    counters = _traced_counters(
+        tmp_path,
+        "simulate",
+        code=1,
+        design={"kind": "gaussian-iid", "seed": 3},
+        grid=[100, 200],
+        replicates=100,
+        tests=["beta-clt", "counterexample"],
+    )
+    assert counters["harness.replicates_simulated"] == 2 * 100
+    assert counters["harness.replicates_distinct"] == 2 * 100
 
 
 def test_traced_lindeberg_counts_one_call_for_the_whole_grid(tmp_path):

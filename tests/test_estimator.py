@@ -334,7 +334,7 @@ def test_batched_kernels_center_once_and_match_the_direct_sums():
         kernels.residual_variance(xi_buf, eta_buf, fit_beta, scratch=scratch),
         np.sum(resid * resid, axis=1) / n,
     )
-    sums = kernels.decompose_batch(x, xi_buf, eps, delta_buf, scratch=scratch)
+    sums = kernels.decompose_batch(xdev, xi_buf, eps, delta_buf, scratch=scratch)
     expected = (
         np.sum(dxi * eps, axis=1),
         np.sum(xdev * delta, axis=1),
@@ -376,8 +376,8 @@ def test_slice_sums_match_the_one_row_sums_bit_for_bit(n, data, seed):
     xi_buf, eta_buf, delta_buf = xi.copy(), eta.copy(), delta.copy()
     beta, theta, sxx, xi_mean = kernels.fit_batch(xi_buf, eta_buf, scratch=scratch)
     rvar = kernels.residual_variance(xi_buf, eta_buf, beta, scratch=scratch)
-    sums = kernels.decompose_batch(x, xi_buf, eps, delta_buf, scratch=scratch)
     xdev = x - np.mean(x)
+    sums = kernels.decompose_batch(xdev, xi_buf, eps, delta_buf, scratch=scratch)
     for i in range(rows):
         dxi = xi[i] - xi[i].mean()
         deta = eta[i] - eta[i].mean()

@@ -680,6 +680,44 @@ def test_counterexample_reads_the_replicates_of_the_same_run(monkeypatch, standa
     assert plug_in["counterexample"] == report["counterexample"]
 
 
+@pytest.mark.parametrize("variance_source, per_point", [("true", 2), ("plug-in", 3)])
+def test_one_ks_per_statistic_and_variance_source(
+    monkeypatch, standard_spec, variance_source, per_point
+):
+    # The report reads z_beta and z_theta under the run's variance source and
+    # the counterexample reads z_beta under the true V: under the true V that
+    # is one record, so each grid point makes 2 KS calls, and 3 under plug-in.
+    calls: list[list[int]] = []
+    simulate, ks = harness._simulate_grid_point, harness.ks_statistic
+
+    def simulate_counted(*args, **kwargs):
+        calls.append([])
+        return simulate(*args, **kwargs)
+
+    def ks_counted(samples):
+        calls[-1].append(len(samples))
+        return ks(samples)
+
+    monkeypatch.setattr(harness, "_simulate_grid_point", simulate_counted)
+    monkeypatch.setattr(harness, "ks_statistic", ks_counted)
+    config = ExperimentConfig(
+        design=DesignSequence("gaussian-iid", {"sd": 1.0}, seed=5),
+        model=standard_spec,
+        n_grid=(200, 400),
+        replicates=200,
+        seed=9,
+        variance_source=variance_source,
+        tests=("beta-clt", "counterexample"),
+    )
+    report, _ = run_experiment(config)
+    assert [len(c) for c in calls] == [per_point, per_point]
+    same_record = [
+        entry["ks_distance_z_beta"] == point["normality"]["z_beta"]["ks_distance"]
+        for entry, point in zip(report["counterexample"], report["grid"])
+    ]
+    assert same_record == [variance_source == "true"] * 2
+
+
 def test_defaults_roundtrip():
     assert DEFAULTS.to_dict()["ks_critical_coefficient"] == 1.36
     assert DEFAULTS.to_dict()["coverage_nominal"] == 0.95
