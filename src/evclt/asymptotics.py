@@ -52,7 +52,6 @@ from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedErr
 from .model import ErrorDistribution, EVModelSpec
 from .rng import STREAM_MC_DELTA, STREAM_MC_EPS, uniforms
 
-CONDITION_IDS = ("liu-chen-beta", "c6", "c7", "theta-consistency", "c17")
 LINDEBERG_METHODS = ("quadrature", "monte-carlo")
 
 VERDICT_SATISFIED = "satisfied-trend"
@@ -199,40 +198,28 @@ def classify_trend(values: Sequence[float], target: str) -> str:
 # design-only conditions
 # ---------------------------------------------------------------------------
 
-_CONDITION_TARGETS = {
-    "liu-chen-beta": "to-infinity",
-    "c6": "to-zero",
-    "c7": "to-zero",
-    "theta-consistency": "to-zero",
-    "c17": "to-infinity",
+# id: (target, the scalar at one grid point from its summary), in report order
+_CONDITIONS = {
+    "liu-chen-beta": ("to-infinity", lambda s: s.s_n / s.n),
+    "c6": ("to-zero", lambda s: math.inf if s.s_n <= 0.0 else s.n / math.sqrt(s.s_n)),
+    "c7": ("to-zero", lambda s: math.inf if s.s_n <= 0.0 else s.max_dev / math.sqrt(s.s_n)),
+    "theta-consistency": ("to-zero", lambda s: abs(s.n * s.mean) / s.s_star),
+    "c17": ("to-infinity", lambda s: math.inf if s.mean == 0.0 else s.s_n / (s.n * s.mean**2)),
 }
+CONDITION_IDS = tuple(_CONDITIONS)
 
 
 def condition_value(name: str, summary: DesignSummary) -> float:
     """The condition's scalar at one grid point, from summary statistics only."""
-    if name == "liu-chen-beta":
-        return summary.s_n / summary.n
-    if name == "c6":
-        if summary.s_n <= 0.0:
-            return math.inf
-        return summary.n / math.sqrt(summary.s_n)
-    if name == "c7":
-        if summary.s_n <= 0.0:
-            return math.inf
-        return summary.max_dev / math.sqrt(summary.s_n)
-    if name == "theta-consistency":
-        return abs(summary.n * summary.mean) / summary.s_star
-    if name == "c17":
-        if summary.mean == 0.0:
-            return math.inf
-        return summary.s_n / (summary.n * summary.mean**2)
-    raise ConfigError(f"unknown condition id {name!r}; expected one of {CONDITION_IDS}")
+    if name not in _CONDITIONS:
+        raise ConfigError(f"unknown condition id {name!r}; expected one of {CONDITION_IDS}")
+    return _CONDITIONS[name][1](summary)
 
 
 def condition_path(name: str, summaries: Sequence[DesignSummary]) -> ConditionPath:
     """The condition's values along the summaries' n grid, with their verdict."""
     values = [condition_value(name, s) for s in summaries]
-    return _classified_path(name, summaries, values, _CONDITION_TARGETS[name])
+    return _classified_path(name, summaries, values, _CONDITIONS[name][0])
 
 
 def _classified_path(
@@ -382,15 +369,16 @@ def lindeberg_sum(
     report per (n, r), n-major. Each n reads a prefix of one generated
     design. The Monte Carlo |nu| draw, keyed by seed alone, is made and
     sorted at most once per call, by the first (n, r) that needs it, and
-    every (n, r) reuses it. An (n, r) that no draw reaches reads 0 +/- 0,
-    flagged ``unreached``, without a search of the draw."""
+    every (n, r) reuses it; so is the quadrature law of nu. An (n, r) that
+    no draw reaches reads 0 +/- 0, flagged ``unreached``, without a search
+    of the draw."""
     r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
     variance = spec.nu_variance()
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
     x_full, summaries = prefix_summaries(design, n_grid)
     bound = spec.nu_bound()
-    draw = None
+    draw = law = None
     reports = []
     for summary in summaries:
         n = summary.n
@@ -411,8 +399,12 @@ def lindeberg_sum(
                 # the indicator can never fire: the sum is exactly zero
                 value, stderr = 0.0, 0.0 if method == "monte-carlo" else None
             elif method == "quadrature":
-                dist, mult = _nu_quadrature_law(spec)
-                tails = mult * mult * dist.tail_second_moment(r / coeff / mult)
+                if law is None:
+                    law = _nu_quadrature_law(spec)
+                dist, mult = law
+                with np.errstate(over="ignore"):  # a threshold past float64 is inf: tail 0
+                    thresholds = r / coeff / mult
+                tails = mult * mult * dist.tail_second_moment(thresholds)
                 value, stderr = float(np.sum(coeff * coeff * tails)), None
             else:
                 if draw is None:

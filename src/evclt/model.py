@@ -39,7 +39,10 @@ FAMILIES = (
     "scaled-rademacher",
 )
 
-_SQRT_PI = math.sqrt(math.pi)
+# From this multiple of the scale on, m = cutoff / scale squares to inf and
+# every tail is below float64 resolution against the moments (student-t's,
+# the heaviest, falls as m^(2 - df), df > 4): the moments take their limits.
+_FAR = 2.0**512
 
 
 def _t_beta_arguments(nu: float, m):
@@ -376,7 +379,8 @@ class ErrorDistribution:
         # of finite factors round to inf instead.
         try:
             if self.family == "normal":
-                value = s**k * 2 ** (k / 2) * math.gamma((k + 1) / 2) / _SQRT_PI
+                # 2^(k/2) Gamma((k+1)/2) / Gamma(1/2), an exact product at even k
+                value = s**k * 2 ** (k / 2) * gamma_ratio(0.5, k / 2)
             elif self.family == "uniform-centered":
                 value = s**k / (k + 1)
             elif self.family == "laplace":
@@ -484,12 +488,9 @@ class ErrorDistribution:
         return _per_cutoff(cutoff, 1.0, p)
 
     def truncated_abs_moment(self, order: float, cutoff):
-        """E[|X|^order ; |X| < cutoff] (strict truncation).
-
-        Closed form for every family at cutoffs from the scale up, and the
-        series of ``_truncated_below_scale`` below it; student-t needs
-        order < df.
-        """
+        """E[|X|^order ; |X| < cutoff] (strict truncation): the closed form of
+        ``_truncated_from_scale`` from the scale up, the series of
+        ``_truncated_below_scale`` below it; student-t needs order < df."""
         s, c, k = self.scale, np.asarray(np.maximum(cutoff, 0.0)), float(order)
         if s == 0.0:
             return _per_cutoff(cutoff, 0.0, 0.0)
@@ -543,51 +544,49 @@ class ErrorDistribution:
         return np.power(c, k) * m * (2.0 * f0) * total
 
     def _truncated_from_scale(self, k: float, c: np.ndarray) -> np.ndarray:
-        """E[|X|^k ; |X| < c] for c >= scale, in closed form."""
-        s = self.scale
-        if self.family == "normal":
-            m = c / s
-            value = (
-                s**k
-                * 2 ** (k / 2)
-                * math.gamma((k + 1) / 2)
-                / _SQRT_PI
-                * gammainc((k + 1) / 2, m * m / 2)
-            )
-        elif self.family == "uniform-centered":
-            value = np.power(np.minimum(c, s), k + 1) / (s * (k + 1))
-        elif self.family == "laplace":
-            value = s**k * math.gamma(k + 1) * gammainc(k + 1, c / s)
-        elif self.family == "student-t":
-            nu = float(self.df)  # type: ignore[arg-type]
-            x, y = _t_beta_arguments(nu, c / s)
-            a, b = (k + 1) / 2, (nu - k) / 2
-            # B(a, b) / B(1/2, nu/2) = Gamma(a) Gamma(b) / (sqrt(pi) Gamma(nu/2))
-            ratio = math.gamma(a) / _SQRT_PI / gamma_ratio(b, k / 2)
-            value = s**k * nu ** (k / 2) * ratio * _regularized_beta(a, b, x, y)
-        else:
-            value = np.where(s < c, s**k, 0.0)
-        return value
+        """E[|X|^k ; |X| < c] for c >= scale: E|X|^k times its share below c, a
+        regularized incomplete function of m = c / s (1 from ``_FAR`` scales on)."""
+        s, share = self.scale, np.ones_like(c)  # uniform-centered: |X| <= s <= c
+        if self.family == "scaled-rademacher":
+            share = np.where(s < c, 1.0, 0.0)  # strict: |X| = s < c
+        elif self.family != "uniform-centered":
+            near = c < s * _FAR
+            m = c[near] / s
+            if self.family == "normal":
+                share[near] = gammainc((k + 1) / 2, m * m / 2)
+            elif self.family == "laplace":
+                share[near] = gammainc(k + 1, m)
+            else:  # student-t
+                nu = float(self.df)  # type: ignore[arg-type]
+                x, y = _t_beta_arguments(nu, m)
+                share[near] = _regularized_beta((k + 1) / 2, (nu - k) / 2, x, y)
+        return self.abs_moment(k) * share
 
     def tail_second_moment(self, cutoff):
-        """E[X^2 ; |X| > cutoff], computed directly (no cancellation)."""
-        s, c = self.scale, np.maximum(cutoff, 0.0)
-        if s == 0.0:
-            value = 0.0
-        elif self.family == "normal":
+        """E[X^2 ; |X| > cutoff], computed directly (no cancellation); 0 from
+        ``_FAR`` scales on, and at every cutoff for a point mass at zero."""
+        s, c = self.scale, np.asarray(np.maximum(cutoff, 0.0))
+        value, near = np.zeros(c.shape), c < s * _FAR
+        c = c[near]
+        if self.family == "normal":
             m = c / s
             phi = np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
-            value = s * s * (erfc(m / math.sqrt(2.0)) + 2.0 * m * phi)
+            tail = s * s * (erfc(m / math.sqrt(2.0)) + 2.0 * m * phi)
         elif self.family == "uniform-centered":
-            value = np.where(c >= s, 0.0, (s - c) * (s * s + s * c + c * c) / (3.0 * s))
+            b = np.minimum(c, s)  # b * b is finite, where c * c may not be
+            tail = np.where(c >= s, 0.0, (s - b) * (s * s + s * b + b * b) / (3.0 * s))
         elif self.family == "laplace":
-            value = np.exp(-c / s) * (c * c + 2 * s * c + 2 * s * s)
+            tail = np.exp(-c / s)
+            live = tail > 0.0  # elsewhere the tail is 0, and c * c may overflow
+            c = c[live]
+            tail[live] *= c * c + 2 * s * c + 2 * s * s
         elif self.family == "student-t":
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)
-            value = s * s * nu / (nu - 2) * _regularized_beta((nu - 2) / 2, 1.5, y, x)
+            tail = s * s * nu / (nu - 2) * _regularized_beta((nu - 2) / 2, 1.5, y, x)
         else:
-            value = np.where(s > c, s * s, 0.0)
+            tail = np.where(s > c, s * s, 0.0)
+        value[near] = tail
         return _per_cutoff(cutoff, self.variance(), value)
 
     def to_dict(self) -> dict:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,26 @@ def test_single_law_quadrature_is_the_sum_of_scalar_tails(linear_design, eps):
     assert 0.1 < expected < 1.0
     got = lindeberg_sum(linear_design, [n], spec, [r])[0].sum_value
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_quadrature_lindeberg_at_a_huge_r_is_zero(linear_design, standard_spec):
+    # r / coeff passes float64 at some indices; each tail there is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5, 1e306, 1e307])
+    near = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5])
+    assert [r.sum_value for r in reports if r.r == 0.5] == [r.sum_value for r in near]
+    assert [r.sum_value for r in reports if r.r > 1.0] == [0.0] * 4
+
+
+def test_quadrature_law_is_built_once_per_call(linear_design, standard_spec, monkeypatch):
+    built = []
+    law = asymptotics._nu_quadrature_law
+    monkeypatch.setattr(
+        asymptotics, "_nu_quadrature_law", lambda spec: built.append(1) or law(spec)
+    )
+    lindeberg_sum(linear_design, [100, 200, 500], standard_spec, [0.1, 0.5])
+    assert built == [1]
 
 
 def test_lindeberg_unsupported_quadrature_law(linear_design):

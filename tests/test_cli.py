@@ -641,18 +641,18 @@ _PINNED_OUTPUTS = {
     "diagnose-normal": {
         "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
         "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
-        "diagnostics.json": "1e651b1b54ec90e671d9fa880ba2bc8c6935d89fab090bb18c93962cc2f1f344",
+        "diagnostics.json": "a67560db5c1b694dd98f37b5ab4da20277a94398049aab5836e3f90f68e6a7aa",
         "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
-        "petrov.csv": "8a619d9454d139e482201d4d46d7d5dec67660fa70796a97f66d350b25e115f9",
+        "petrov.csv": "7843408265dfa7ddc97d2c9fe3eb8ef70857d92538bcd684edf83b0e646c9e23",
         "exit": 0,
         "stdout": "2f08b5a790e6d09417522edc038ad58fe58f5ceda6ae3b04028cce83614dcb81",
     },
     "diagnose-student-t-delta": {
         "conditions.csv": "b675a848105a35773336d4a2727519970edb0f1b300565ec3771bc449859d7a6",
         "design.csv": "79f088b130ce67e6d9064a69ad4c8b6d328fffd847c14516a613e4167d5f4e57",
-        "diagnostics.json": "eda1ba1a09f8cff851d876f3dbdda1d405fc13a2dca2b569be5f2d0328a71701",
+        "diagnostics.json": "2a6feb288543189412b4fae2c08b0cff8926785d94b3e9f7a22278b1b52dda8e",
         "hierarchy.csv": "b3b35912a866583d5be8037a91289ce38840f15a6515bb4154a2837ccc999e1f",
-        "petrov.csv": "7c1a0255dce644d208fbb8b6ba02b5a3126a95b6f01049e2a79b6c003635b8f0",
+        "petrov.csv": "c55eef588c76a71652dc22beecb1b278172a06dbf04994bd25e5e5a8701bc572",
         "exit": 0,
         "stdout": "aef61df8d0033749f6e8cc9b0d105f49570adb5a9b83a826eebaf871ab272962",
     },

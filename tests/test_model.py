@@ -303,6 +303,14 @@ def test_normal_second_moment_is_variance():
     assert moment(ErrorDistribution("normal", 2.0), 2, absolute=True) == pytest.approx(4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("s", [1.0, 1.3, 0.7, 2.5])
+def test_normal_even_moments_are_exact(s):
+    # 2^(k/2) Gamma((k+1)/2) / Gamma(1/2) is the exact product 1 or 3 at k = 2, 4
+    dist = ErrorDistribution("normal", s)
+    assert dist.variance() == s * s
+    assert dist.abs_moment(4.0) == 3 * s**4
+
+
 def test_uniform_second_moment_closed_form():
     # integral of x^2 / (2a) over [-a, a] = a^2 / 3
     a = 1.7
@@ -508,7 +516,10 @@ def test_moments_on_an_array_of_cutoffs_equal_the_scalar_calls(dist):
     # cutoffs <= 0, the atom or edge at c == scale, a far tail, and a sweep
     # wide enough to catch a vector loop that rounds unlike the scalar one
     cutoffs = np.concatenate(
-        [[-1e4, -3.0, -0.0, 0.0, 2.0, 2.0 + 1e-12, 1e4], np.geomspace(1e-3, 50.0, 200)]
+        [
+            [-1e4, -3.0, -0.0, 0.0, 2.0, 2.0 + 1e-12, 1e4, 1e200, np.inf],
+            np.geomspace(1e-3, 50.0, 200),
+        ]
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -524,6 +535,29 @@ def test_moments_on_an_array_of_cutoffs_equal_the_scalar_calls(dist):
                 scalar = method(float(c))
                 assert type(scalar) is float, label
                 assert got == scalar, (label, c)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ErrorDistribution("normal", 1.3),
+        ErrorDistribution("uniform-centered", 2.0),
+        ErrorDistribution("laplace", 0.7),
+        ErrorDistribution("student-t", 1.1, df=6.0),
+        ErrorDistribution("scaled-rademacher", 2.0),
+        # c * c overflows at a cutoff short of 2^512 scales
+        ErrorDistribution("laplace", 1e50),
+        ErrorDistribution("uniform-centered", 1e10),
+    ],
+    ids=lambda d: f"{d.family}-{d.scale}",
+)
+def test_far_cutoffs_give_the_limits_without_warnings(dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cutoff in (1e200, 1e300, np.inf):
+            for k in (2.0, 4.0):
+                assert dist.truncated_abs_moment(k, cutoff) == dist.abs_moment(k), (k, cutoff)
+            assert dist.tail_second_moment(cutoff) == 0.0, cutoff
 
 
 def test_tail_probability_against_reference():
