@@ -130,9 +130,12 @@ def _hierarchy_records(h: dict):
 
 
 def export_design_csv(design: DesignSequence, n: int, path: Path) -> None:
-    """Write (index, x) rows for audit."""
-    x = design.generate(n)
-    _write_csv(path, ("index", "x"), ({"index": i, "x": v} for i, v in enumerate(x, start=1)))
+    """Write (index, x) rows for audit, in the cells of ``_write_csv``: the
+    csv module writes a float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("index", "x"))
+        writer.writerows(enumerate(design.generate(n).tolist(), start=1))
 
 
 _COUNTEREXAMPLE_COLUMNS = (

@@ -6,9 +6,11 @@ stream), and each stream's keys are hashed once per grid point; a replicate
 chunk holds ``max(1, CHUNK_BYTES // (8 * n))`` rows, a count that follows
 from n alone, draws from its slice of those keys, and writes its results at
 its own replicate indices, so a run's report is a pure function of its
-configuration regardless of worker count. Each worker reuses one workspace:
-its (rows, n) data blocks and a product scratch of one slice
-(``kernels.SLICE``).
+configuration regardless of worker count. Beside the design row x, a grid
+point holds only each worker's workspace: its (rows, n) data blocks and a
+product scratch of one slice (``kernels.SLICE``), or of one row where a row
+is longer. theta + beta x and the centered d(x) are formed per chunk in
+rows of those buffers that are idle at that moment.
 
 Every verdict takes one path. At each grid point the replicates are
 standardized once per variance source the report reads (the run's own, and
@@ -52,9 +54,11 @@ from .rng import MAX_REPLICATES, STREAM_DELTA, STREAM_EPS, replicate_keys, unifo
 
 # Bytes of one float64 (rows, n) data block of a replicate chunk. A worker
 # holds 2 data blocks (4 with the latents) and slice-sized buffers only
-# (kernels.SLICE): the kernels' product scratch and the closed-form
-# student-t temporaries, so no block of headroom ties the budget to the
-# slice. With keys hashed once per grid point, peak RSS falls with the
+# (kernels.SLICE): the kernels' product scratch (one row where n > SLICE)
+# and the closed-form student-t temporaries, so no block of headroom ties
+# the budget to the slice. Above n = CHUNK_BYTES / 16 a chunk is one row,
+# and a grid point holds no n-long row beside x and these buffers.
+# With keys hashed once per grid point, peak RSS falls with the
 # budget, and CPU time is level from 512 KiB to 2 MiB; 256 KiB cost 3 to
 # 10% more on two of the three simulate workloads
 # (benchmarks/BENCH_chunk-budget.json).
@@ -279,8 +283,7 @@ def _simulate_grid_point(
     rvar = np.empty(replicates) if need_rvar else None
     sums = np.empty((5, replicates)) if need_latents else None
 
-    eta_base = spec.theta + spec.beta * x
-    x_dev = x - np.mean(x) if need_latents else None  # d(x), for decompose_batch
+    x_mean = np.mean(x)  # d(x) = x - x_mean, formed per chunk for decompose_batch
     # Each stream's keys are hashed once per grid point; chunks take slices.
     eps_keys = replicate_keys(seed, n, replicates, STREAM_EPS)
     delta_keys = replicate_keys(seed, n, replicates, STREAM_DELTA)
@@ -296,8 +299,9 @@ def _simulate_grid_point(
         # A worker takes every workers-th chunk and reuses one workspace for
         # all of them: the data blocks xi and eta, plus the latent eps and
         # delta when they are kept (else delta becomes xi and eps eta in
-        # place), and the kernels' product scratch of one slice. Each chunk
-        # owns the disjoint slice [lo, hi) of every output array.
+        # place), and the kernels' product scratch of one slice (one row
+        # where n > SLICE). Each chunk owns the disjoint slice [lo, hi) of
+        # every output array.
         workspace = np.empty((4 if need_latents else 2, rows, n))
         xi_buf, eta_buf = workspace[:2]
         delta_buf, eps_buf = workspace[2:] if need_latents else (xi_buf, eta_buf)
@@ -313,6 +317,9 @@ def _simulate_grid_point(
                 spec.eps_dist.sample(e, out=e)
                 spec.delta_dist.sample(d, out=d)
                 xi = np.add(d, x, out=xi_buf[:k])
+                # theta + beta x in the scratch's first row, idle until the fit
+                eta_base = np.multiply(x, spec.beta, out=scratch[0])
+                eta_base += spec.theta
                 eta = np.add(e, eta_base, out=eta_buf[:k])
                 beta_hat[lo:hi], theta_hat[lo:hi], sxx[lo:hi], xi_mean[lo:hi] = kernels.fit_batch(
                     xi, eta, scratch=scratch
@@ -322,6 +329,8 @@ def _simulate_grid_point(
                         xi, eta, beta_hat[lo:hi], scratch=scratch
                     )
                 if need_latents:
+                    # d(x) in eta's first row, which the residual pass left idle
+                    x_dev = np.subtract(x, x_mean, out=eta_buf[0])
                     sums[:, lo:hi] = kernels.decompose_batch(x_dev, xi, e, d, scratch=scratch)
         except BaseException:
             stop.set()  # the other workers stop too

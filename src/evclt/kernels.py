@@ -103,8 +103,8 @@ def residual_variance(dxi, deta, beta, scratch=None):
 def decompose_batch(x, xi, eps, delta, scratch=None):
     """Row-wise raw sums feeding the slope-error decomposition.
 
-    ``x`` is the centered design row d(x), which the caller forms once for
-    every block of its n; ``xi`` holds the centered observed regressor rows
+    ``x`` is the centered design row d(x), one row shared by every row of
+    the block; ``xi`` holds the centered observed regressor rows
     d(xi) that ``fit_batch`` leaves; ``delta`` is centered in place.
     Returns, per row: sum d(xi)_i eps_i, sum d(x)_i delta_i,
     sum d(x)_i eps_i, sum d(delta)_i^2, sum d(delta)_i eps_i. The fit

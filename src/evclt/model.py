@@ -29,7 +29,7 @@ from .design import DesignSequence, real_number
 from .errors import ConfigError
 from .kernels import SLICE
 from .rng import STREAM_DELTA, STREAM_EPS, uniforms
-from .special import gamma_ratio
+from .special import gamma_ratio, student_t_abs_moment
 
 FAMILIES = (
     "normal",
@@ -386,13 +386,7 @@ class ErrorDistribution:
             elif self.family == "laplace":
                 value = s**k * math.gamma(k + 1)
             elif self.family == "student-t":
-                # nu^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (Gamma(1/2) Gamma(nu/2))
-                # as two gamma ratios: a difference of log-gammas cancels as
-                # nu grows (6.6e-10 of the variance at df 1e6), and an even k
-                # makes both ratios exact products
-                nu = float(self.df)  # type: ignore[arg-type]
-                ratio = gamma_ratio(0.5, k / 2) / gamma_ratio((nu - k) / 2, k / 2)
-                value = s**k * nu ** (k / 2) * ratio
+                value = student_t_abs_moment(s, float(self.df), k)  # type: ignore[arg-type]
             else:  # scaled-rademacher
                 value = s**k
         except OverflowError:
@@ -473,18 +467,21 @@ class ErrorDistribution:
     def tail_prob(self, cutoff):
         """P(|X| >= cutoff)."""
         s, c = self.scale, np.maximum(cutoff, 0.0)
-        if s == 0.0:
-            p = 0.0
-        elif self.family == "normal":
-            p = erfc(c / (s * math.sqrt(2.0)))
-        elif self.family == "uniform-centered":
-            p = np.maximum(0.0, 1.0 - c / s)
-        elif self.family == "laplace":
-            p = np.exp(-c / s)
-        elif self.family == "student-t":
-            p = 2.0 * stdtr(self.df, -c / s)
-        else:
-            p = np.where(s >= c, 1.0, 0.0)
+        # c / s overflows to inf only at a huge cutoff over a tiny scale,
+        # where every tail is exactly 0
+        with np.errstate(over="ignore"):
+            if s == 0.0:
+                p = 0.0
+            elif self.family == "normal":
+                p = erfc(c / (s * math.sqrt(2.0)))
+            elif self.family == "uniform-centered":
+                p = np.maximum(0.0, 1.0 - c / s)
+            elif self.family == "laplace":
+                p = np.exp(-c / s)
+            elif self.family == "student-t":
+                p = 2.0 * stdtr(self.df, -c / s)
+            else:
+                p = np.where(s >= c, 1.0, 0.0)
         return _per_cutoff(cutoff, 1.0, p)
 
     def truncated_abs_moment(self, order: float, cutoff):
@@ -579,7 +576,16 @@ class ErrorDistribution:
             tail = np.exp(-c / s)
             live = tail > 0.0  # elsewhere the tail is 0, and c * c may overflow
             c = c[live]
-            tail[live] *= c * c + 2 * s * c + 2 * s * s
+            with np.errstate(over="ignore"):
+                direct = tail[live] * (c * c + 2 * s * c + 2 * s * s)
+            # From scales past 1.8e151 the polynomial can overflow where the
+            # tail, at most the variance 2 s^2, is finite: there it takes
+            # (s e^(-m/2))^2 (m^2 + 2m + 2), the exp factor first.
+            huge = np.isinf(direct)
+            m = c[huge] / s
+            root = s * np.exp(-m / 2)
+            direct[huge] = root * root * (m * m + 2 * m + 2)
+            tail[live] = direct
         elif self.family == "student-t":
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)

@@ -474,45 +474,48 @@ def test_report_bytes_are_pinned(
 @pytest.mark.parametrize("need_latents, blocks", [(False, 2), (True, 4)])
 def test_grid_point_working_memory_is_a_few_chunk_blocks(need_latents, blocks, workers):
     # At n = CHUNK_BYTES // 40 a chunk holds 5 rows, so one (rows, n) data
-    # block is just under CHUNK_BYTES, and one row is under a slice. Each
+    # block is just under CHUNK_BYTES, and one row is under a slice; at
+    # n = CHUNK_BYTES // 10, above kernels.SLICE, a chunk is one row. Each
     # worker reuses 2 data blocks (xi, eta), or 4 when the latents are kept,
-    # plus slice-sized buffers only: the kernels' product scratch and the
-    # student-t sampler's temporaries (under 5 slices, see test_model.py).
-    # The design rows eta_base and, with the latents, d(x) are shared, and
-    # the per-replicate arrays come on top. A spare block per worker, as a
-    # full (rows, n) product scratch would take, breaks the bound.
-    n, replicates = harness.CHUNK_BYTES // 40, 20
+    # a product scratch of one slice (one row where a row is longer), and
+    # the student-t sampler's temporaries (under 5 slices, see
+    # test_model.py). theta + beta x and d(x) are formed in the scratch and
+    # in eta's first row, so the grid point holds no n-long row of its own,
+    # and only the per-replicate arrays come on top. A spare row or block
+    # per worker, as a design row held per grid point or a full (rows, n)
+    # product scratch would take, breaks the bound.
     spec = EVModelSpec(
         theta=1.0,
         beta=2.0,
         eps_dist=ErrorDistribution("student-t", 1.0, df=6.0),
         delta_dist=ErrorDistribution("normal", 1.0),
     )
-    x = DesignSequence("linear").generate(n)
-    summary = summarize(x)
-    assert harness.CHUNK_BYTES // (8 * n) == 5
-    assert n <= kernels.SLICE
-    tracemalloc.start()
-    try:
-        harness._simulate_grid_point(
-            spec=spec,
-            x=x,
-            summary=summary,
-            n=n,
-            replicates=replicates,
-            seed=1,
-            need_latents=need_latents,
-            need_rvar=True,
-            workers=workers,
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    replicates = 20
     slice_bytes = 8 * kernels.SLICE
-    per_worker = blocks * harness.CHUNK_BYTES + (1 + 5) * slice_bytes
-    design_rows = 2 * slice_bytes
     per_replicate = 8 * replicates * 16
-    assert peak < workers * per_worker + design_rows + per_replicate
+    for n, rows in ((harness.CHUNK_BYTES // 40, 5), (harness.CHUNK_BYTES // 10, 1)):
+        x = DesignSequence("linear").generate(n)
+        summary = summarize(x)
+        assert harness.CHUNK_BYTES // (8 * n) == rows
+        assert (n > kernels.SLICE) == (rows == 1)
+        tracemalloc.start()
+        try:
+            harness._simulate_grid_point(
+                spec=spec,
+                x=x,
+                summary=summary,
+                n=n,
+                replicates=replicates,
+                seed=1,
+                need_latents=need_latents,
+                need_rvar=True,
+                workers=workers,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_worker = blocks * 8 * rows * n + max(slice_bytes, 8 * n) + 5 * slice_bytes
+        assert peak < workers * per_worker + per_replicate, n
 
 
 def test_beta_clt_passes_at_moderate_scale(standard_spec):

@@ -24,7 +24,7 @@ from evclt.model import (
     moment,
 )
 from evclt.rng import STREAM_EPS, uniforms
-from evclt.special import gamma_ratio
+from evclt.special import gamma_ratio, scaled_gamma_ratio
 
 
 # --- sampling ----------------------------------------------------------------
@@ -566,6 +566,77 @@ def test_tail_probability_against_reference():
     assert ErrorDistribution("laplace", 1.0).tail_prob(2.0) == pytest.approx(
         2 * stats.laplace.sf(2.0), rel=1e-12
     )
+
+
+def test_laplace_tail_at_a_huge_scale_is_finite():
+    # From scales past 1.8e151 the polynomial c^2 + 2sc + 2s^2 overflows where
+    # exp(-c/s) does not underflow; the tail is s^2 e^(-m) (m^2 + 2m + 2).
+    mpmath = pytest.importorskip("mpmath")
+    dist = ErrorDistribution("laplace", 1e153)
+    cutoffs = np.array([1e153, 1e154, 1e155, 3e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = dist.tail_second_moment(cutoffs)
+        scalar = dist.tail_second_moment(1e155)
+    assert scalar == vector[2]
+    with mpmath.workdps(50):
+        s = mpmath.mpf(1e153)
+        for c, got in zip(cutoffs, vector):
+            m = mpmath.mpf(float(c)) / s
+            ref = s * s * mpmath.exp(-m) * (m * m + 2 * m + 2)
+            # a relative error of m, one ulp, moves e^(-m) by m ulp
+            assert abs(got - ref) <= max(1e-14, 4e-16 * m) * ref, c
+            assert got <= dist.variance()
+    assert vector[2] == pytest.approx(3.7952215107364568e266, rel=1e-14)
+    # where the polynomial is finite the tail keeps its form, bit for bit
+    unit = ErrorDistribution("laplace", 1.0)
+    assert unit.tail_second_moment(3.0) == math.exp(-3.0) * (9.0 + 6.0 + 2.0)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ErrorDistribution("normal", 1e-300),
+        ErrorDistribution("student-t", 1e-300, df=5.0),
+        ErrorDistribution("laplace", 1e-300),
+        ErrorDistribution("uniform-centered", 1e-300),
+    ],
+    ids=lambda d: d.family,
+)
+def test_tail_prob_over_a_tiny_scale_is_zero_without_warnings(dist):
+    # c / s overflows to inf at cutoff 1e10 over scale 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.tail_prob(1e10) == 0.0
+        assert np.array_equal(dist.tail_prob(np.array([0.0, 1e10])), [1.0, 0.0])
+
+
+def test_student_t_high_moment_at_a_large_df_is_finite():
+    # nu^(k/2) and Gamma((nu - k)/2 + k/2) / Gamma((nu - k)/2) each pass
+    # float64 at k = 110, df 1e6, where E|T|^k = 3.48e88
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nu, k = mpmath.mpf(10**6), mpmath.mpf(110)
+        ref = (
+            nu ** (k / 2) * mpmath.gamma((k + 1) / 2) * mpmath.gamma((nu - k) / 2)
+            / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu / 2))
+        )
+    got = ErrorDistribution("student-t", 1.0, df=1e6).abs_moment(110.0)
+    assert got == pytest.approx(float(ref), rel=1e-14)
+    assert float(ref) == 3.4827704319567934e88
+    scaled = ErrorDistribution("student-t", 10.0, df=1e6)
+    assert math.isfinite(scaled.abs_moment(100.0))  # s^k nu^(k/2) is inf there
+
+
+def test_scaled_gamma_ratio_matches_mpmath():
+    # near 1 at a large x, where x^a overflows; a sum of logs near 200 (a = 55
+    # at x = 0.3) would cost its exponent's ulp, so the large a is read far out
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(x, a) for x in (0.3, 7.5, 20.0, 1e5) for a in (0.5, 2.5, 7.0)]
+    for x, a in cases + [(1e5, 55.0), (5e5 - 55, 55.0), (5e5 - 55.5, 55.5)]:
+        with mpmath.workdps(50):
+            ref = mpmath.gamma(mpmath.mpf(x) + a) / (mpmath.gamma(x) * mpmath.mpf(x) ** a)
+        assert scaled_gamma_ratio(x, a) == pytest.approx(float(ref), rel=4e-15), (x, a)
 
 
 def test_rademacher_truncation_strictness():
