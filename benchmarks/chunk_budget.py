@@ -57,7 +57,7 @@ def timed(**kwargs):
     return stats
 
 harness._simulate_grid_point = timed
-report, _ = harness.run_experiment(load_config(config_path).experiment(), workers=workers)
+report, _ = harness.run_experiment(load_config(config_path).experiment, workers=workers)
 print(json.dumps({
     "grid_cpu_s": grid_cpu_s,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

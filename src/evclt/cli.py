@@ -159,7 +159,8 @@ def _write_counterexample_csv(out: Path, entries: list[dict]) -> None:
 
 
 def _cmd_diagnose(args, config: AppConfig) -> int:
-    report = diagnostics_report(config.design, config.model, config.n_grid)
+    experiment = config.experiment
+    report = diagnostics_report(experiment.design, experiment.model, experiment.n_grid)
     out = _write_manifest(args, config)
     _write_json(out / "diagnostics.json", report)
     _write_csv(
@@ -174,7 +175,7 @@ def _cmd_diagnose(args, config: AppConfig) -> int:
     )
     petrov = {name: report["petrov"][name] for name in ("petrov-i", "petrov-ii", "petrov-iii")}
     _write_csv(out / "petrov.csv", ("condition", "n", "value", "verdict"), _path_records(petrov))
-    export_design_csv(config.design, config.n_grid[-1], out / "design.csv")
+    export_design_csv(experiment.design, experiment.n_grid[-1], out / "design.csv")
 
     print(f"{'condition':<20} {'verdict':<18} final value")
     for name, path in {**report["conditions"], **petrov}.items():
@@ -183,7 +184,7 @@ def _cmd_diagnose(args, config: AppConfig) -> int:
 
 
 def _cmd_simulate(args, config: AppConfig) -> int:
-    experiment = config.experiment()
+    experiment = config.experiment
     report, samples = run_experiment(
         experiment, workers=args.workers, collect_samples=args.emit_samples
     )
@@ -228,17 +229,17 @@ def _cmd_simulate(args, config: AppConfig) -> int:
 
 
 def _cmd_lindeberg(args, config: AppConfig) -> int:
-    section = config.lindeberg
+    experiment, section = config.experiment, config.lindeberg
     reports = [
         report.to_dict()
         for report in lindeberg_sum(
-            config.design,
-            config.n_grid,
-            config.model,
+            experiment.design,
+            experiment.n_grid,
+            experiment.model,
             section.r_grid,
             method=section.method,
             mc_budget=section.mc_budget,
-            seed=config.seed,
+            seed=experiment.seed,
         )
     ]
     out = _write_manifest(args, config)

@@ -26,7 +26,12 @@ One YAML (or JSON) file drives every CLI command:
       method: quadrature           # quadrature | monte-carlo
       mc_budget: 1000000
 
-Unknown keys anywhere are rejected so typos cannot silently change a run.
+A file is valid for every command or for none: it is checked whole at
+load, ``lindeberg`` and the Monte Carlo settings alike, so ``diagnose``
+refuses ``replicates: -5`` as ``simulate`` does, and each command's first
+step, the design summaries, refuses a grid whose dispersion overflows
+float64. Unknown keys anywhere are rejected so typos cannot silently change
+a run.
 Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
 ``lindeberg.mc_budget``) must be whole numbers, the other numbers (model,
 design parameters, ``lindeberg.r_grid``) ints or floats; nothing is
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -54,45 +59,35 @@ from .harness import ExperimentConfig, check_tests
 from .model import ErrorDistribution, EVModelSpec
 
 DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
-DEFAULT_LINDEBERG_R_GRID = (0.1, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
 class LindebergSection:
-    r_grid: tuple[float, ...] = DEFAULT_LINDEBERG_R_GRID
+    r_grid: tuple[float, ...] = (0.1, 0.5, 1.0)
     method: str = "quadrature"
     mc_budget: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        r_grid, mc_budget = check_lindeberg(self.r_grid, self.method, self.mc_budget)
+        object.__setattr__(self, "r_grid", r_grid)
+        object.__setattr__(self, "mc_budget", mc_budget)
 
 
 @dataclass(frozen=True)
 class AppConfig:
-    seed: int
-    design: DesignSequence
-    model: EVModelSpec
-    n_grid: tuple[int, ...]
-    replicates: int
-    variance_source: str
-    tests: tuple[str, ...]
-    lindeberg: LindebergSection = field(default_factory=LindebergSection)
+    """The run's ``ExperimentConfig``, which every command reads, and the
+    ``lindeberg`` section."""
 
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            design=self.design,
-            model=self.model,
-            n_grid=self.n_grid,
-            replicates=self.replicates,
-            seed=self.seed,
-            variance_source=self.variance_source,
-            tests=self.tests,
-        )
+    experiment: ExperimentConfig
+    lindeberg: LindebergSection
 
     def with_seed(self, seed: int) -> "AppConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, experiment=replace(self.experiment, seed=int(seed)))
 
     def canonical(self) -> dict:
         """The fields under their config-file names; ``config_hash`` hashes it."""
-        out = asdict(self)
-        out["model"] = self.model.to_dict()
+        out = {**asdict(self.experiment), "lindeberg": asdict(self.lindeberg)}
+        out["model"] = self.experiment.model.to_dict()
         out["grid"] = out.pop("n_grid")
         return out
 
@@ -168,11 +163,7 @@ def _parse_variance_source(value) -> str:
 def _parse_lindeberg(node) -> LindebergSection:
     node = _require_mapping(node, "lindeberg")
     _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
-    method = str(node.get("method", "quadrature"))
-    r_grid, mc_budget = check_lindeberg(
-        node.get("r_grid", DEFAULT_LINDEBERG_R_GRID), method, node.get("mc_budget", 1_000_000)
-    )
-    return LindebergSection(r_grid=r_grid, method=method, mc_budget=mc_budget)
+    return LindebergSection(**node)
 
 
 _TOP_KEYS = {
@@ -203,13 +194,15 @@ def parse_config(data: dict) -> AppConfig:
             raise ConfigError(f"config.{key} has a value of the wrong type: {exc}") from exc
 
     return AppConfig(
-        seed=parse("seed", lambda v: whole_number(v, "config.seed"), 0),
-        design=parse("design", _parse_design),
-        model=parse("model", _parse_model),
-        n_grid=parse("grid", check_grid, DEFAULT_N_GRID),
-        replicates=parse("replicates", lambda v: whole_number(v, "config.replicates"), 1000),
-        variance_source=parse("variance_source", _parse_variance_source, "true"),
-        tests=parse("tests", check_tests, ("beta-clt",)),
+        experiment=ExperimentConfig(
+            seed=parse("seed", lambda v: whole_number(v, "config.seed"), 0),
+            design=parse("design", _parse_design),
+            model=parse("model", _parse_model),
+            n_grid=parse("grid", check_grid, DEFAULT_N_GRID),
+            replicates=parse("replicates", lambda v: whole_number(v, "config.replicates"), 1000),
+            variance_source=parse("variance_source", _parse_variance_source, "true"),
+            tests=parse("tests", check_tests, ("beta-clt",)),
+        ),
         lindeberg=parse("lindeberg", _parse_lindeberg, {}),
     )
 

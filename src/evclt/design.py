@@ -90,39 +90,27 @@ class DesignSequence:
         object.__setattr__(self, "seed", whole_number(self.seed, "design.seed"))
 
     def generate(self, n: int) -> np.ndarray:
-        """First n values of the sequence (1-based index formulas)."""
+        """First n values of the sequence (1-based index formulas). A value
+        past the float64 range is inf, without a warning: ``summarize``
+        refuses it."""
         if n < 2:
             raise ConfigError(f"design length must be >= 2, got {n}")
-        if self.kind == "gaussian-iid":
-            u = uniforms((self.seed, STREAM_DESIGN), n)
-            return self.params["sd"] * ndtri(u)
-        return self._formula(np.arange(1, n + 1, dtype=np.float64))
-
-    def finite_through(self, n: int) -> bool:
-        """Whether the first n values are all finite, without generating them.
-
-        The unbounded kinds peak in magnitude at i = n, so their last value
-        decides; bounded, gaussian-iid and constant designs never overflow.
-        """
-        if self.kind == "gaussian-iid":
-            return True
-        with np.errstate(over="ignore"):
-            return bool(np.isfinite(self._formula(np.float64(n))))
-
-    def _formula(self, i: np.ndarray | np.float64) -> np.ndarray:
-        """The deterministic kinds' values at the float indices i (1-based)."""
         p = self.params
-        if self.kind == "linear":
-            return p["slope"] * i
-        if self.kind == "power":
-            return i ** p["exponent"]
-        if self.kind == "alternating":
-            return np.where(i % 2 == 0, 1.0, -1.0) * p["scale"] * i
-        if self.kind == "geometric":
-            return p["base"] ** i
-        if self.kind == "bounded":
-            return p["scale"] * np.sin(i)
-        return np.full(np.shape(i), p["value"])
+        with np.errstate(over="ignore"):
+            if self.kind == "gaussian-iid":
+                return p["sd"] * ndtri(uniforms((self.seed, STREAM_DESIGN), n))
+            i = np.arange(1, n + 1, dtype=np.float64)
+            if self.kind == "linear":
+                return p["slope"] * i
+            if self.kind == "power":
+                return i ** p["exponent"]
+            if self.kind == "alternating":
+                return np.where(i % 2 == 0, 1.0, -1.0) * p["scale"] * i
+            if self.kind == "geometric":
+                return p["base"] ** i
+            if self.kind == "bounded":
+                return p["scale"] * np.sin(i)
+            return np.full(n, p["value"])
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -159,11 +159,6 @@ class ExperimentConfig:
             raise ConfigError("the counterexample test needs a gaussian-iid design")
         if "negligibility" in tests and len(grid) < 2:
             raise ConfigError("the negligibility trend needs at least 2 grid points")
-        if not self.design.finite_through(grid[-1]):
-            raise ConfigError(
-                f"design values must be finite up to n = {grid[-1]}, but the "
-                f"{self.design.kind} design overflows float64 there"
-            )
 
     def to_dict(self) -> dict:
         return {**asdict(self), "model": self.model.to_dict(), "defaults": DEFAULTS.to_dict()}

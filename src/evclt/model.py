@@ -573,19 +573,22 @@ class ErrorDistribution:
             b = np.minimum(c, s)  # b * b is finite, where c * c may not be
             tail = np.where(c >= s, 0.0, (s - b) * (s * s + s * b + b * b) / (3.0 * s))
         elif self.family == "laplace":
-            tail = np.exp(-c / s)
-            live = tail > 0.0  # elsewhere the tail is 0, and c * c may overflow
+            m = c / s
+            tail = np.exp(-m)
+            live = tail > 0.0  # elsewhere c * c may overflow
             c = c[live]
             with np.errstate(over="ignore"):
-                direct = tail[live] * (c * c + 2 * s * c + 2 * s * s)
+                tail[live] *= c * c + 2 * s * c + 2 * s * s
             # From scales past 1.8e151 the polynomial can overflow where the
-            # tail, at most the variance 2 s^2, is finite: there it takes
-            # (s e^(-m/2))^2 (m^2 + 2m + 2), the exp factor first.
-            huge = np.isinf(direct)
-            m = c[huge] / s
+            # tail, at most the variance 2 s^2, is finite, and from m = 745
+            # on e^(-m) underflows where the tail need not: there it takes
+            # (s e^(-m/2))^2 (m^2 + 2m + 2), the exp factor first. Past
+            # m = 1500 e^(-m/2) underflows too: the tail stays 0, and m * m,
+            # which can overflow there, is not formed.
+            redo = (np.isinf(tail) | ~live) & (m < 1500.0)
+            m = m[redo]
             root = s * np.exp(-m / 2)
-            direct[huge] = root * root * (m * m + 2 * m + 2)
-            tail[live] = direct
+            tail[redo] = root * root * (m * m + 2 * m + 2)
         elif self.family == "student-t":
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)

@@ -14,23 +14,29 @@ import math
 
 
 def gamma_ratio(x: float, a: float) -> float:
-    """Gamma(x + a) / Gamma(x) for x > 0 and a >= 0, within a few ulp.
+    """Gamma(x + a) / Gamma(x) for x > 0 and a >= 0, within a few ulp per
+    factor.
 
     scipy's beta function, and a difference of log-gammas, lose digits as x
     grows (3.5e-11 at x = 5e4). A whole a gives the product
-    x (x + 1) ... (x + a - 1), rounded once per factor. Otherwise
-    Gamma(x + 1) = x Gamma(x) lifts x to at least 16, and the ratio is
+    x (x + 1) ... (x + a - 1), rounded once per factor. A non-whole a up to
+    2.5 lifts x to at least 16 by Gamma(x + 1) = x Gamma(x), and the ratio is
     x^a exp((x + a - 1/2) log1p(a / x) - a + S), with S the difference of the
     Stirling series B_2j / (2j (2j - 1) x^(2j-1)) at x + a and at x, to its
     sixth term: the seventh is below 1e-16 from x = 16 on, for a up to 2.5.
+    A larger a = j + f, with j whole and 0 < f < 1, takes that ratio at f
+    times (x + f) (x + f + 1) ... (x + f + j - 1): exp(rest) would carry the
+    rounding of a rest near 100 (9.6e-15 at x = 0.5, a = 55.5).
     """
-    if a == int(a):
-        product = 1.0
-        for j in range(int(a)):
-            product *= x + j
-        return product
-    factor, y, rest = _lifted_stirling(x, a)
-    return factor * y**a * math.exp(rest)
+    j = int(a)
+    f = a - j
+    if f and a <= 2.5:
+        factor, y, rest = _lifted_stirling(x, a)
+        return factor * y**a * math.exp(rest)
+    product = gamma_ratio(x, f) if f else 1.0
+    for i in range(j):
+        product *= x + f + i
+    return product
 
 
 def scaled_gamma_ratio(x: float, a: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,44 @@ def test_simulate_refuses_replicate_indices_past_one_key_word(tmp_path, monkeypa
     assert calls == []
 
 
+# Each config refused by ``simulate``, and the words of its refusal.
+_REFUSED_BY_SIMULATE = {
+    "negative-replicates": ({"replicates": -5}, "at least 2 replicates"),
+    "replicates-past-one-key-word": ({"replicates": 2**32 + 1}, "2^32"),
+    "few-replicates-for-beta-clt": ({"replicates": 50}, "need R >= 100"),
+    "counterexample-on-linear": ({"tests": ["counterexample"]}, "gaussian-iid"),
+    "single-point-negligibility": (
+        {"grid": [200], "tests": ["negligibility"]},
+        "at least 2 grid points",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_BY_SIMULATE))
+@pytest.mark.parametrize("command", ["diagnose", "lindeberg", "simulate"])
+def test_a_config_simulate_refuses_is_refused_by_every_command(tmp_path, capsys, command, name):
+    overrides, cause = _REFUSED_BY_SIMULATE[name]
+    config = _write_config(tmp_path, _base_config(**overrides))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diagnose", "lindeberg", "simulate"])
+def test_overflowing_design_is_refused_without_a_numpy_warning(tmp_path, capsys, command):
+    # 2^i overflows float64 from i = 1024: the refusal is all that is printed.
+    design = {"kind": "geometric", "params": {"base": 2.0}}
+    config = _write_config(tmp_path, _base_config(design=design, grid=[100, 1100]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "lindeberg", "diagnose"])
 def test_error_scale_whose_variance_overflows_is_a_config_error(
     tmp_path, monkeypatch, capsys, command
@@ -452,18 +491,18 @@ def test_lindeberg_monte_carlo_draws_once_per_run(tmp_path, monkeypatch):
 
         # each (n, r) report of the grid call is the report of a call on n and r alone
         config = load_config(config_path)
-        section = config.lindeberg
+        experiment, section = config.experiment, config.lindeberg
         reports = [
             lindeberg_sum(
-                config.design,
+                experiment.design,
                 [n],
-                config.model,
+                experiment.model,
                 [r],
                 method=section.method,
                 mc_budget=section.mc_budget,
-                seed=config.seed,
+                seed=experiment.seed,
             )[0].to_dict()
-            for n in config.n_grid
+            for n in experiment.n_grid
             for r in section.r_grid
         ]
         expected = tmp_path / f"expected-{method}.json"

@@ -33,14 +33,14 @@ def _write(tmp_path, data, name="config.yaml"):
 
 def test_minimal_config_gets_defaults(tmp_path):
     config = load_config(_write(tmp_path, MINIMAL))
-    assert config.n_grid == DEFAULT_N_GRID
-    assert config.tests == ("beta-clt",)
-    assert config.variance_source == "true"
-    assert config.seed == 0
-    assert config.replicates == 1000
+    assert config.experiment.n_grid == DEFAULT_N_GRID
+    assert config.experiment.tests == ("beta-clt",)
+    assert config.experiment.variance_source == "true"
+    assert config.experiment.seed == 0
+    assert config.experiment.replicates == 1000
     assert config.lindeberg.r_grid == (0.1, 0.5, 1.0)
     # the fixed thresholds are recorded next to every report's verdicts
-    assert config.experiment().to_dict()["defaults"] == DEFAULTS.to_dict()
+    assert config.experiment.to_dict()["defaults"] == DEFAULTS.to_dict()
 
 
 def test_full_config_round_trip(tmp_path):
@@ -54,20 +54,19 @@ def test_full_config_round_trip(tmp_path):
         lindeberg={"r_grid": [0.5], "method": "monte-carlo", "mc_budget": 10_000},
     )
     config = load_config(_write(tmp_path, data))
-    assert config.seed == 42
-    assert config.n_grid == (100, 200, 400)
-    assert config.variance_source == "plug-in"
-    assert config.tests == ("beta-clt", "coverage")
+    assert config.experiment.seed == 42
+    assert config.experiment.n_grid == (100, 200, 400)
+    assert config.experiment.variance_source == "plug-in"
+    assert config.experiment.tests == ("beta-clt", "coverage")
     assert config.lindeberg.r_grid == (0.5,)
     assert config.lindeberg.method == "monte-carlo"
     assert config.lindeberg.mc_budget == 10_000
-    experiment = config.experiment()
-    assert experiment.replicates == 500
+    assert config.experiment.replicates == 500
 
 
 def test_yaml_bare_true_variance_source(tmp_path):
     config = load_config(_write(tmp_path, dict(MINIMAL, variance_source=True)))
-    assert config.variance_source == "true"
+    assert config.experiment.variance_source == "true"
 
 
 def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
@@ -95,7 +94,7 @@ def test_student_t_df_passthrough(tmp_path):
     data = dict(MINIMAL)
     data["model"] = dict(data["model"], eps={"family": "student-t", "scale": 1.0, "df": 6})
     config = load_config(_write(tmp_path, data))
-    assert config.model.eps_dist.df == 6.0
+    assert config.experiment.model.eps_dist.df == 6.0
 
 
 @pytest.mark.parametrize(
@@ -269,5 +268,5 @@ def test_docstring_schema_is_complete_and_loads():
     block = doc[doc.index(".. code-block:: yaml") :].split("\n\n")[1]
     data = yaml.safe_load(textwrap.dedent(block))
     config = parse_config(data)
-    assert config.seed == 42
+    assert config.experiment.seed == 42
     assert set(data) == config_module._TOP_KEYS

@@ -13,6 +13,7 @@ from scipy.special import ndtr, ndtri
 from evclt import harness, kernels, rng
 from evclt.design import DesignSequence, summarize
 from evclt.errors import ConfigError, ZeroVarianceError
+from evclt.estimator import fit
 from evclt.harness import (
     DEFAULTS,
     ExperimentConfig,
@@ -22,7 +23,7 @@ from evclt.harness import (
     report_json_bytes,
     run_experiment,
 )
-from evclt.model import ErrorDistribution, EVModelSpec
+from evclt.model import ErrorDistribution, EVModelSpec, draw_sample
 
 
 def _brute_force_ks(z):
@@ -177,7 +178,7 @@ def test_geometric_overflow_fails_before_any_simulation(monkeypatch, standard_sp
     calls = _count_grid_points(monkeypatch)
     design = DesignSequence("geometric", {"base": 2.0})
     with pytest.raises(ConfigError, match="overflow"):
-        _config(design, standard_spec, n_grid=(100, 1100))
+        run_experiment(_config(design, standard_spec, n_grid=(100, 1100)))
     with pytest.raises(ConfigError, match="overflow"):
         run_experiment(_config(design, standard_spec, n_grid=(100, 1024)))
     assert calls == []
@@ -318,6 +319,42 @@ def test_parallel_chunks_fill_disjoint_slices(monkeypatch, linear_design, standa
     for name in ("valid", "beta_hat", "theta_hat", "rvar", "ratios"):
         np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
     assert parallel.identity_gap == serial.identity_gap
+
+
+@pytest.mark.parametrize("n, replicates", [(300, 440), (20000, 8)])
+@pytest.mark.parametrize(
+    "eps_dist",
+    [
+        ErrorDistribution("normal", 1.0),
+        ErrorDistribution("laplace", 1.0),
+        ErrorDistribution("student-t", 1.0, df=6),
+    ],
+    ids=lambda dist: dist.family,
+)
+def test_grid_point_values_are_those_of_fit_on_draw_sample(linear_design, eps_dist, n, replicates):
+    # The grid point draws from keys hashed once for all its replicates
+    # (rng.replicate_keys), in chunks under 2 workers; draw_sample keys each
+    # stream by the tuple (seed, n, replicate, stream). Both must give the
+    # same draws, and fit the same bits. At n = 300 the replicates span 3
+    # chunks; n = 20000 is longer than a slice (kernels.SLICE) and its 8
+    # replicates span 3 chunks too.
+    spec = EVModelSpec(1.0, 2.0, eps_dist, ErrorDistribution("normal", 1.0))
+    x = linear_design.generate(n)
+    stats = harness._simulate_grid_point(
+        spec=spec,
+        x=x,
+        summary=summarize(x),
+        n=n,
+        replicates=replicates,
+        seed=11,
+        need_latents=False,
+        need_rvar=True,
+        workers=2,
+    )
+    fits = [fit(draw_sample(spec, linear_design, n, 11, r)) for r in range(replicates)]
+    np.testing.assert_array_equal(stats.beta_hat, [f.beta_hat for f in fits])
+    np.testing.assert_array_equal(stats.theta_hat, [f.theta_hat for f in fits])
+    np.testing.assert_array_equal(stats.rvar, [f.residual_var for f in fits])
 
 
 def test_a_failing_worker_stops_the_pool_within_one_chunk(

@@ -593,6 +593,33 @@ def test_laplace_tail_at_a_huge_scale_is_finite():
     assert unit.tail_second_moment(3.0) == math.exp(-3.0) * (9.0 + 6.0 + 2.0)
 
 
+def test_laplace_tail_where_exp_underflows_takes_the_root_form():
+    # From m = 745 e^(-m) underflows to 0, but (s e^(-m/2))^2 (m^2 + 2m + 2)
+    # need not: at scale 1e153 and m = 1000, 1400 the tail is 5.1e-123 and
+    # 1.9e-296. The reference reads the law's own m = c / s; an ulp of m
+    # moves e^(-m) by m ulp.
+    mpmath = pytest.importorskip("mpmath")
+    s = 1e153
+    dist = ErrorDistribution("laplace", s)
+    cutoffs = np.array([1e156, 1.4e156])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = dist.tail_second_moment(cutoffs)
+        assert [dist.tail_second_moment(c) for c in cutoffs] == list(vector)
+        # from m = 1491 on e^(-m/2) underflows too
+        assert list(dist.tail_second_moment(np.array([1.5e156, 1e300]))) == [0.0, 0.0]
+    with mpmath.workdps(50):
+        for c, got in zip(cutoffs, vector):
+            m = mpmath.mpf(float(c) / s)
+            ref = mpmath.mpf(s) ** 2 * mpmath.exp(-m) * (m * m + 2 * m + 2)
+            assert abs(got - ref) <= 1e-14 * ref, c
+    assert vector[0] == pytest.approx(5.08612096726235e-123, rel=1e-14)
+    # wherever e^(-m) is positive and the polynomial finite, the direct form
+    unit = ErrorDistribution("laplace", 1.0)
+    m = np.array([0.0, 0.5, 3.0, 40.0, 700.0, 745.0])
+    assert list(unit.tail_second_moment(m)) == list(np.exp(-m) * (m * m + 2 * m + 2))
+
+
 @pytest.mark.parametrize(
     "dist",
     [
@@ -792,6 +819,26 @@ def test_gamma_ratio_matches_mpmath_at_every_size():
             assert gamma_ratio(x, a) == pytest.approx(float(ref), rel=4e-15), (x, a)
     # a whole a is the product x (x + 1) ... (x + a - 1), rounded per factor
     assert (gamma_ratio(2.0, 1.0), gamma_ratio(0.5, 2.0), gamma_ratio(3.0, 0.0)) == (2.0, 0.75, 1.0)
+
+
+def test_gamma_ratio_at_a_large_non_whole_a_rounds_once_per_factor():
+    # a = j + f past 2.5 is the ratio at f times j factors x + f + i; the
+    # Stirling form's exp(rest), rest near 100, was 9.6e-15 off at (0.5, 55.5)
+    mpmath = pytest.importorskip("mpmath")
+
+    def error(x, a):
+        with mpmath.workdps(50):
+            ref = mpmath.exp(mpmath.loggamma(mpmath.mpf(x) + a) - mpmath.loggamma(x))
+            return float(abs(gamma_ratio(x, a) - ref) / ref)
+
+    assert error(0.5, 55.5) <= 4e-15 and error(100.0, 55.5) <= 4e-15
+    # a seeded sweep below the float64 maximum: at most 150 factors of an ulp
+    rng = np.random.default_rng(7)
+    x = np.exp(rng.uniform(math.log(0.05), math.log(1e6), 2000))
+    a = rng.uniform(3.0, 151.0, 2000)
+    finite = [(xi, ai) for xi, ai in zip(x, a) if ai * math.log(xi + ai) < 690.0][:294]
+    assert len(finite) == 294
+    assert max(error(float(xi), float(ai)) for xi, ai in finite) <= 2e-14
 
 
 @pytest.mark.parametrize("df", [4.5, 6.0, 30.0, 200.0, 1e3, 1e4, 1e5, 1e6])
