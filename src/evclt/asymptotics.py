@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignSequence, DesignSummary, prefix_summaries, real_number
+from .design import DesignSequence, DesignSummary, entries, prefix_summaries, real_number
 from .design import summary_path, whole_number
 from .errors import ConfigError, DegenerateDesignError, QuadratureUnsupportedError
 from .model import ErrorDistribution, EVModelSpec
@@ -126,12 +126,13 @@ def check_lindeberg(r_grid: Sequence[float], method: str, mc_budget) -> tuple[tu
     """(r_grid, mc_budget) as floats and an int: at least one truncation level,
     each finite and > 0, a method of LINDEBERG_METHODS, and a whole-number
     Monte Carlo budget >= 1000."""
+    r_grid = entries(r_grid, "lindeberg.r_grid")
     r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
-    if not r_grid or not all(0.0 < r < math.inf for r in r_grid):
-        raise ConfigError("each lindeberg.r_grid truncation level r must be finite and > 0")
+    if not r_grid or not all(r > 0.0 for r in r_grid):
+        raise ConfigError("each lindeberg.r_grid truncation level r must be > 0")
     if method not in LINDEBERG_METHODS:
         raise ConfigError(
-            f"unknown Lindeberg method {method!r}; expected one of {LINDEBERG_METHODS}"
+            f"unknown lindeberg.method {method!r}; expected one of {LINDEBERG_METHODS}"
         )
     mc_budget = whole_number(mc_budget, "lindeberg.mc_budget")
     if mc_budget < 1000:

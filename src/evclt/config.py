@@ -18,7 +18,7 @@ One YAML (or JSON) file drives every CLI command:
       alpha: 1.0
     grid: [50, 100, 200, 500, 1000, 2000, 5000, 10000]
     replicates: 5000
-    variance_source: "true"        # "true" | "plug-in" (quote the former!)
+    variance_source: "true"        # "true" | "plug-in"; a bare true reads as "true"
     tests: [beta-clt]              # beta-clt | theta-clt | coverage
                                    # | negligibility | counterexample
     lindeberg:
@@ -34,12 +34,15 @@ float64. Unknown keys anywhere are rejected so typos cannot silently change
 a run.
 Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
 ``lindeberg.mc_budget``) must be whole numbers, the other numbers (model,
-design parameters, ``lindeberg.r_grid``) ints or floats; nothing is
-truncated or coerced, so a quoted number or a boolean is refused. The
-verdict thresholds (KS budget, coverage, skip and identity gates, trend
-rule) are fixed, not configured; ``report.json`` records the harness ones
-under ``config.defaults``. ``evclt diagnose`` always reports every
-condition, the scaling hierarchy and the Petrov paths, so it has no section.
+design parameters, ``lindeberg.r_grid``) finite ints or floats; nothing is
+truncated or coerced, so a quoted number or a boolean is refused, save a
+bare ``true`` as ``variance_source``, read as ``"true"``. The type that
+stores a value checks it, once; a refusal names its section
+(``model.eps: ...``). The verdict thresholds (KS budget, coverage, skip and
+identity gates, trend rule) are fixed, not configured; ``report.json``
+records the harness ones under ``config.defaults``. ``evclt diagnose``
+always reports every condition, the scaling hierarchy and the Petrov
+paths, so it has no section.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ from pathlib import Path
 import yaml
 
 from .asymptotics import check_lindeberg
-from .design import DesignSequence, check_grid, real_number, whole_number
+from .design import DesignSequence
 from .errors import ConfigError
-from .estimator import check_variance_source
-from .harness import ExperimentConfig, check_tests
+from .harness import ExperimentConfig
 from .model import ErrorDistribution, EVModelSpec
 
 DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
@@ -114,13 +116,22 @@ def _check_keys(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _section(where: str, build, **fields):
+    """``build(**fields)``, a model type that checks the values it stores; a
+    ``ConfigError`` it raises is prefixed with the section path ``where``."""
+    try:
+        return build(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_design(node) -> DesignSequence:
     node = _require_mapping(node, "design")
     _check_keys(node, {"kind", "params", "seed"}, "design")
     if "kind" not in node:
         raise ConfigError("design.kind is required")
     return DesignSequence(
-        kind=str(node["kind"]),
+        kind=node["kind"],
         params=_require_mapping(node.get("params", {}), "design.params"),
         seed=node.get("seed", 0),
     )
@@ -131,11 +142,8 @@ def _parse_error_dist(node, where: str) -> ErrorDistribution:
     _check_keys(node, {"family", "scale", "df"}, where)
     if "family" not in node or "scale" not in node:
         raise ConfigError(f"{where} needs family and scale")
-    df = node.get("df")
-    return ErrorDistribution(
-        family=str(node["family"]),
-        scale=real_number(node["scale"], f"{where}.scale"),
-        df=real_number(df, f"{where}.df") if df is not None else None,
+    return _section(
+        where, ErrorDistribution, family=node["family"], scale=node["scale"], df=node.get("df")
     )
 
 
@@ -145,19 +153,15 @@ def _parse_model(node) -> EVModelSpec:
     for key in ("theta", "beta", "eps", "delta"):
         if key not in node:
             raise ConfigError(f"model.{key} is required")
-    return EVModelSpec(
-        theta=real_number(node["theta"], "model.theta"),
-        beta=real_number(node["beta"], "model.beta"),
+    return _section(
+        "model",
+        EVModelSpec,
+        theta=node["theta"],
+        beta=node["beta"],
         eps_dist=_parse_error_dist(node["eps"], "model.eps"),
         delta_dist=_parse_error_dist(node["delta"], "model.delta"),
-        alpha=real_number(node.get("alpha", 1.0), "model.alpha"),
+        alpha=node.get("alpha", 1.0),
     )
-
-
-def _parse_variance_source(value) -> str:
-    if value is True:  # unquoted YAML `true`
-        return "true"
-    return check_variance_source(value)
 
 
 def _parse_lindeberg(node) -> LindebergSection:
@@ -184,26 +188,19 @@ def parse_config(data: dict) -> AppConfig:
     for key in ("design", "model"):
         if key not in data:
             raise ConfigError(f"config.{key} is required")
-
-    def parse(key: str, parser, default=None):
-        """``parser`` applied to section ``key``; a value of the wrong type is
-        a config error that names the section."""
-        try:
-            return parser(data.get(key, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config.{key} has a value of the wrong type: {exc}") from exc
-
+    variance_source = data.get("variance_source", "true")
     return AppConfig(
         experiment=ExperimentConfig(
-            seed=parse("seed", lambda v: whole_number(v, "config.seed"), 0),
-            design=parse("design", _parse_design),
-            model=parse("model", _parse_model),
-            n_grid=parse("grid", check_grid, DEFAULT_N_GRID),
-            replicates=parse("replicates", lambda v: whole_number(v, "config.replicates"), 1000),
-            variance_source=parse("variance_source", _parse_variance_source, "true"),
-            tests=parse("tests", check_tests, ("beta-clt",)),
+            seed=data.get("seed", 0),
+            design=_parse_design(data["design"]),
+            model=_parse_model(data["model"]),
+            n_grid=data.get("grid", DEFAULT_N_GRID),
+            replicates=data.get("replicates", 1000),
+            # an unquoted YAML `true` is read as the string
+            variance_source="true" if variance_source is True else variance_source,
+            tests=data.get("tests", ("beta-clt",)),
         ),
-        lindeberg=parse("lindeberg", _parse_lindeberg, {}),
+        lindeberg=_parse_lindeberg(data.get("lindeberg", {})),
     )
 
 

@@ -27,8 +27,9 @@ randomness.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from numbers import Integral, Real
 
 import numpy as np
@@ -76,10 +77,7 @@ class DesignSequence:
         for key, value in dict(self.params).items():
             if key not in merged:
                 raise ConfigError(f"design kind {self.kind!r} has no parameter {key!r}")
-            value = real_number(value, f"design parameter {key!r}")
-            if not np.isfinite(value):
-                raise ConfigError(f"design parameter {key!r} must be finite")
-            merged[key] = value
+            merged[key] = real_number(value, f"design parameter {key!r}")
         if self.kind == "power" and merged["exponent"] <= 0:
             raise ConfigError("power design needs exponent > 0")
         if self.kind == "geometric" and merged["base"] <= 1:
@@ -146,10 +144,12 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
 
 
 def real_number(value, what: str) -> float:
-    """``value`` as a float; it must be an int or a float, so that a string or
-    a bool is refused instead of converted."""
+    """``value`` as a finite float; it must be an int or a float, so that a
+    string, a bool or an int past the float64 range is refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # an exact comparison for an int
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
@@ -164,9 +164,18 @@ def whole_number(value, what: str) -> int:
     raise ConfigError(f"{what} must be a whole number, got {value!r}")
 
 
+def entries(value, what: str) -> Iterator:
+    """An iterator over ``value``, which must be a list, so that a scalar is
+    refused instead of raising ``TypeError``."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be a list, got {value!r}") from None
+
+
 def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:
     """The n grid as a tuple of ints; it must be strictly increasing with min >= 2."""
-    grid = tuple(whole_number(n, "each n grid entry") for n in n_grid)
+    grid = tuple(whole_number(n, "each n grid entry") for n in entries(n_grid, "grid"))
     if not grid or grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("the n grid must be strictly increasing with min >= 2")
     return grid

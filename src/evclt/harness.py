@@ -37,7 +37,8 @@ from scipy.special import ndtr, ndtri
 
 from . import kernels
 from .asymptotics import VERDICT_SATISFIED, condition_path
-from .design import DesignSequence, DesignSummary, check_grid, prefix_summaries, whole_number
+from .design import DesignSequence, DesignSummary, check_grid, entries, prefix_summaries
+from .design import whole_number
 from .design import summarize  # noqa: F401  (perfbench/tracer.py patches harness.summarize)
 from .errors import ConfigError, DegenerateDesignError
 from .estimator import (
@@ -91,15 +92,6 @@ TEST_KINDS = tuple(_VERDICTS)
 DISTRIBUTIONAL_TESTS = frozenset({"beta-clt", "theta-clt", "coverage", "counterexample"})
 
 
-def check_tests(tests: Sequence[str]) -> tuple[str, ...]:
-    """The requested test kinds as a tuple; each must be one of TEST_KINDS."""
-    tests = tuple(str(t) for t in tests)
-    for t in tests:
-        if t not in TEST_KINDS:
-            raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
-    return tests
-
-
 @dataclass(frozen=True)
 class HarnessDefaults:
     """Every pass/fail threshold of the harness, in one place. They are fixed
@@ -135,13 +127,15 @@ class ExperimentConfig:
     tests: tuple[str, ...] = ("beta-clt",)
 
     def __post_init__(self) -> None:
-        grid = check_grid(self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        tests = check_tests(self.tests)
+        object.__setattr__(self, "n_grid", check_grid(self.n_grid))
+        tests = tuple(str(t) for t in entries(self.tests, "tests"))
+        for t in tests:
+            if t not in TEST_KINDS:
+                raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
         object.__setattr__(self, "tests", tests)
         check_variance_source(self.variance_source)
-        object.__setattr__(self, "replicates", whole_number(self.replicates, "replicates"))
-        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
+        object.__setattr__(self, "replicates", whole_number(self.replicates, "config.replicates"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "config.seed"))
         if self.replicates < 2:
             raise ConfigError("need at least 2 replicates")
         if self.replicates > MAX_REPLICATES:
@@ -157,7 +151,7 @@ class ExperimentConfig:
             )
         if "counterexample" in tests and self.design.kind != "gaussian-iid":
             raise ConfigError("the counterexample test needs a gaussian-iid design")
-        if "negligibility" in tests and len(grid) < 2:
+        if "negligibility" in tests and len(self.n_grid) < 2:
             raise ConfigError("the negligibility trend needs at least 2 grid points")
 
     def to_dict(self) -> dict:

@@ -338,15 +338,15 @@ class ErrorDistribution:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown error family {self.family!r}; expected one of {FAMILIES}")
         scale = real_number(self.scale, "error-distribution scale")
-        if not np.isfinite(scale) or scale < 0:
-            raise ConfigError("error-distribution scale must be finite and >= 0")
+        if scale < 0:
+            raise ConfigError("error-distribution scale must be >= 0")
         object.__setattr__(self, "scale", scale)
         if self.family == "student-t":
             if self.df is None:
                 raise ConfigError("student-t needs a df parameter")
             df = real_number(self.df, "student-t df")
-            if not np.isfinite(df) or df <= 4:
-                raise ConfigError("student-t df must be finite and > 4")
+            if df <= 4:
+                raise ConfigError("student-t df must be > 4")
             object.__setattr__(self, "df", df)
         elif self.df is not None:
             raise ConfigError(f"family {self.family!r} takes no df parameter")
@@ -575,20 +575,20 @@ class ErrorDistribution:
         elif self.family == "laplace":
             m = c / s
             tail = np.exp(-m)
-            live = tail > 0.0  # elsewhere c * c may overflow
+            live = tail >= np.finfo(float).tiny  # elsewhere c * c may overflow
             c = c[live]
             with np.errstate(over="ignore"):
                 tail[live] *= c * c + 2 * s * c + 2 * s * s
             # From scales past 1.8e151 the polynomial can overflow where the
-            # tail, at most the variance 2 s^2, is finite, and from m = 745
-            # on e^(-m) underflows where the tail need not: there it takes
-            # (s e^(-m/2))^2 (m^2 + 2m + 2), the exp factor first. Past
-            # m = 1500 e^(-m/2) underflows too: the tail stays 0, and m * m,
-            # which can overflow there, is not formed.
+            # tail, at most the variance 2 s^2, is finite, and from m = 708.4
+            # e^(-m) is subnormal (too few bits) or 0: there the tail takes
+            # s e^(-m/2) (m^2 + 2m + 2) s e^(-m/2), which forms no subnormal
+            # square. Past m = 1500 e^(-m/2) underflows too: the tail stays 0,
+            # and m * m, which can overflow there, is not formed.
             redo = (np.isinf(tail) | ~live) & (m < 1500.0)
             m = m[redo]
             root = s * np.exp(-m / 2)
-            tail[redo] = root * root * (m * m + 2 * m + 2)
+            tail[redo] = root * (m * m + 2 * m + 2) * root
         elif self.family == "student-t":
             nu = float(self.df)  # type: ignore[arg-type]
             x, y = _t_beta_arguments(nu, c / s)
@@ -639,10 +639,7 @@ class EVModelSpec:
 
     def __post_init__(self) -> None:
         for name in ("theta", "beta", "alpha"):
-            value = real_number(getattr(self, name), name)
-            if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         for dist in (self.eps_dist, self.delta_dist):

@@ -1,16 +1,25 @@
+import copy
 import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from evclt import config as config_module
 from evclt.cli import main
-from evclt.config import DEFAULT_N_GRID, config_hash, load_config, parse_config
+from evclt.config import (
+    DEFAULT_N_GRID,
+    AppConfig,
+    LindebergSection,
+    config_hash,
+    load_config,
+    parse_config,
+)
 from evclt.errors import ConfigError
 from evclt.harness import DEFAULTS
 
-from test_harness import _count_grid_points
+from test_harness import _config, _count_grid_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -190,6 +199,139 @@ def test_wrong_value_types_are_config_errors_naming_the_section(tmp_path, sectio
     path = _write(tmp_path, data)
     assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_a_scalar_where_a_list_belongs_is_a_config_error(linear_design, standard_spec):
+    with pytest.raises(ConfigError, match="grid must be a list, got 5"):
+        _config(linear_design, standard_spec, n_grid=5)
+    with pytest.raises(ConfigError, match="tests must be a list, got 5"):
+        _config(linear_design, standard_spec, tests=5)
+    with pytest.raises(ConfigError, match="lindeberg.r_grid must be a list, got 5"):
+        LindebergSection(r_grid=5)
+
+
+@pytest.mark.parametrize(
+    "section, mutate, message",
+    [
+        (
+            "model",
+            lambda d: d["model"].update(eps={"family": "normal", "scale": "1"}),
+            "model.eps: error-distribution scale must be a number, got '1'",
+        ),
+        (
+            "model",
+            lambda d: d["model"].update(delta={"family": "cauchy", "scale": 1.0}),
+            "model.delta: unknown error family 'cauchy'",
+        ),
+        (
+            "model",
+            lambda d: d["model"].update(eps={"family": "normal", "scale": 10**400}),
+            "model.eps: error-distribution scale must be finite, got 1000",
+        ),
+        ("model", lambda d: d["model"].update(theta="x"), "model: theta must be a number"),
+        ("model", lambda d: d["model"].update(alpha=-1.0), "model: alpha must be > 0"),
+        ("design", lambda d: d["design"].update(seed=0.5), "design.seed must be a whole number"),
+        ("design", lambda d: d["design"].update(kind="spiral"), "unknown design kind 'spiral'"),
+        ("lindeberg", lambda d: d.update(lindeberg={"method": "x"}), "unknown lindeberg.method"),
+        ("lindeberg", lambda d: d.update(lindeberg={"mc_budget": 10}), "lindeberg.mc_budget must"),
+        ("seed", lambda d: d.update(seed=1.5), "config.seed must be a whole number, got 1.5"),
+        ("replicates", lambda d: d.update(replicates=1.5), "config.replicates must be a whole"),
+    ],
+    ids=[
+        "eps-scale-string",
+        "delta-family",
+        "eps-scale-huge-int",
+        "theta-string",
+        "alpha-negative",
+        "design-seed",
+        "design-kind",
+        "lindeberg-method",
+        "lindeberg-budget",
+        "seed",
+        "replicates",
+    ],
+)
+def test_a_refusal_names_its_section_once(section, mutate, message):
+    # The type that stores a value checks it. Design and lindeberg messages
+    # carry their path; the parser prefixes the model's, at one level only.
+    data = {"design": dict(MINIMAL["design"]), "model": dict(MINIMAL["model"])}
+    mutate(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value).startswith(message)
+    assert str(info.value).count(section) == 1
+
+
+FULL = {
+    "seed": 3,
+    "design": {"kind": "linear", "params": {"slope": 1.5}, "seed": 0},
+    "model": {
+        "theta": 1.0,
+        "beta": 2.0,
+        "eps": {"family": "student-t", "scale": 1.0, "df": 6},
+        "delta": {"family": "laplace", "scale": 0.5},
+        "alpha": 1.0,
+    },
+    "grid": [50, 100],
+    "replicates": 200,
+    "variance_source": "plug-in",
+    "tests": ["beta-clt", "coverage"],
+    "lindeberg": {"r_grid": [0.5], "method": "monte-carlo", "mc_budget": 2000},
+}
+KEY_PATHS = [
+    "seed",
+    "design",
+    "design.kind",
+    "design.params",
+    "design.params.slope",
+    "design.seed",
+    "model",
+    "model.theta",
+    "model.beta",
+    "model.alpha",
+    "model.eps",
+    "model.eps.family",
+    "model.eps.scale",
+    "model.eps.df",
+    "model.delta",
+    "model.delta.scale",
+    "model.delta.df",
+    "grid",
+    "replicates",
+    "variance_source",
+    "tests",
+    "lindeberg",
+    "lindeberg.r_grid",
+    "lindeberg.method",
+    "lindeberg.mc_budget",
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(path=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
+def test_any_value_at_any_key_loads_or_is_a_config_error(path, value):
+    # Each constructor refuses what it cannot store as a ConfigError, so no
+    # other exception reaches a caller of parse_config.
+    data = copy.deepcopy(FULL)
+    *parents, key = path.split(".")
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    try:
+        assert isinstance(parse_config(data), AppConfig)
+    except ConfigError:
+        pass
 
 
 # The former ``defaults:`` section: every key it accepted, and an empty one.

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from evclt import harness, kernels, rng
-from evclt.design import DesignSequence, summarize
+from evclt.design import DesignSequence, prefix_summaries, summarize
 from evclt.errors import ConfigError, ZeroVarianceError
 from evclt.estimator import fit
 from evclt.harness import (
@@ -181,9 +181,11 @@ def test_geometric_overflow_fails_before_any_simulation(monkeypatch, standard_sp
         run_experiment(_config(design, standard_spec, n_grid=(100, 1100)))
     with pytest.raises(ConfigError, match="overflow"):
         run_experiment(_config(design, standard_spec, n_grid=(100, 1024)))
+    # S_n of 2^1, ..., 2^n, about 4^(n + 1) / 3, first overflows float64 at n = 512.
+    with pytest.raises(ConfigError, match="overflows"):
+        run_experiment(_config(design, standard_spec, n_grid=(100, 512)))
     assert calls == []
-    # 2^1023 is the largest power of two below the float64 maximum.
-    assert _config(design, standard_spec, n_grid=(100, 1023)).n_grid == (100, 1023)
+    assert prefix_summaries(design, (100, 511))[1][-1].n == 511
 
 
 # --- run_experiment --------------------------------------------------------------------

@@ -614,10 +614,27 @@ def test_laplace_tail_where_exp_underflows_takes_the_root_form():
             ref = mpmath.mpf(s) ** 2 * mpmath.exp(-m) * (m * m + 2 * m + 2)
             assert abs(got - ref) <= 1e-14 * ref, c
     assert vector[0] == pytest.approx(5.08612096726235e-123, rel=1e-14)
-    # wherever e^(-m) is positive and the polynomial finite, the direct form
+    # wherever e^(-m) is normal and the polynomial finite, the direct form
     unit = ErrorDistribution("laplace", 1.0)
-    m = np.array([0.0, 0.5, 3.0, 40.0, 700.0, 745.0])
+    m = np.array([0.0, 0.5, 3.0, 40.0, 700.0])
     assert list(unit.tail_second_moment(m)) == list(np.exp(-m) * (m * m + 2 * m + 2))
+
+
+def test_laplace_tail_where_exp_is_subnormal_keeps_its_digits():
+    # From m = 708.40, -ln of the smallest normal float, e^(-m) is subnormal
+    # and keeps too few bits for the direct form: at m = 745 it read 2.75e-318
+    # where the tail is 1.57e-318, and at m = 746 it read 0. The root form
+    # gives the tail to its last bit, subnormal or not.
+    mpmath = pytest.importorskip("mpmath")
+    unit = ErrorDistribution("laplace", 1.0)
+    cutoffs = np.array([709.0, 720.0, 740.0, 745.0, 746.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = unit.tail_second_moment(cutoffs)
+    with mpmath.workdps(50):
+        for m, got in zip(cutoffs, vector):
+            ref = float(mpmath.exp(-m) * (m * m + 2 * m + 2))
+            assert abs(got - ref) <= np.spacing(ref), m
 
 
 @pytest.mark.parametrize(
