@@ -7,9 +7,10 @@ Subcommands::
     evclt lindeberg --config cfg.yaml --out DIR
 
 Exit codes: 0 all requested tests pass, 1 a test failed, 2 usage or config
-error. The EVCLT_SEED environment variable overrides the config seed.
-Re-running a command with the same config overwrites byte-identical outputs;
-the only timestamp lives in manifest.json.
+error, or a file that cannot be read or written (an ``--out`` that is an
+existing file, say). The EVCLT_SEED environment variable overrides the
+config seed. Re-running a command with the same config overwrites
+byte-identical outputs; the only timestamp lives in manifest.json.
 
 Each command writes manifest.json and one JSON report into ``--out``. Each
 CSV table is a column projection of records that the JSON report already
@@ -302,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 raise ConfigError(f"EVCLT_SEED must be an integer, got {seed_env!r}") from None
         return _COMMANDS[args.command](args, config)
-    except EvcltError as exc:
+    except (EvcltError, OSError) as exc:  # OSError: an unusable --out, say
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,8 @@ One YAML (or JSON) file drives every CLI command:
     model:
       theta: 1.0
       beta: 2.0
-      eps:   {family: normal, scale: 1.0}      # + df for student-t
-      delta: {family: normal, scale: 1.0}
+      eps:   {family: normal, scale: 1.0, df: null}   # df: student-t only
+      delta: {family: normal, scale: 1.0, df: null}
       alpha: 1.0
     grid: [50, 100, 200, 500, 1000, 2000, 5000, 10000]
     replicates: 5000
@@ -26,18 +26,26 @@ One YAML (or JSON) file drives every CLI command:
       method: quadrature           # quadrature | monte-carlo
       mc_budget: 1000000
 
+Each section is a dataclass, and its keys, required keys and defaults are
+that type's fields: ``ExperimentConfig`` (the top level but ``lindeberg``),
+``DesignSequence``, ``EVModelSpec``, ``ErrorDistribution`` and
+``LindebergSection``. The file names three fields differently: ``grid`` is
+``n_grid``, ``eps`` and ``delta`` are ``eps_dist`` and ``delta_dist``. A
+field without a default is a required key (``model.eps.family is
+required``), a missing key takes the field's default, and an unknown key
+anywhere is refused so that a typo cannot silently change a run.
+
 A file is valid for every command or for none: it is checked whole at
 load, ``lindeberg`` and the Monte Carlo settings alike, so ``diagnose``
 refuses ``replicates: -5`` as ``simulate`` does, and each command's first
 step, the design summaries, refuses a grid whose dispersion overflows
-float64. Unknown keys anywhere are rejected so typos cannot silently change
-a run.
-Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
+float64. Counts (``seed``, ``replicates``, ``grid``, ``design.seed``,
 ``lindeberg.mc_budget``) must be whole numbers, the other numbers (model,
-design parameters, ``lindeberg.r_grid``) finite ints or floats; nothing is
-truncated or coerced, so a quoted number or a boolean is refused, save a
-bare ``true`` as ``variance_source``, read as ``"true"``. The type that
-stores a value checks it, once; a refusal names its section
+design parameters, ``lindeberg.r_grid``) finite ints or floats, and
+``grid``, ``tests`` and ``r_grid`` lists. Nothing is truncated or coerced:
+a quoted number, a boolean, or a string or mapping in place of a list is
+refused, save a bare ``true`` as ``variance_source``, read as ``"true"``.
+The type that stores a value checks it, once; a refusal names its section
 (``model.eps: ...``). The verdict thresholds (KS budget, coverage, skip and
 identity gates, trend rule) are fixed, not configured; ``report.json``
 records the harness ones under ``config.defaults``. ``evclt diagnose``
@@ -49,18 +57,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, Field, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
 from .asymptotics import check_lindeberg
-from .design import DesignSequence
 from .errors import ConfigError
-from .harness import ExperimentConfig
+from .harness import DEFAULT_N_GRID, ExperimentConfig  # noqa: F401  (re-exported)
 from .model import ErrorDistribution, EVModelSpec
-
-DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,11 @@ def config_hash(config: AppConfig) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+# The config-file key of each field that is stored under another name.
+_FILE_KEYS = {"n_grid": "grid", "eps_dist": "eps", "delta_dist": "delta"}
+# The types whose refusals do not name their section; _build prefixes it.
+_UNPATHED = (EVModelSpec, ErrorDistribution)
+
 
 def _require_mapping(node, where: str) -> dict:
     if not isinstance(node, dict):
@@ -110,97 +121,53 @@ def _require_mapping(node, where: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], where: str) -> None:
-    unknown = set(node) - allowed
+def _fields(cls) -> dict[str, Field]:
+    """The fields of the dataclass ``cls`` by their config-file keys."""
+    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+
+
+def _build(cls, node, where: str):
+    """``cls`` from the mapping ``node`` at the config path ``where``.
+
+    The keys are the fields of ``cls``; a field without a default is a
+    required key, a missing key takes the field's default, and a field whose
+    type is a dataclass is built from its own mapping. ``cls`` checks the
+    values it stores.
+    """
+    node = _require_mapping(node, where)
+    keys = _fields(cls)
+    unknown = set(node) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _section(where: str, build, **fields):
-    """``build(**fields)``, a model type that checks the values it stores; a
-    ``ConfigError`` it raises is prefixed with the section path ``where``."""
+    for key, f in keys.items():
+        if key not in node and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{key} is required")
+    types = get_type_hints(cls)
+    values = {
+        f.name: (
+            _build(types[f.name], node[key], f"{where}.{key}".removeprefix("config."))
+            if is_dataclass(types[f.name])
+            else node[key]
+        )
+        for key, f in keys.items()
+        if key in node
+    }
     try:
-        return build(**fields)
+        return cls(**values)
     except ConfigError as exc:
+        if cls not in _UNPATHED:
+            raise
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_design(node) -> DesignSequence:
-    node = _require_mapping(node, "design")
-    _check_keys(node, {"kind", "params", "seed"}, "design")
-    if "kind" not in node:
-        raise ConfigError("design.kind is required")
-    return DesignSequence(
-        kind=node["kind"],
-        params=_require_mapping(node.get("params", {}), "design.params"),
-        seed=node.get("seed", 0),
-    )
-
-
-def _parse_error_dist(node, where: str) -> ErrorDistribution:
-    node = _require_mapping(node, where)
-    _check_keys(node, {"family", "scale", "df"}, where)
-    if "family" not in node or "scale" not in node:
-        raise ConfigError(f"{where} needs family and scale")
-    return _section(
-        where, ErrorDistribution, family=node["family"], scale=node["scale"], df=node.get("df")
-    )
-
-
-def _parse_model(node) -> EVModelSpec:
-    node = _require_mapping(node, "model")
-    _check_keys(node, {"theta", "beta", "eps", "delta", "alpha"}, "model")
-    for key in ("theta", "beta", "eps", "delta"):
-        if key not in node:
-            raise ConfigError(f"model.{key} is required")
-    return _section(
-        "model",
-        EVModelSpec,
-        theta=node["theta"],
-        beta=node["beta"],
-        eps_dist=_parse_error_dist(node["eps"], "model.eps"),
-        delta_dist=_parse_error_dist(node["delta"], "model.delta"),
-        alpha=node.get("alpha", 1.0),
-    )
-
-
-def _parse_lindeberg(node) -> LindebergSection:
-    node = _require_mapping(node, "lindeberg")
-    _check_keys(node, {"r_grid", "method", "mc_budget"}, "lindeberg")
-    return LindebergSection(**node)
-
-
-_TOP_KEYS = {
-    "seed",
-    "design",
-    "model",
-    "grid",
-    "replicates",
-    "variance_source",
-    "tests",
-    "lindeberg",
-}
-
-
 def parse_config(data: dict) -> AppConfig:
-    data = _require_mapping(data, "config")
-    _check_keys(data, _TOP_KEYS, "config")
-    for key in ("design", "model"):
-        if key not in data:
-            raise ConfigError(f"config.{key} is required")
-    variance_source = data.get("variance_source", "true")
+    data = dict(_require_mapping(data, "config"))
+    lindeberg = data.pop("lindeberg", {})
+    if data.get("variance_source") is True:  # an unquoted YAML `true`
+        data["variance_source"] = "true"
     return AppConfig(
-        experiment=ExperimentConfig(
-            seed=data.get("seed", 0),
-            design=_parse_design(data["design"]),
-            model=_parse_model(data["model"]),
-            n_grid=data.get("grid", DEFAULT_N_GRID),
-            replicates=data.get("replicates", 1000),
-            # an unquoted YAML `true` is read as the string
-            variance_source="true" if variance_source is True else variance_source,
-            tests=data.get("tests", ("beta-clt",)),
-        ),
-        lindeberg=_parse_lindeberg(data.get("lindeberg", {})),
+        experiment=_build(ExperimentConfig, data, "config"),
+        lindeberg=_build(LindebergSection, lindeberg, "lindeberg"),
     )
 
 

@@ -69,12 +69,16 @@ class DesignSequence:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(
+                f"design.params must be a mapping, got {type(self.params).__name__}"
+            )
         if self.kind not in DESIGN_KINDS:
             raise ConfigError(
                 f"unknown design kind {self.kind!r}; expected one of {DESIGN_KINDS}"
             )
         merged = dict(_DEFAULT_PARAMS[self.kind])
-        for key, value in dict(self.params).items():
+        for key, value in self.params.items():
             if key not in merged:
                 raise ConfigError(f"design kind {self.kind!r} has no parameter {key!r}")
             merged[key] = real_number(value, f"design parameter {key!r}")
@@ -165,12 +169,16 @@ def whole_number(value, what: str) -> int:
 
 
 def entries(value, what: str) -> Iterator:
-    """An iterator over ``value``, which must be a list, so that a scalar is
-    refused instead of raising ``TypeError``."""
-    try:
-        return iter(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be a list, got {value!r}") from None
+    """An iterator over ``value``, which must be a list (or another iterable
+    such as a tuple or a range), so that a scalar is refused instead of
+    raising ``TypeError``, and a string or a mapping instead of being read
+    as its characters or its keys."""
+    if not isinstance(value, (str, bytes, Mapping)):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{what} must be a list, got {value!r}")
 
 
 def check_grid(n_grid: Sequence[int]) -> tuple[int, ...]:

@@ -173,8 +173,9 @@ def standardizing_variance(
 ) -> float | np.ndarray:
     """V of the standardized statistics: sigma2^2 + beta^2 sigma1^2 with the
     true source; with plug-in, the fit's mean squared residual (a float or
-    one per replicate), which must be positive."""
-    if check_variance_source(variance_source) == "true":
+    one per replicate), which must be positive. ``variance_source`` must
+    already be checked (``check_variance_source``)."""
+    if variance_source == "true":
         return spec.nu_variance()
     if np.any(residual_var <= 0.0):
         raise ZeroVarianceError("plug-in standardization needs residual_var > 0")
@@ -203,7 +204,9 @@ def standardize(
 ) -> StandardizedStats:
     """Standardized slope and intercept statistics of one fit; see
     ``standardizing_variance`` and ``standardized_errors``."""
-    variance = standardizing_variance(spec, variance_source, fit_result.residual_var)
+    variance = standardizing_variance(
+        spec, check_variance_source(variance_source), fit_result.residual_var
+    )
     z_beta, z_theta = standardized_errors(
         fit_result.beta_hat - spec.beta,
         fit_result.theta_hat - spec.theta,

@@ -115,14 +115,16 @@ class HarnessDefaults:
 
 DEFAULTS = HarnessDefaults()
 
+DEFAULT_N_GRID = (50, 100, 200, 500, 1000, 2000, 5000, 10000)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     design: DesignSequence
     model: EVModelSpec
-    n_grid: tuple[int, ...]
-    replicates: int
-    seed: int
+    n_grid: tuple[int, ...] = DEFAULT_N_GRID
+    replicates: int = 1000
+    seed: int = 0
     variance_source: str = "true"
     tests: tuple[str, ...] = ("beta-clt",)
 

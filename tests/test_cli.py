@@ -119,6 +119,20 @@ def test_missing_config_exits_2_without_partial_output(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["diagnose", "simulate", "lindeberg"])
+@pytest.mark.parametrize("out_name", ["taken", "taken/out"], ids=["a-file", "under-a-file"])
+def test_an_unusable_out_is_a_usage_error(tmp_path, capsys, command, out_name):
+    # Exit code 1 means a test failed; an --out that cannot be a directory is
+    # reported like any usage error, without a traceback.
+    config = _write_config(tmp_path, _base_config(grid=[50, 100]))
+    (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
+    out = tmp_path / out_name
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "not a directory"
+
+
 # --- simulate ----------------------------------------------------------------------
 
 

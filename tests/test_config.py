@@ -16,8 +16,10 @@ from evclt.config import (
     load_config,
     parse_config,
 )
+from evclt.design import DesignSequence
 from evclt.errors import ConfigError
-from evclt.harness import DEFAULTS
+from evclt.harness import DEFAULTS, ExperimentConfig
+from evclt.model import ErrorDistribution, EVModelSpec
 
 from test_harness import _config, _count_grid_points
 
@@ -403,12 +405,87 @@ def test_load_errors(tmp_path):
         load_config(bad)
 
 
+# Each section of a config file and the type it builds.
+SECTIONS = [
+    ((), ExperimentConfig),
+    (("design",), DesignSequence),
+    (("model",), EVModelSpec),
+    (("model", "eps"), ErrorDistribution),
+    (("model", "delta"), ErrorDistribution),
+    (("lindeberg",), LindebergSection),
+]
+
+
 def test_docstring_schema_is_complete_and_loads():
-    # README calls this block the complete schema; it must parse and use
-    # every top-level key the loader accepts, and no other.
+    # README calls this block the complete schema; it must parse and use, in
+    # every section, each key the loader accepts, and no other.
     doc = config_module.__doc__
     block = doc[doc.index(".. code-block:: yaml") :].split("\n\n")[1]
     data = yaml.safe_load(textwrap.dedent(block))
     config = parse_config(data)
     assert config.experiment.seed == 42
-    assert set(data) == config_module._TOP_KEYS
+    for path, cls in SECTIONS:
+        node = data
+        for key in path:
+            node = node[key]
+        accepted = set(config_module._fields(cls)) | ({"lindeberg"} if not path else set())
+        assert set(node) == accepted, path
+
+
+def test_a_library_experiment_config_has_the_file_defaults():
+    parsed = parse_config(MINIMAL)
+    experiment = ExperimentConfig(design=parsed.experiment.design, model=parsed.experiment.model)
+    assert experiment == parsed.experiment
+    assert AppConfig(experiment, LindebergSection()) == parsed
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.pop("design"), "config.design is required"),
+        (lambda d: d.pop("model"), "config.model is required"),
+        (lambda d: d["design"].pop("kind"), "design.kind is required"),
+        (lambda d: d["model"].pop("theta"), "model.theta is required"),
+        (lambda d: d["model"].pop("delta"), "model.delta is required"),
+        (lambda d: d["model"]["eps"].pop("family"), "model.eps.family is required"),
+        (lambda d: d["model"]["delta"].pop("scale"), "model.delta.scale is required"),
+        (lambda d: d.update(n_grid=[50, 100]), "unknown keys in config: ['n_grid']"),
+        (lambda d: d["model"].update(eps_dist={}), "unknown keys in model: ['eps_dist']"),
+        (lambda d: d["design"].update(params=[1]), "design.params must be a mapping, got list"),
+        (lambda d: d["model"].update(eps=None), "model.eps must be a mapping, got NoneType"),
+        (lambda d: d.update(lindeberg=[]), "lindeberg must be a mapping, got list"),
+    ],
+)
+def test_the_keys_of_a_section_are_the_fields_of_its_type(mutate, message):
+    data = copy.deepcopy(MINIMAL)
+    mutate(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(tests="beta-clt"), "tests must be a list, got 'beta-clt'"),
+        (lambda d: d.update(tests={"beta-clt": 1}), "tests must be a list, got {'beta-clt': 1}"),
+        (lambda d: d.update(grid="50"), "grid must be a list, got '50'"),
+        (lambda d: d.update(grid={50: 1, 100: 2}), "grid must be a list, got {50: 1, 100: 2}"),
+        (lambda d: d.update(lindeberg={"r_grid": {0.5: 1}}), "lindeberg.r_grid must be a list"),
+        (lambda d: d.update(lindeberg={"r_grid": "0.5"}), "lindeberg.r_grid must be a list"),
+    ],
+    ids=["tests-string", "tests-mapping", "grid-string", "grid-mapping", "r-mapping", "r-string"],
+)
+def test_a_string_or_mapping_is_not_a_list(mutate, message):
+    data = copy.deepcopy(MINIMAL)
+    mutate(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value).startswith(message)
+
+
+def test_library_callers_may_pass_tuples_and_ranges(linear_design, standard_spec):
+    config = _config(linear_design, standard_spec, n_grid=range(50, 250, 50), tests=("coverage",))
+    assert config.n_grid == (50, 100, 150, 200) and config.tests == ("coverage",)
+    assert LindebergSection(r_grid=(0.5, 1)).r_grid == (0.5, 1.0)
+    assert LindebergSection(r_grid=range(1, 3)).r_grid == (1.0, 2.0)
