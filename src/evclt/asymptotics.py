@@ -23,7 +23,10 @@ The Lindeberg evaluator works on the normalized triangular array
 X_{n,i} = (x_i - x_bar) nu_i / sqrt(S_n Var(nu)), whose second moments sum
 to one, and reports sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] at every (n, r)
 either by per-i truncated-moment quadrature (closed forms where the law
-allows) or by Monte Carlo with a standard error. Only the coefficients
+allows) or by Monte Carlo with a standard error. It reads the levels r, the
+method and the Monte Carlo budget from ``LindebergSection``, the config
+file's ``lindeberg`` section, which holds their defaults and checks them
+(``evclt.config`` re-exports it). Only the coefficients
 depend on n; the law of nu does not, so one |nu| draw per run serves every
 (n, r) (common random numbers: each estimate keeps its sample size and
 standard error, and the n-path is smoother). The draw is sorted once, with
@@ -122,22 +125,30 @@ class PetrovReport:
         return out
 
 
-def check_lindeberg(r_grid: Sequence[float], method: str, mc_budget) -> tuple[tuple, int]:
-    """(r_grid, mc_budget) as floats and an int: at least one truncation level,
-    each finite and > 0, a method of LINDEBERG_METHODS, and a whole-number
-    Monte Carlo budget >= 1000."""
-    r_grid = entries(r_grid, "lindeberg.r_grid")
-    r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
-    if not r_grid or not all(r > 0.0 for r in r_grid):
-        raise ConfigError("each lindeberg.r_grid truncation level r must be > 0")
-    if method not in LINDEBERG_METHODS:
-        raise ConfigError(
-            f"unknown lindeberg.method {method!r}; expected one of {LINDEBERG_METHODS}"
-        )
-    mc_budget = whole_number(mc_budget, "lindeberg.mc_budget")
-    if mc_budget < 1000:
-        raise ConfigError("lindeberg.mc_budget must be >= 1000")
-    return r_grid, mc_budget
+@dataclass(frozen=True)
+class LindebergSection:
+    """The ``lindeberg`` config section, which ``lindeberg_sum`` reads: at
+    least one truncation level r, each finite and > 0, a method of
+    LINDEBERG_METHODS, and a whole-number Monte Carlo budget >= 1000."""
+
+    r_grid: tuple[float, ...] = (0.1, 0.5, 1.0)
+    method: str = "quadrature"
+    mc_budget: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        r_grid = entries(self.r_grid, "lindeberg.r_grid")
+        r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
+        if not r_grid or not all(r > 0.0 for r in r_grid):
+            raise ConfigError("each lindeberg.r_grid truncation level r must be > 0")
+        if self.method not in LINDEBERG_METHODS:
+            raise ConfigError(
+                f"unknown lindeberg.method {self.method!r}; expected one of {LINDEBERG_METHODS}"
+            )
+        mc_budget = whole_number(self.mc_budget, "lindeberg.mc_budget")
+        if mc_budget < 1000:
+            raise ConfigError("lindeberg.mc_budget must be >= 1000")
+        object.__setattr__(self, "r_grid", r_grid)
+        object.__setattr__(self, "mc_budget", mc_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +372,8 @@ def lindeberg_sum(
     design: DesignSequence,
     n_grid: Sequence[int],
     spec: EVModelSpec,
-    r_grid: Sequence[float],
-    method: str = "quadrature",
-    mc_budget: int = 1_000_000,
-    seed: int = 0,
+    section: LindebergSection,
+    seed: int,
 ) -> list[LindebergReport]:
     """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array, one
     report per (n, r), n-major. Each n reads a prefix of one generated
@@ -372,8 +381,9 @@ def lindeberg_sum(
     sorted at most once per call, by the first (n, r) that needs it, and
     every (n, r) reuses it; so is the quadrature law of nu. An (n, r) that
     no draw reaches reads 0 +/- 0, flagged ``unreached``, without a search
-    of the draw."""
-    r_grid, mc_budget = check_lindeberg(r_grid, method, mc_budget)
+    of the draw. ``section`` holds the levels r, the method and the Monte
+    Carlo budget."""
+    method = section.method
     variance = spec.nu_variance()
     if variance <= 0.0:
         raise ConfigError("Lindeberg array needs Var(eps - beta delta) > 0")
@@ -394,7 +404,7 @@ def lindeberg_sum(
         max_coeff = float(np.max(coeff))
         if method == "monte-carlo":
             coeff = np.sort(coeff)[::-1]  # so the thresholds r / coeff ascend
-        for r in r_grid:
+        for r in section.r_grid:
             unreached = False
             if math.isfinite(bound) and max_coeff * bound <= r:
                 # the indicator can never fire: the sum is exactly zero
@@ -411,9 +421,9 @@ def lindeberg_sum(
                 if draw is None:
                     # |eps - beta delta|, formed in the eps uniforms' buffer;
                     # the delta buffer then holds the nu^2 tail sums
-                    nu_abs = uniforms((seed, STREAM_MC_EPS), mc_budget)
+                    nu_abs = uniforms((seed, STREAM_MC_EPS), section.mc_budget)
                     spec.eps_dist.sample(nu_abs, out=nu_abs)
-                    scratch = uniforms((seed, STREAM_MC_DELTA), mc_budget)
+                    scratch = uniforms((seed, STREAM_MC_DELTA), section.mc_budget)
                     spec.delta_dist.sample(scratch, out=scratch)
                     scratch *= spec.beta
                     np.subtract(nu_abs, scratch, out=nu_abs)

@@ -8,8 +8,8 @@ Subcommands::
 
 Exit codes: 0 all requested tests pass, 1 a test failed, 2 usage or config
 error, or a file that cannot be read or written (an ``--out`` that is an
-existing file, say). The EVCLT_SEED environment variable overrides the
-config seed. Re-running a command with the same config overwrites
+existing file, say). Every setting, the seed included, comes from the
+config file alone, so re-running a command with the same config overwrites
 byte-identical outputs; the only timestamp lives in manifest.json.
 
 Each command writes manifest.json and one JSON report into ``--out``. Each
@@ -58,7 +58,7 @@ try:
     from .asymptotics import diagnostics_report, lindeberg_sum  # noqa: E402
     from .config import AppConfig, config_hash, load_config  # noqa: E402
     from .design import DesignSequence  # noqa: E402
-    from .errors import ConfigError, EvcltError  # noqa: E402
+    from .errors import EvcltError  # noqa: E402
     from .harness import (  # noqa: E402
         counterexample_run,  # noqa: F401  (perfbench/tracer.py patches cli.counterexample_run)
         report_json_bytes,
@@ -230,17 +230,15 @@ def _cmd_simulate(args, config: AppConfig) -> int:
 
 
 def _cmd_lindeberg(args, config: AppConfig) -> int:
-    experiment, section = config.experiment, config.lindeberg
+    experiment = config.experiment
     reports = [
         report.to_dict()
         for report in lindeberg_sum(
             experiment.design,
             experiment.n_grid,
             experiment.model,
-            section.r_grid,
-            method=section.method,
-            mc_budget=section.mc_budget,
-            seed=experiment.seed,
+            config.lindeberg,
+            experiment.seed,
         )
     ]
     out = _write_manifest(args, config)
@@ -295,14 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        seed_env = os.environ.get("EVCLT_SEED")
-        if seed_env is not None:
-            try:
-                config = config.with_seed(int(seed_env))
-            except ValueError:
-                raise ConfigError(f"EVCLT_SEED must be an integer, got {seed_env!r}") from None
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, load_config(args.config))
     except (EvcltError, OSError) as exc:  # OSError: an unusable --out, say
         print(f"error: {exc}", file=sys.stderr)
         return 2

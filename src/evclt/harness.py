@@ -131,6 +131,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_grid", check_grid(self.n_grid))
         tests = tuple(str(t) for t in entries(self.tests, "tests"))
+        if not tests:
+            raise ConfigError(f"tests must name at least one of {TEST_KINDS}")
         for t in tests:
             if t not in TEST_KINDS:
                 raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
@@ -158,22 +160,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "model": self.model.to_dict(), "defaults": DEFAULTS.to_dict()}
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    n: int
-    nominal: float
-    empirical: float
-    stderr: float
-    half_width_basis: str  # "z_beta" | "z_theta"
-    ok: bool
-
-    def to_dict(self) -> dict:
-        """The fields with ``ok`` written as ``pass``, a Python keyword."""
-        record = asdict(self)
-        record["pass"] = record.pop("ok")
-        return record
 
 
 # ---------------------------------------------------------------------------
@@ -211,32 +197,27 @@ def _ks_record(n: int, statistic: str, z: np.ndarray, threshold: float) -> dict:
     }
 
 
-def coverage(
-    z_samples: Sequence[float] | np.ndarray,
-    nominal: float,
-    half_width_basis: str = "z_beta",
-    n: int | None = None,
-) -> CoverageResult:
-    """Empirical two-sided symmetric coverage of the standardized statistic;
-    it passes within ``DEFAULTS.coverage_slack`` of ``nominal``. The floor on
-    R is ``ExperimentConfig``'s; replicates skipped below it are the skip
-    gate's to flag."""
-    if not 0.0 < nominal < 1.0:
-        raise ConfigError("nominal coverage must lie in (0, 1)")
-    z = np.asarray(z_samples, dtype=np.float64)
+def coverage(n: int, statistic: str, z: np.ndarray) -> dict:
+    """The coverage record of one standardized statistic at one grid point:
+    the share of ``z`` inside the symmetric normal interval of level
+    ``DEFAULTS.coverage_nominal``, which passes within
+    ``DEFAULTS.coverage_slack`` of that level. The floor on R is
+    ``ExperimentConfig``'s; replicates skipped below it are the skip gate's
+    to flag."""
+    z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ConfigError("coverage needs at least one sample")
+    nominal = DEFAULTS.coverage_nominal
     half_width = float(ndtri((1.0 + nominal) / 2.0))
     empirical = float(np.mean(np.abs(z) <= half_width))
-    stderr = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / z.size)
-    return CoverageResult(
-        n=int(n) if n is not None else int(z.size),
-        nominal=float(nominal),
-        empirical=empirical,
-        stderr=stderr,
-        half_width_basis=half_width_basis,
-        ok=abs(empirical - nominal) <= DEFAULTS.coverage_slack,
-    )
+    return {
+        "n": n,
+        "nominal": nominal,
+        "empirical": empirical,
+        "stderr": math.sqrt(empirical * (1.0 - empirical) / z.size),
+        "half_width_basis": statistic,
+        "pass": abs(empirical - nominal) <= DEFAULTS.coverage_slack,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +487,7 @@ def run_experiment(
         }
         if "coverage" in config.tests:
             entry["coverage"] = {
-                name: coverage(
-                    z[source][name], DEFAULTS.coverage_nominal, half_width_basis=name, n=n
-                ).to_dict()
-                for name in _STATISTICS
+                name: coverage(n, name, z[source][name]) for name in _STATISTICS
             }
         if need_latents:
             valid_ratios = stats.ratios[stats.valid]

@@ -13,6 +13,7 @@ import pytest
 from evclt.asymptotics import (
     VERDICT_SATISFIED,
     VERDICT_VIOLATED,
+    LindebergSection,
     condition_path,
     lindeberg_sum,
     petrov_conditions,
@@ -316,9 +317,9 @@ def test_a7_lindeberg_sums():
     design = DesignSequence("linear", {"slope": 1.0})
     spec = _normal_spec()
     grid = (100, 1000, 10000)
-    quads = lindeberg_sum(design, grid, spec, [0.5], method="quadrature")
+    quads = lindeberg_sum(design, grid, spec, LindebergSection([0.5], "quadrature"), 0)
     mcs = lindeberg_sum(
-        design, grid, spec, [0.5], method="monte-carlo", mc_budget=1_000_000, seed=SEED
+        design, grid, spec, LindebergSection([0.5], "monte-carlo", 1_000_000), SEED
     )
     values = [quad.sum_value for quad in quads]
     agree = all(
@@ -333,7 +334,7 @@ def test_a7_lindeberg_sums():
         eps_dist=ErrorDistribution("uniform-centered", 1.0),
         delta_dist=ErrorDistribution("uniform-centered", 0.5),
     )
-    [zero] = lindeberg_sum(design, [100], bounded_spec, [1.0])
+    [zero] = lindeberg_sum(design, [100], bounded_spec, LindebergSection([1.0]), 0)
     zero_ok = zero.sum_value == 0.0
 
     ok = decreasing and agree and zero_ok

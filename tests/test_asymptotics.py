@@ -11,6 +11,7 @@ from evclt.asymptotics import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SATISFIED,
     VERDICT_VIOLATED,
+    LindebergSection,
     classify_trend,
     condition_path,
     condition_value,
@@ -195,20 +196,24 @@ def test_hierarchy_constant_design_errors():
 def test_lindeberg_bounded_law_exact_zero(linear_design):
     spec = _spec(eps=("uniform-centered", 1.0), delta=("uniform-centered", 0.5), beta=2.0)
     # |nu| <= 1 + 2 * 0.5 = 2; max coeff at n=100 is small, so r=1 never fires
-    [report] = lindeberg_sum(linear_design, [100], spec, [1.0])
+    [report] = lindeberg_sum(linear_design, [100], spec, LindebergSection([1.0]), 0)
     assert report.sum_value == 0.0
-    [mc] = lindeberg_sum(linear_design, [100], spec, [1.0], method="monte-carlo", mc_budget=1000)
+    [mc] = lindeberg_sum(
+        linear_design, [100], spec, LindebergSection([1.0], "monte-carlo", 1000), 0
+    )
     assert mc.sum_value == 0.0 and mc.stderr == 0.0
     assert not mc.unreached and not report.unreached  # an exact zero, not an unresolved one
 
 
 def test_lindeberg_r_to_zero_recovers_normalization(linear_design, standard_spec):
-    [report] = lindeberg_sum(linear_design, [200], standard_spec, [1e-9])
+    [report] = lindeberg_sum(linear_design, [200], standard_spec, LindebergSection([1e-9]), 0)
     assert report.sum_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lindeberg_monotone_in_r(linear_design, standard_spec):
-    reports = lindeberg_sum(linear_design, [100], standard_spec, [0.05, 0.1, 0.5, 1.0])
+    reports = lindeberg_sum(
+        linear_design, [100], standard_spec, LindebergSection([0.05, 0.1, 0.5, 1.0]), 0
+    )
     assert [report.r for report in reports] == [0.05, 0.1, 0.5, 1.0]
     values = [report.sum_value for report in reports]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -216,15 +221,17 @@ def test_lindeberg_monotone_in_r(linear_design, standard_spec):
 
 
 def test_lindeberg_decreases_along_n(linear_design, standard_spec):
-    r100, r1000 = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5])
+    r100, r1000 = lindeberg_sum(
+        linear_design, [100, 1000], standard_spec, LindebergSection([0.5]), 0
+    )
     assert (r100.n, r1000.n) == (100, 1000)
     assert r100.sum_value > r1000.sum_value > 0.0
 
 
 def test_lindeberg_quadrature_matches_monte_carlo(linear_design, standard_spec):
-    [quad] = lindeberg_sum(linear_design, [100], standard_spec, [0.5])
+    [quad] = lindeberg_sum(linear_design, [100], standard_spec, LindebergSection([0.5]), 0)
     [mc] = lindeberg_sum(
-        linear_design, [100], standard_spec, [0.5], method="monte-carlo", mc_budget=200_000, seed=3
+        linear_design, [100], standard_spec, LindebergSection([0.5], "monte-carlo", 200_000), 3
     )
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
@@ -235,8 +242,10 @@ def test_lindeberg_single_component_quadrature(linear_design):
     spec = EVModelSpec(
         0.0, 0.0, ErrorDistribution("laplace", 1.0), ErrorDistribution("uniform-centered", 1.0)
     )
-    [quad] = lindeberg_sum(linear_design, [100], spec, [0.3])
-    [mc] = lindeberg_sum(linear_design, [100], spec, [0.3], method="monte-carlo", mc_budget=200_000)
+    [quad] = lindeberg_sum(linear_design, [100], spec, LindebergSection([0.3]), 0)
+    [mc] = lindeberg_sum(
+        linear_design, [100], spec, LindebergSection([0.3], "monte-carlo", 200_000), 0
+    )
     assert abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
 
 
@@ -246,9 +255,9 @@ def test_lindeberg_single_law_student_t_quadrature(linear_design):
     spec = EVModelSpec(
         0.0, 0.0, ErrorDistribution("student-t", 1.0, df=6.0), ErrorDistribution("normal", 1.0)
     )
-    [quad] = lindeberg_sum(linear_design, [2000], spec, [0.05])
+    [quad] = lindeberg_sum(linear_design, [2000], spec, LindebergSection([0.05]), 0)
     [mc] = lindeberg_sum(
-        linear_design, [2000], spec, [0.05], method="monte-carlo", mc_budget=200_000
+        linear_design, [2000], spec, LindebergSection([0.05], "monte-carlo", 200_000), 0
     )
     assert 0.1 < quad.sum_value < 0.9
     assert abs(quad.sum_value - mc.sum_value) <= 4 * mc.stderr
@@ -275,7 +284,7 @@ def test_single_law_quadrature_is_the_sum_of_scalar_tails(linear_design, eps):
         c * c * eps.tail_second_moment(r / c) for c in coeff.tolist() if c > 0.0
     )
     assert 0.1 < expected < 1.0
-    got = lindeberg_sum(linear_design, [n], spec, [r])[0].sum_value
+    got = lindeberg_sum(linear_design, [n], spec, LindebergSection([r]), 0)[0].sum_value
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
@@ -283,8 +292,10 @@ def test_quadrature_lindeberg_at_a_huge_r_is_zero(linear_design, standard_spec):
     # r / coeff passes float64 at some indices; each tail there is exactly 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        reports = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5, 1e306, 1e307])
-    near = lindeberg_sum(linear_design, [100, 1000], standard_spec, [0.5])
+        reports = lindeberg_sum(
+            linear_design, [100, 1000], standard_spec, LindebergSection([0.5, 1e306, 1e307]), 0
+        )
+    near = lindeberg_sum(linear_design, [100, 1000], standard_spec, LindebergSection([0.5]), 0)
     assert [r.sum_value for r in reports if r.r == 0.5] == [r.sum_value for r in near]
     assert [r.sum_value for r in reports if r.r > 1.0] == [0.0] * 4
 
@@ -295,16 +306,18 @@ def test_quadrature_law_is_built_once_per_call(linear_design, standard_spec, mon
     monkeypatch.setattr(
         asymptotics, "_nu_quadrature_law", lambda spec: built.append(1) or law(spec)
     )
-    lindeberg_sum(linear_design, [100, 200, 500], standard_spec, [0.1, 0.5])
+    lindeberg_sum(linear_design, [100, 200, 500], standard_spec, LindebergSection([0.1, 0.5]), 0)
     assert built == [1]
 
 
 def test_lindeberg_unsupported_quadrature_law(linear_design):
     spec = _spec(eps=("laplace", 1.0), delta=("uniform-centered", 1.0), beta=2.0)
     with pytest.raises(QuadratureUnsupportedError):
-        lindeberg_sum(linear_design, [100], spec, [0.5])
+        lindeberg_sum(linear_design, [100], spec, LindebergSection([0.5]), 0)
     # the Monte Carlo path covers the same law
-    [mc] = lindeberg_sum(linear_design, [100], spec, [0.5], method="monte-carlo", mc_budget=50_000)
+    [mc] = lindeberg_sum(
+        linear_design, [100], spec, LindebergSection([0.5], "monte-carlo", 50_000), 0
+    )
     assert 0.0 <= mc.sum_value <= 1.0
 
 
@@ -312,10 +325,10 @@ def test_lindeberg_quadrature_is_needed_only_where_the_sum_is_not_zero(linear_de
     # |nu| <= 2 for this law with no closed form: at n = 1000 the largest
     # coefficient times 2 stays below r = 0.5, at n = 10 it does not
     spec = _spec(eps=("uniform-centered", 1.0), delta=("scaled-rademacher", 1.0), beta=1.0)
-    reports = lindeberg_sum(linear_design, [1000], spec, [0.5, 1.0])
+    reports = lindeberg_sum(linear_design, [1000], spec, LindebergSection([0.5, 1.0]), 0)
     assert [r.sum_value for r in reports] == [0.0, 0.0]
     with pytest.raises(QuadratureUnsupportedError):
-        lindeberg_sum(linear_design, [10, 1000], spec, [0.5])
+        lindeberg_sum(linear_design, [10, 1000], spec, LindebergSection([0.5]), 0)
 
 
 def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
@@ -334,13 +347,15 @@ def test_lindeberg_monte_carlo_draws_only_where_the_sum_is_not_zero(
     monkeypatch.setattr(asymptotics, "uniforms", counting_uniforms)
     spec = _spec(eps=("uniform-centered", 1.0), delta=("scaled-rademacher", 1.0), beta=1.0)
     reports = lindeberg_sum(
-        linear_design, [10, 1000], spec, [0.5, 1.0], method="monte-carlo", mc_budget=1000
+        linear_design, [10, 1000], spec, LindebergSection([0.5, 1.0], "monte-carlo", 1000), 0
     )
     assert calls == [(0, STREAM_MC_EPS), (0, STREAM_MC_DELTA)]
     assert [r.sum_value for r in reports[2:]] == [0.0, 0.0]
     assert reports[0].sum_value > 0.0
     calls.clear()
-    lindeberg_sum(linear_design, [1000], spec, [0.5, 1.0], method="monte-carlo", mc_budget=1000)
+    lindeberg_sum(
+        linear_design, [1000], spec, LindebergSection([0.5, 1.0], "monte-carlo", 1000), 0
+    )
     assert calls == []
 
 
@@ -365,7 +380,7 @@ def test_lindeberg_monte_carlo_skips_the_pairs_no_draw_reaches(
     grid, r_grid = [50, 1000, 10000], [0.01, 0.5, 1.0]
     calls = _recording_monte_carlo_sum(monkeypatch)
     reports = lindeberg_sum(
-        linear_design, grid, standard_spec, r_grid, method="monte-carlo", mc_budget=2000
+        linear_design, grid, standard_spec, LindebergSection(r_grid, "monte-carlo", 2000), 0
     )
     [draw] = {id(d): d for _, _, d in calls}.values()
     nu_max = float(np.max(draw.nu))
@@ -395,7 +410,9 @@ def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standar
     # counts and the sum is computed
     n = 1000
     calls = _recording_monte_carlo_sum(monkeypatch)
-    lindeberg_sum(linear_design, [n], standard_spec, [0.01], method="monte-carlo", mc_budget=2000)
+    lindeberg_sum(
+        linear_design, [n], standard_spec, LindebergSection([0.01], "monte-carlo", 2000), 0
+    )
     [(_, coeff, draw)] = calls
     max_coeff, nu_max = float(np.max(coeff)), float(np.max(draw.nu))
     r = nu_max * max_coeff
@@ -409,7 +426,7 @@ def test_lindeberg_monte_carlo_skip_boundary(monkeypatch, linear_design, standar
         below = math.nextafter(below, 0.0)
     calls.clear()
     at, under = lindeberg_sum(
-        linear_design, [n], standard_spec, [r, below], method="monte-carlo", mc_budget=2000
+        linear_design, [n], standard_spec, LindebergSection([r, below], "monte-carlo", 2000), 0
     )
     assert [call[0] for call in calls] == [below]
     assert (at.sum_value, at.stderr) == (0.0, 0.0)
@@ -428,8 +445,11 @@ def test_lindeberg_sum_is_invariant_to_the_error_scale(linear_design):
     for method in ("quadrature", "monte-carlo"):
         unit, huge = (
             lindeberg_sum(
-                linear_design, grid, _spec(eps=("normal", scale), delta=("normal", 0.0)), r_grid,
-                method=method, mc_budget=100_000,
+                linear_design,
+                grid,
+                _spec(eps=("normal", scale), delta=("normal", 0.0)),
+                LindebergSection(r_grid, method, 100_000),
+                0,
             )
             for scale in (1.0, 1e152)
         )
@@ -461,8 +481,11 @@ def test_lindeberg_monte_carlo_never_skips_on_a_non_finite_draw(
     calls = _recording_monte_carlo_sum(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
         reports = lindeberg_sum(
-            linear_design, [10000], standard_spec, [0.5, 1.7e308], method="monte-carlo",
-            mc_budget=2000,
+            linear_design,
+            [10000],
+            standard_spec,
+            LindebergSection([0.5, 1.7e308], "monte-carlo", 2000),
+            0,
         )
     assert [call[0] for call in calls] == [0.5, 1.7e308]
     _, coeff, draw = calls[0]
@@ -549,7 +572,7 @@ def test_lindeberg_monte_carlo_stderr_of_equal_draws_is_exactly_zero(linear_desi
     # exactly 0; the difference of sums left 3.8e-10.
     spec = _spec(eps=("scaled-rademacher", 1.0), beta=0.0)
     (rep,) = lindeberg_sum(
-        linear_design, [100], spec, [0.01], method="monte-carlo", mc_budget=5000
+        linear_design, [100], spec, LindebergSection([0.01], "monte-carlo", 5000), 0
     )
     assert rep.sum_value > 0.99 and not rep.unreached
     assert rep.stderr == 0.0
@@ -575,8 +598,11 @@ def test_lindeberg_monte_carlo_matches_the_per_draw_formula(monkeypatch, linear_
     spec = _spec(delta=("student-t", 1.0))
     calls = _recording_monte_carlo_sum(monkeypatch)
     reports = lindeberg_sum(
-        linear_design, [50, 500, 5000], spec, [0.1, 0.5, 1.0], method="monte-carlo",
-        mc_budget=20_000,
+        linear_design,
+        [50, 500, 5000],
+        spec,
+        LindebergSection([0.1, 0.5, 1.0], "monte-carlo", 20_000),
+        0,
     )
     assert len(calls) >= 6
     computed = {(coeff.size, r): (coeff, draw) for r, coeff, draw in calls}
@@ -590,34 +616,53 @@ def test_lindeberg_monte_carlo_matches_the_per_draw_formula(monkeypatch, linear_
 
 
 def test_lindeberg_preconditions(linear_design, standard_spec, noiseless_spec):
+    section = LindebergSection([0.5])
     with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, [100], standard_spec, [0.0])
-    with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, [100], standard_spec, [0.5], method="bootstrap")
-    with pytest.raises(ConfigError):
-        lindeberg_sum(linear_design, [100], noiseless_spec, [0.5])
+        lindeberg_sum(linear_design, [100], noiseless_spec, section, 0)
     with pytest.raises(DegenerateDesignError):
-        lindeberg_sum(DesignSequence("constant"), [100], standard_spec, [0.5])
+        lindeberg_sum(DesignSequence("constant"), [100], standard_spec, section, 0)
     with pytest.raises(ConfigError, match="n grid"):
-        lindeberg_sum(linear_design, [200, 100], standard_spec, [0.5])
+        lindeberg_sum(linear_design, [200, 100], standard_spec, section, 0)
+
+
+_R_REFUSED = "each lindeberg.r_grid truncation level r must be > 0"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([],), _R_REFUSED),
+        (([0.0],), _R_REFUSED),
+        (([0.5, -1.0],), _R_REFUSED),
+        (
+            ([0.5], "bootstrap"),
+            "unknown lindeberg.method 'bootstrap'; "
+            "expected one of ('quadrature', 'monte-carlo')",
+        ),
+        (([0.5], "monte-carlo", 999), "lindeberg.mc_budget must be >= 1000"),
+        (([0.5], "monte-carlo", 1500.5), "lindeberg.mc_budget must be a whole number, got 1500.5"),
+    ],
+    ids=["empty", "zero", "negative", "method", "small-budget", "fractional-budget"],
+)
+def test_the_lindeberg_section_refuses_what_lindeberg_sum_reads(args, message):
+    # lindeberg_sum reads a checked section: each refusal comes from the type
+    with pytest.raises(ConfigError) as info:
+        LindebergSection(*args)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("mc_budget", [0, 1, 999, 1500.5, "2000", True])
-def test_lindeberg_mc_budget_is_a_whole_number_of_at_least_1000(
-    linear_design, standard_spec, mc_budget
-):
+def test_lindeberg_mc_budget_is_a_whole_number_of_at_least_1000(mc_budget):
     # the rule of the config's lindeberg section: too few draws gave a nan sum
     # (0 draws) or a nan standard error (1 draw)
     for method in ("quadrature", "monte-carlo"):
         with pytest.raises(ConfigError, match="mc_budget"):
-            lindeberg_sum(
-                linear_design, [100], standard_spec, [0.5], method=method, mc_budget=mc_budget
-            )
+            LindebergSection([0.5], method, mc_budget)
 
 
 def test_lindeberg_mc_budget_accepts_an_integral_float(linear_design, standard_spec):
     [mc] = lindeberg_sum(
-        linear_design, [100], standard_spec, [0.5], method="monte-carlo", mc_budget=1000.0
+        linear_design, [100], standard_spec, LindebergSection([0.5], "monte-carlo", 1000.0), 0
     )
     assert math.isfinite(mc.sum_value) and math.isfinite(mc.stderr) and mc.stderr > 0.0
 

@@ -12,18 +12,13 @@ import pytest
 import yaml
 
 from evclt import asymptotics, cli, harness
-from evclt.asymptotics import lindeberg_sum
+from evclt.asymptotics import LindebergSection, lindeberg_sum
 from evclt.cli import main
 from evclt.config import load_config
 from evclt.rng import STREAM_MC_DELTA, STREAM_MC_EPS
 
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("EVCLT_SEED", raising=False)
 
 
 def _write_config(tmp_path, data, name="config.yaml"):
@@ -267,6 +262,7 @@ _REFUSED_BY_SIMULATE = {
     "replicates-past-one-key-word": ({"replicates": 2**32 + 1}, "2^32"),
     "few-replicates-for-beta-clt": ({"replicates": 50}, "need R >= 100"),
     "counterexample-on-linear": ({"tests": ["counterexample"]}, "gaussian-iid"),
+    "empty-tests": ({"tests": []}, "tests must name at least one of"),
     "single-point-negligibility": (
         {"grid": [200], "tests": ["negligibility"]},
         "at least 2 grid points",
@@ -339,25 +335,31 @@ def test_simulate_worker_invariance(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out8 / "report.json").read_bytes()
 
 
-def test_seed_env_override_changes_outputs(tmp_path, monkeypatch):
+def test_the_seed_comes_from_the_config_file_alone(tmp_path, monkeypatch):
+    # no environment variable changes a setting: with EVCLT_SEED set, every
+    # output byte stays the same
     config = _write_config(
-        tmp_path, _base_config(design={"kind": "alternating"}, grid=[100], replicates=150)
+        tmp_path,
+        _base_config(
+            design={"kind": "alternating"},
+            grid=[100, 200],
+            replicates=150,
+            lindeberg={"r_grid": [0.1, 0.5], "method": "monte-carlo", "mc_budget": 2000},
+        ),
     )
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["simulate", "--config", str(config), "--out", str(out_a)])
-    monkeypatch.setenv("EVCLT_SEED", "12345")
-    main(["simulate", "--config", str(config), "--out", str(out_b)])
-    report_a = json.loads((out_a / "report.json").read_text())
-    report_b = json.loads((out_b / "report.json").read_text())
-    assert report_a["config"]["seed"] == 9
-    assert report_b["config"]["seed"] == 12345
-    assert (out_a / "report.json").read_bytes() != (out_b / "report.json").read_bytes()
-
-
-def test_bad_seed_env_is_config_error(tmp_path, monkeypatch):
-    config = _write_config(tmp_path, _base_config())
-    monkeypatch.setenv("EVCLT_SEED", "not-a-number")
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    outputs = {}
+    for env in (None, "7"):
+        if env is not None:
+            monkeypatch.setenv("EVCLT_SEED", env)
+        for command in ("simulate", "lindeberg"):
+            out = tmp_path / f"{command}-{env}"
+            assert main([command, "--config", str(config), "--out", str(out)]) in (0, 1)
+            outputs[command, env] = {
+                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+            }
+    for command in ("simulate", "lindeberg"):
+        assert outputs[command, "7"] == outputs[command, None]
+    assert json.loads(outputs["simulate", "7"]["report.json"])["config"]["seed"] == 9
 
 
 def test_manifest_hash_matches_recomputation(tmp_path):
@@ -511,10 +513,8 @@ def test_lindeberg_monte_carlo_draws_once_per_run(tmp_path, monkeypatch):
                 experiment.design,
                 [n],
                 experiment.model,
-                [r],
-                method=section.method,
-                mc_budget=section.mc_budget,
-                seed=experiment.seed,
+                LindebergSection([r], section.method, section.mc_budget),
+                experiment.seed,
             )[0].to_dict()
             for n in experiment.n_grid
             for r in section.r_grid

@@ -83,7 +83,9 @@ def test_yaml_bare_true_variance_source(tmp_path):
 def test_config_hash_is_stable_and_seed_sensitive(tmp_path):
     config = load_config(_write(tmp_path, MINIMAL))
     assert config_hash(config) == config_hash(config)
-    assert config_hash(config.with_seed(1)) != config_hash(config.with_seed(2))
+    assert config_hash(parse_config(dict(MINIMAL, seed=1))) != config_hash(
+        parse_config(dict(MINIMAL, seed=2))
+    )
 
 
 # The canonical form is what manifest.json's config_sha256 is computed from;
@@ -114,6 +116,7 @@ def test_student_t_df_passthrough(tmp_path):
         lambda d: d.update(grdi=[1, 2]),
         lambda d: d["model"].update(gamma=1.0),
         lambda d: d.update(tests=["z-test"]),
+        lambda d: d.update(tests=[]),
         lambda d: d.update(variance_source="estimated"),
         lambda d: d.update(grid=[100, 50]),
         lambda d: d.update(lindeberg={"r_grid": [0.0]}),
@@ -392,6 +395,18 @@ def test_any_diagnose_key_fails_before_output(tmp_path):
         assert not out.exists()
 
 
+def test_unknown_keys_of_two_types_are_refused_with_exit_2(tmp_path, capsys):
+    # 1 and "x" do not compare, so the message sorts them by type first
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        yaml.safe_dump(MINIMAL).replace("design:\n", "design:\n  1: 2\n  x: 3\n", 1),
+        encoding="utf-8",
+    )
+    assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: unknown keys in design: [1, 'x']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.yaml")
@@ -451,6 +466,7 @@ def test_a_library_experiment_config_has_the_file_defaults():
         (lambda d: d["model"]["delta"].pop("scale"), "model.delta.scale is required"),
         (lambda d: d.update(n_grid=[50, 100]), "unknown keys in config: ['n_grid']"),
         (lambda d: d["model"].update(eps_dist={}), "unknown keys in model: ['eps_dist']"),
+        (lambda d: d["design"].update({1: 2, "x": 3}), "unknown keys in design: [1, 'x']"),
         (lambda d: d["design"].update(params=[1]), "design.params must be a mapping, got list"),
         (lambda d: d["model"].update(eps=None), "model.eps must be a mapping, got NoneType"),
         (lambda d: d.update(lindeberg=[]), "lindeberg must be a mapping, got list"),

@@ -73,24 +73,23 @@ def test_ks_matches_brute_force_scan(values):
 def test_coverage_quantile_grid():
     count = 1000
     z = ndtri((np.arange(1, count + 1) - 0.5) / count)
-    result = coverage(z, 0.95)
-    assert abs(result.empirical - 0.95) <= 1.0 / count
-    assert result.ok
+    record = coverage(count, "z_beta", z)
+    assert abs(record["empirical"] - 0.95) <= 1.0 / count
+    assert record["pass"]
+    assert (record["n"], record["nominal"], record["half_width_basis"]) == (count, 0.95, "z_beta")
 
 
 def test_coverage_degenerate_cases():
-    assert coverage(np.zeros(200), 0.95).empirical == 1.0
-    assert coverage(np.full(200, 10.0), 0.95).empirical == 0.0
-    assert not coverage(np.full(200, 10.0), 0.95).ok
+    assert coverage(200, "z_beta", np.zeros(200))["empirical"] == 1.0
+    assert coverage(200, "z_beta", np.full(200, 10.0))["empirical"] == 0.0
+    assert not coverage(200, "z_theta", np.full(200, 10.0))["pass"]
 
 
 def test_coverage_preconditions():
     # The floor of 100 is on R (ExperimentConfig), not on the replicates used.
-    assert coverage(np.zeros(99), 0.95).empirical == 1.0
+    assert coverage(99, "z_beta", np.zeros(99))["empirical"] == 1.0
     with pytest.raises(ConfigError):
-        coverage(np.zeros(0), 0.95)
-    with pytest.raises(ConfigError):
-        coverage(np.zeros(200), 1.0)
+        coverage(100, "z_beta", np.zeros(0))
 
 
 # --- experiment config ----------------------------------------------------------------
