@@ -17,7 +17,10 @@ petrov-i..iii      truncated-moment sums below               to-zero
 =================  ========================================  ===========
 
 Each diagnostic is one function over the whole grid; the summary-defined
-ones take ``summary_path(design, n_grid)``.
+ones take ``summary_path(design, n_grid)``. Each returns the JSON-ready
+record that ``evclt diagnose`` writes to diagnostics.json (a condition path
+is ``{name, n_grid, values, target, verdict}``) or, for the Lindeberg sums,
+the list of records that ``evclt lindeberg`` writes to lindeberg.json.
 
 The Lindeberg evaluator works on the normalized triangular array
 X_{n,i} = (x_i - x_bar) nu_i / sqrt(S_n Var(nu)), whose second moments sum
@@ -43,7 +46,7 @@ its verdict must track c6 on every nondegenerate design.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -68,61 +71,6 @@ TREND_TAIL_K = 5
 TREND_TO_ZERO_THRESHOLD = 0.2
 TREND_TO_INFINITY_THRESHOLD = 50.0
 TREND_PLATEAU_REL_CHANGE = 0.25
-
-
-@dataclass(frozen=True)
-class ConditionPath:
-    name: str
-    n_grid: tuple[int, ...]
-    values: tuple[float, ...]
-    target: str  # "to-zero" | "to-infinity"
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class LindebergReport:
-    """The Lindeberg sum at one (n, r). ``unreached`` is true only for a
-    Monte Carlo estimate that no draw reaches (r / max coeff at or past the
-    largest |nu| drawn): its 0 +/- 0 says the draw is too small to resolve
-    the sum, not that the sum is zero, as the bound shortcut's 0 +/- 0 does."""
-
-    n: int
-    r: float
-    sum_value: float
-    method: str  # "quadrature" | "monte-carlo"
-    stderr: float | None = None
-    unreached: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class HierarchyReport:
-    """The three ratios whose joint decay orders n << sqrt(S_n) << max-dev^2 << S_n."""
-
-    n_grid: tuple[int, ...]
-    n_over_root_s: tuple[float, ...]
-    root_s_over_maxdev_sq: tuple[float, ...]
-    maxdev_sq_over_s: tuple[float, ...]
-    flagged: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class PetrovReport:
-    paths: dict[str, ConditionPath]
-    corollary: ConditionPath
-
-    def to_dict(self) -> dict:
-        out = {key: path.to_dict() for key, path in self.paths.items()}
-        out["corollary-c6"] = self.corollary.to_dict()
-        return out
 
 
 @dataclass(frozen=True)
@@ -228,45 +176,42 @@ def condition_value(name: str, summary: DesignSummary) -> float:
     return _CONDITIONS[name][1](summary)
 
 
-def condition_path(name: str, summaries: Sequence[DesignSummary]) -> ConditionPath:
+def condition_path(name: str, summaries: Sequence[DesignSummary]) -> dict:
     """The condition's values along the summaries' n grid, with their verdict."""
     values = [condition_value(name, s) for s in summaries]
     return _classified_path(name, summaries, values, _CONDITIONS[name][0])
 
 
 def _classified_path(
-    name: str, summaries: Sequence[DesignSummary], values, target: str
-) -> ConditionPath:
-    """``values`` along the summaries' n grid, with their trend verdict."""
-    values = tuple(values)
-    return ConditionPath(
-        name=name,
-        n_grid=tuple(s.n for s in summaries),
-        values=values,
-        target=target,
-        verdict=classify_trend(values, target),
-    )
+    name: str, summaries: Sequence[DesignSummary], values: list[float], target: str
+) -> dict:
+    """``values`` along the summaries' n grid, with their trend verdict, as
+    the record ``{name, n_grid, values, target, verdict}``."""
+    return {
+        "name": name,
+        "n_grid": [s.n for s in summaries],
+        "values": values,
+        "target": target,  # "to-zero" | "to-infinity"
+        "verdict": classify_trend(values, target),
+    }
 
 
-def scaling_hierarchy(summaries: Sequence[DesignSummary]) -> HierarchyReport:
-    """Per-n ratios of the dispersion hierarchy; flagged when the slope-CLT
-    conditions do not hold in trend for this design (report still computed)."""
+def scaling_hierarchy(summaries: Sequence[DesignSummary]) -> dict:
+    """Per-n ratios of the dispersion hierarchy, whose joint decay orders
+    n << sqrt(S_n) << max-dev^2 << S_n; flagged when the slope-CLT
+    conditions do not hold in trend for this design (ratios still computed)."""
     if any(s.s_n <= 0.0 or s.max_dev <= 0.0 for s in summaries):
         raise DegenerateDesignError("hierarchy ratios need S_n > 0 at every grid point")
-    r1 = tuple(s.n / math.sqrt(s.s_n) for s in summaries)
-    r2 = tuple(math.sqrt(s.s_n) / s.max_dev**2 for s in summaries)
-    r3 = tuple(s.max_dev**2 / s.s_n for s in summaries)
-    flagged = not (
-        condition_path("c6", summaries).verdict == VERDICT_SATISFIED
-        and condition_path("c7", summaries).verdict == VERDICT_SATISFIED
-    )
-    return HierarchyReport(
-        n_grid=tuple(s.n for s in summaries),
-        n_over_root_s=r1,
-        root_s_over_maxdev_sq=r2,
-        maxdev_sq_over_s=r3,
-        flagged=flagged,
-    )
+    return {
+        "n_grid": [s.n for s in summaries],
+        "n_over_root_s": [s.n / math.sqrt(s.s_n) for s in summaries],
+        "root_s_over_maxdev_sq": [math.sqrt(s.s_n) / s.max_dev**2 for s in summaries],
+        "maxdev_sq_over_s": [s.max_dev**2 / s.s_n for s in summaries],
+        "flagged": any(
+            condition_path(name, summaries)["verdict"] != VERDICT_SATISFIED
+            for name in ("c6", "c7")
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +224,7 @@ def _nu_quadrature_law(spec: EVModelSpec) -> tuple[ErrorDistribution, float]:
     X ~ dist: the normal law of variance V when both laws are normal, else
     the one law that is not a point mass at zero.
 
-    Raises QuadratureUnsupportedError otherwise (use Monte Carlo there).
+    Raises QuadratureUnsupportedError otherwise (Monte Carlo handles those).
     """
     eps, delta, beta = spec.eps_dist, spec.delta_dist, spec.beta
     if eps.family == "normal" and delta.family == "normal":
@@ -290,7 +235,7 @@ def _nu_quadrature_law(spec: EVModelSpec) -> tuple[ErrorDistribution, float]:
         return delta, abs(beta)
     raise QuadratureUnsupportedError(
         f"no closed-form law for eps({eps.family}) - beta*delta({delta.family}); "
-        "use method='monte-carlo'"
+        "use lindeberg.method: monte-carlo"
     )
 
 
@@ -374,15 +319,20 @@ def lindeberg_sum(
     spec: EVModelSpec,
     section: LindebergSection,
     seed: int,
-) -> list[LindebergReport]:
+) -> list[dict]:
     """sum_i E[X_{n,i}^2 ; |X_{n,i}| > r] for the normalized slope array, one
-    report per (n, r), n-major. Each n reads a prefix of one generated
-    design. The Monte Carlo |nu| draw, keyed by seed alone, is made and
-    sorted at most once per call, by the first (n, r) that needs it, and
-    every (n, r) reuses it; so is the quadrature law of nu. An (n, r) that
-    no draw reaches reads 0 +/- 0, flagged ``unreached``, without a search
-    of the draw. ``section`` holds the levels r, the method and the Monte
-    Carlo budget."""
+    record ``{n, r, sum_value, method, stderr, unreached}`` per (n, r),
+    n-major; ``stderr`` is None under quadrature. Each n reads a prefix of
+    one generated design. The Monte Carlo |nu| draw, keyed by seed alone, is
+    made and sorted at most once per call, by the first (n, r) that needs
+    it, and every (n, r) reuses it; so is the quadrature law of nu.
+    ``section`` holds the levels r, the method and the Monte Carlo budget.
+
+    ``unreached`` is true only for a Monte Carlo estimate that no draw
+    reaches (r / max coeff at or past the largest |nu| drawn), which reads
+    0 +/- 0 without a search of the draw: it says the draw is too small to
+    resolve the sum, not that the sum is zero, as the bound shortcut's
+    0 +/- 0 does."""
     method = section.method
     variance = spec.nu_variance()
     if variance <= 0.0:
@@ -437,8 +387,8 @@ def lindeberg_sum(
                     value, stderr, unreached = 0.0, 0.0, True
                 else:
                     value, stderr = _monte_carlo_sum(coeff, r, draw)
-            reports.append(LindebergReport(n=n, r=r, sum_value=min(max(value, 0.0), 1.0),
-                                           method=method, stderr=stderr, unreached=unreached))
+            reports.append({"n": n, "r": r, "sum_value": min(max(value, 0.0), 1.0),
+                            "method": method, "stderr": stderr, "unreached": unreached})
     return reports
 
 
@@ -447,7 +397,9 @@ def lindeberg_sum(
 # ---------------------------------------------------------------------------
 
 
-def petrov_conditions(summaries: Sequence[DesignSummary], spec: EVModelSpec) -> PetrovReport:
+def petrov_conditions(summaries: Sequence[DesignSummary], spec: EVModelSpec) -> dict:
+    """The paths of Petrov's conditions (i)-(iii) for the delta law, and c6
+    as ``corollary-c6``, which (iii) must track."""
     s_n = np.array([s.s_n for s in summaries])
     if np.any(s_n <= 0.0):
         raise DegenerateDesignError("Petrov normalization a_n = sqrt(S_n) needs S_n > 0")
@@ -462,13 +414,11 @@ def petrov_conditions(summaries: Sequence[DesignSummary], spec: EVModelSpec) -> 
         "petrov-ii": n / s_n * (m4 - m2 * m2),
         "petrov-iii": n / a_n * m2,
     }
-    return PetrovReport(
-        paths={
-            name: _classified_path(name, summaries, v.tolist(), "to-zero")
-            for name, v in values.items()
-        },
-        corollary=condition_path("c6", summaries),
-    )
+    paths = {
+        name: _classified_path(name, summaries, v.tolist(), "to-zero")
+        for name, v in values.items()
+    }
+    return {**paths, "corollary-c6": condition_path("c6", summaries)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +435,7 @@ def diagnostics_report(design: DesignSequence, spec: EVModelSpec, n_grid: Sequen
     return {
         "design": design.to_dict(),
         "n_grid": [int(n) for n in n_grid],
-        "conditions": {name: condition_path(name, summaries).to_dict() for name in CONDITION_IDS},
-        "hierarchy": scaling_hierarchy(summaries).to_dict(),
-        "petrov": petrov_conditions(summaries, spec).to_dict(),
+        "conditions": {name: condition_path(name, summaries) for name in CONDITION_IDS},
+        "hierarchy": scaling_hierarchy(summaries),
+        "petrov": petrov_conditions(summaries, spec),
     }

@@ -131,12 +131,9 @@ def _hierarchy_records(h: dict):
 
 
 def export_design_csv(design: DesignSequence, n: int, path: Path) -> None:
-    """Write (index, x) rows for audit, in the cells of ``_write_csv``: the
-    csv module writes a float as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("index", "x"))
-        writer.writerows(enumerate(design.generate(n).tolist(), start=1))
+    """Write the design's first n values as (index, x) rows for audit."""
+    x = design.generate(n).tolist()
+    _write_csv(path, ("index", "x"), ({"index": i, "x": v} for i, v in enumerate(x, start=1)))
 
 
 _COUNTEREXAMPLE_COLUMNS = (
@@ -231,16 +228,9 @@ def _cmd_simulate(args, config: AppConfig) -> int:
 
 def _cmd_lindeberg(args, config: AppConfig) -> int:
     experiment = config.experiment
-    reports = [
-        report.to_dict()
-        for report in lindeberg_sum(
-            experiment.design,
-            experiment.n_grid,
-            experiment.model,
-            config.lindeberg,
-            experiment.seed,
-        )
-    ]
+    reports = lindeberg_sum(
+        experiment.design, experiment.n_grid, experiment.model, config.lindeberg, experiment.seed
+    )
     out = _write_manifest(args, config)
     _write_json(out / "lindeberg.json", {"reports": reports})
     _write_csv(

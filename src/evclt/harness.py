@@ -424,11 +424,11 @@ def run_experiment(
         )
 
     if "theta-clt" in config.tests:
-        c17 = condition_path("c17", summaries)
-        if c17.verdict != VERDICT_SATISFIED:
+        c17 = condition_path("c17", summaries)["verdict"]
+        if c17 != VERDICT_SATISFIED:
             msg = (
                 "theta-clt requested but the design's intercept condition "
-                f"(c17) is {c17.verdict}; refutation runs are legitimate"
+                f"(c17) is {c17}; refutation runs are legitimate"
             )
             warnings.warn(msg, stacklevel=2)
             report_warnings.append(msg)

@@ -379,8 +379,8 @@ class ErrorDistribution:
         # of finite factors round to inf instead.
         try:
             if self.family == "normal":
-                # 2^(k/2) Gamma((k+1)/2) / Gamma(1/2), an exact product at even k
-                value = s**k * 2 ** (k / 2) * gamma_ratio(0.5, k / 2)
+                # s^k times 2^(k/2) Gamma((k+1)/2) / Gamma(1/2), exact at even k, last
+                value = s**k * (2 ** (k / 2) * gamma_ratio(0.5, k / 2))
             elif self.family == "uniform-centered":
                 value = s**k / (k + 1)
             elif self.family == "laplace":
@@ -647,10 +647,15 @@ class EVModelSpec:
                 raise ConfigError(
                     f"{dist.family} lacks a finite absolute moment of order {2 + self.alpha}"
                 )
+        if math.isinf(self.nu_variance()):
+            raise ConfigError(f"Var(eps - beta delta) at beta = {self.beta:g} overflows float64")
 
     def nu_variance(self) -> float:
-        """Var(eps - beta * delta) under independence of the two error streams."""
-        return self.eps_dist.variance() + self.beta**2 * self.delta_dist.variance()
+        """Var(eps - beta * delta) of independent error streams; inf past float64."""
+        try:
+            return self.eps_dist.variance() + self.beta**2 * self.delta_dist.variance()
+        except OverflowError:  # beta^2 alone is past float64; Var(delta) may be 0
+            return self.eps_dist.variance() + self.beta * (self.beta * self.delta_dist.variance())
 
     def nu_bound(self) -> float:
         """Almost-sure bound on |eps - beta * delta| (inf if unbounded)."""
@@ -696,13 +701,5 @@ def draw_sample(
     x = design.generate(n)
     eps = spec.eps_dist.sample(uniforms((seed, n, replicate, STREAM_EPS), n))
     delta = spec.delta_dist.sample(uniforms((seed, n, replicate, STREAM_DELTA), n))
-    xi = x + delta
-    eta = spec.theta + spec.beta * x + eps
-    return EVSample(
-        n=n,
-        xi=xi,
-        eta=eta,
-        design=design,
-        latent_eps=eps if retain_latents else None,
-        latent_delta=delta if retain_latents else None,
-    )
+    latents = (eps, delta) if retain_latents else (None, None)
+    return EVSample(n, x + delta, spec.theta + spec.beta * x + eps, design, *latents)

@@ -276,9 +276,9 @@ def test_a6_petrov_necessity():
     for kind, grid in grids.items():
         design = DesignSequence(kind, seed=SEED)
         report = petrov_conditions(summary_path(design, grid), spec)
-        agree = report.paths["petrov-iii"].verdict == report.corollary.verdict
+        agree = report["petrov-iii"]["verdict"] == report["corollary-c6"]["verdict"]
         ok = ok and agree
-        agreements.append(f"{kind}: {report.paths['petrov-iii'].verdict} ({'=' if agree else '!='} c6)")
+        agreements.append(f"{kind}: {report['petrov-iii']['verdict']} ({'=' if agree else '!='} c6)")
 
     # synthetic dispersion path S_n = n log^2 n: consistent but no slope CLT
     summaries = [
@@ -295,17 +295,17 @@ def test_a6_petrov_necessity():
     c6 = condition_path("c6", summaries)
     petrov = petrov_conditions(summaries, spec)
     synthetic_ok = (
-        liu_chen.verdict == VERDICT_SATISFIED
-        and c6.verdict == VERDICT_VIOLATED
-        and petrov.paths["petrov-iii"].verdict == VERDICT_VIOLATED
+        liu_chen["verdict"] == VERDICT_SATISFIED
+        and c6["verdict"] == VERDICT_VIOLATED
+        and petrov["petrov-iii"]["verdict"] == VERDICT_VIOLATED
     )
     ok = ok and synthetic_ok
     _line(
         "A6 (Petrov checker necessity)",
         ok,
         "; ".join(agreements)
-        + f"; synthetic n*log^2(n): liu-chen={liu_chen.verdict}, c6={c6.verdict}, "
-        f"petrov-iii={petrov.paths['petrov-iii'].verdict}",
+        + f"; synthetic n*log^2(n): liu-chen={liu_chen['verdict']}, c6={c6['verdict']}, "
+        f"petrov-iii={petrov['petrov-iii']['verdict']}",
     )
     assert ok
 
@@ -321,9 +321,9 @@ def test_a7_lindeberg_sums():
     mcs = lindeberg_sum(
         design, grid, spec, LindebergSection([0.5], "monte-carlo", 1_000_000), SEED
     )
-    values = [quad.sum_value for quad in quads]
+    values = [quad["sum_value"] for quad in quads]
     agree = all(
-        abs(quad.sum_value - mc.sum_value) <= 4 * max(mc.stderr, 1e-10)
+        abs(quad["sum_value"] - mc["sum_value"]) <= 4 * max(mc["stderr"], 1e-10)
         for quad, mc in zip(quads, mcs)
     )
     decreasing = all(a > b for a, b in zip(values, values[1:]))
@@ -335,7 +335,7 @@ def test_a7_lindeberg_sums():
         delta_dist=ErrorDistribution("uniform-centered", 0.5),
     )
     [zero] = lindeberg_sum(design, [100], bounded_spec, LindebergSection([1.0]), 0)
-    zero_ok = zero.sum_value == 0.0
+    zero_ok = zero["sum_value"] == 0.0
 
     ok = decreasing and agree and zero_ok
     _line(

@@ -267,17 +267,40 @@ _REFUSED_BY_SIMULATE = {
         {"grid": [200], "tests": ["negligibility"]},
         "at least 2 grid points",
     ),
+    # V = Var(eps) + beta^2 Var(delta) overflows float64; beta**2 alone raises
+    "huge-beta": (
+        {"model": {**_base_config()["model"], "beta": 1.0e300}},
+        "model: Var(eps - beta delta) at beta = 1e+300 overflows float64",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSED_BY_SIMULATE))
 @pytest.mark.parametrize("command", ["diagnose", "lindeberg", "simulate"])
-def test_a_config_simulate_refuses_is_refused_by_every_command(tmp_path, capsys, command, name):
+def test_a_config_simulate_refuses_is_refused_by_every_command(
+    tmp_path, monkeypatch, capsys, command, name
+):
+    calls = _count_grid_points(monkeypatch)
     overrides, cause = _REFUSED_BY_SIMULATE[name]
     config = _write_config(tmp_path, _base_config(**overrides))
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
-    assert cause in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_quadrature_refusal_names_the_config_key(tmp_path, capsys):
+    # student-t eps with normal delta has no closed-form law for nu
+    model = _base_config()["model"]
+    model["eps"] = {"family": "student-t", "scale": 1.0, "df": 6}
+    config = _write_config(tmp_path, _base_config(model=model))
+    out = tmp_path / "out"
+    assert main(["lindeberg", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no closed-form law for eps(student-t) - beta*delta(normal)")
+    assert "use lindeberg.method: monte-carlo" in err and "method='" not in err
     assert not out.exists()
 
 
@@ -515,7 +538,7 @@ def test_lindeberg_monte_carlo_draws_once_per_run(tmp_path, monkeypatch):
                 experiment.model,
                 LindebergSection([r], section.method, section.mc_budget),
                 experiment.seed,
-            )[0].to_dict()
+            )[0]
             for n in experiment.n_grid
             for r in section.r_grid
         ]

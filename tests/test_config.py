@@ -418,6 +418,19 @@ def test_load_errors(tmp_path):
     bad.write_text("design: [unclosed", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(b"seed: 1\n# \xff\n")
+    with pytest.raises(ConfigError, match="cannot read .*latin1.yaml"):
+        load_config(latin1)
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(yaml.safe_dump(MINIMAL).encode("utf-8") + b"# \xff\n")
+    assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # Each section of a config file and the type it builds.

@@ -733,6 +733,28 @@ def test_scale_whose_variance_overflows_is_refused(family, df):
     assert math.isfinite(dist.variance()) and dist.variance() >= 1e299
 
 
+def test_normal_law_whose_variance_is_finite_near_the_float64_maximum_builds():
+    # s^2 = 1e308 is finite while 2 s^2 is not: the constant 2 Gamma(3/2) /
+    # Gamma(1/2) = 1 of the second moment multiplies s^2 last
+    assert ErrorDistribution("normal", 1e154).variance() == 1e154 * 1e154
+
+
+def test_nu_variance_where_beta_squared_alone_overflows():
+    unit, point = ErrorDistribution("normal", 1.0), ErrorDistribution("normal", 0.0)
+    # a point-mass delta: V = Var(eps) at any beta, not inf * 0 = NaN
+    assert EVModelSpec(1.0, 1e300, unit, point).nu_variance() == 1.0
+    assert EVModelSpec(1.0, -1e300, unit, point).nu_variance() == 1.0
+    # beta^2 = 1e400 is past float64, but beta^2 Var(delta) = 1e100 is not
+    tiny = ErrorDistribution("normal", 1e-150)
+    v = EVModelSpec(1.0, 1e200, unit, tiny).nu_variance()
+    assert v == pytest.approx(1e100, rel=1e-15)
+    # where beta^2 is finite, V is the plain sum
+    assert EVModelSpec(1.0, 1e154, unit, unit).nu_variance() == 1.0 + 1e154**2
+    for beta in (1e300, -2e154):
+        with pytest.raises(ConfigError, match="overflows float64"):
+            EVModelSpec(1.0, beta, unit, unit)
+
+
 @pytest.mark.parametrize("family, df", _HUGE_SCALE_LAWS)
 def test_abs_moment_overflow_is_a_config_error(family, df):
     # At scale 1e150 the third moment is past 1e450; at scale 1 laplace's
