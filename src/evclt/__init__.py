@@ -19,7 +19,6 @@ _EXPORTS = {
     "EVModelSpec": "model",
     "EVSample": "model",
     "draw_sample": "model",
-    "moment": "model",
     "FitResult": "estimator",
     "Decomposition": "estimator",
     "StandardizedStats": "estimator",

@@ -46,7 +46,7 @@ its verdict must track c6 on every nondegenerate design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -88,6 +88,9 @@ class LindebergSection:
         r_grid = tuple(real_number(r, "each lindeberg.r_grid entry") for r in r_grid)
         if not r_grid or not all(r > 0.0 for r in r_grid):
             raise ConfigError("each lindeberg.r_grid truncation level r must be > 0")
+        for i, r in enumerate(r_grid):
+            if r in r_grid[:i]:
+                raise ConfigError(f"lindeberg.r_grid lists {r!r} twice")
         if self.method not in LINDEBERG_METHODS:
             raise ConfigError(
                 f"unknown lindeberg.method {self.method!r}; expected one of {LINDEBERG_METHODS}"
@@ -433,7 +436,7 @@ def diagnostics_report(design: DesignSequence, spec: EVModelSpec, n_grid: Sequen
     DegenerateDesignError (``condition_path`` still evaluates it)."""
     summaries = summary_path(design, n_grid)
     return {
-        "design": design.to_dict(),
+        "design": asdict(design),
         "n_grid": [int(n) for n in n_grid],
         "conditions": {name: condition_path(name, summaries) for name in CONDITION_IDS},
         "hierarchy": scaling_hierarchy(summaries),

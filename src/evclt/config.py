@@ -36,7 +36,8 @@ flag overrides one. The file names three fields differently: ``grid`` is
 ``n_grid``, ``eps`` and ``delta`` are ``eps_dist`` and ``delta_dist``. A
 field without a default is a required key (``model.eps.family is
 required``), a missing key takes the field's default, and an unknown key
-anywhere is refused so that a typo cannot silently change a run.
+anywhere is refused so that a typo cannot silently change a run; so is a key
+that a mapping repeats, and a repeated entry of ``tests`` or ``r_grid``.
 
 A file is valid for every command or for none: it is checked whole at
 load, ``lindeberg`` and the Monte Carlo settings alike, so ``diagnose``
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Hashable
 from dataclasses import MISSING, Field, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -68,7 +70,7 @@ import yaml
 
 from .asymptotics import LindebergSection
 from .errors import ConfigError
-from .harness import DEFAULT_N_GRID, ExperimentConfig  # noqa: F401  (re-exported)
+from .harness import ExperimentConfig
 from .model import ErrorDistribution, EVModelSpec
 
 
@@ -161,6 +163,26 @@ def parse_config(data: dict) -> AppConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe YAML loader, refusing a key that a mapping repeats: the
+    safe loader keeps the last value, so a repeat would silently change a
+    run, as an unknown key would. A key merged in with ``<<`` may still be
+    overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            if isinstance(key, Hashable):  # the safe loader refuses the others
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ConfigError(f"repeated key {key!r} on line {line}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> AppConfig:
     path = Path(path)
     if not path.is_file():
@@ -170,7 +192,7 @@ def load_config(path: str | Path) -> AppConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if data is None:

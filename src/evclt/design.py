@@ -28,26 +28,15 @@ randomness.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping, Sequence
 from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import ndtri
 
-from . import kernels
 from .errors import ConfigError
 from .rng import STREAM_DESIGN, uniforms
-
-DESIGN_KINDS = (
-    "linear",
-    "power",
-    "alternating",
-    "geometric",
-    "bounded",
-    "gaussian-iid",
-    "constant",
-)
 
 _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "linear": {"slope": 1.0},
@@ -58,6 +47,7 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "gaussian-iid": {"sd": 1.0},
     "constant": {"value": 1.0},
 }
+DESIGN_KINDS = tuple(_DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,6 @@ class DesignSequence:
                 return p["scale"] * np.sin(i)
             return np.full(n, p["value"])
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DesignSummary:
@@ -128,12 +115,15 @@ class DesignSummary:
     max_dev: float
     s_star: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
-    """Two-pass mean, dispersion S_n, max deviation, and S_n* = max(n, S_n)."""
+    """Two-pass mean, dispersion S_n, max deviation, and S_n* = max(n, S_n).
+
+    The mean first, then the centered squares: on the widest-range designs
+    in the catalog (geometric base 2, power exponent 3) this keeps S_n
+    within 1e-15 relative of the exact rational value, so no compensated
+    summation is needed; ``tests/test_design.py`` pins that bound.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ConfigError("summarize needs a 1-d sequence of length >= 2")
@@ -141,9 +131,12 @@ def summarize(x: Sequence[float] | np.ndarray) -> DesignSummary:
         raise ConfigError("summarize needs finite values (geometric designs overflow for large n)")
     n = arr.shape[0]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        mean, s_n, max_dev = kernels.summary_stats(arr)
+        mean = float(np.mean(arr))
+        dev = arr - mean
+        s_n = float(np.sum(dev * dev))
     if not np.isfinite(s_n):
         raise ConfigError(f"the dispersion S_n of {n} design values overflows float64")
+    max_dev = float(np.max(np.abs(dev)))
     return DesignSummary(n=n, mean=mean, s_n=s_n, max_dev=max_dev, s_star=max(float(n), s_n))
 
 

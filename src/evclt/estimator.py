@@ -22,7 +22,7 @@ design dispersion, the intercept error with the sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
@@ -67,9 +67,6 @@ class FitResult:
     residual_var: float
     n: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -104,9 +101,6 @@ class Decomposition:
             sum_delta_sq=s_delta_sq,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def slope_error_direct(self) -> float:
         """(beta_hat - beta) via the observed-regressor form."""
         return (self.term_xi_eps - self.term_x_delta - self.term_delta_sq) / self.sxx_obs
@@ -122,9 +116,6 @@ class StandardizedStats:
     z_theta: float
     used_variance: float
     variance_source: VarianceSource
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _fit_rows(sample: EVSample):

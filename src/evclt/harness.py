@@ -109,9 +109,6 @@ class HarnessDefaults:
     min_distributional_replicates: int = 100
     identity_gap_max: float = 1e-10
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 DEFAULTS = HarnessDefaults()
 
@@ -133,9 +130,11 @@ class ExperimentConfig:
         tests = tuple(str(t) for t in entries(self.tests, "tests"))
         if not tests:
             raise ConfigError(f"tests must name at least one of {TEST_KINDS}")
-        for t in tests:
+        for i, t in enumerate(tests):
             if t not in TEST_KINDS:
                 raise ConfigError(f"unknown test kind {t!r}; expected one of {TEST_KINDS}")
+            if t in tests[:i]:
+                raise ConfigError(f"tests lists {t!r} twice")
         object.__setattr__(self, "tests", tests)
         check_variance_source(self.variance_source)
         object.__setattr__(self, "replicates", whole_number(self.replicates, "config.replicates"))
@@ -159,7 +158,7 @@ class ExperimentConfig:
             raise ConfigError("the negligibility trend needs at least 2 grid points")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "model": self.model.to_dict(), "defaults": DEFAULTS.to_dict()}
+        return {**asdict(self), "model": self.model.to_dict(), "defaults": asdict(DEFAULTS)}
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,7 @@ def run_experiment(
 
         entry: dict = {
             "n": n,
-            "summary": summary.to_dict(),
+            "summary": asdict(summary),
             "replicates": config.replicates,
             "replicates_used": used,
             "skipped": skipped,

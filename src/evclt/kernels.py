@@ -1,10 +1,7 @@
-"""Numeric kernels: the design summary, replicate-batched LS fits, the
-residual pass and the error-decomposition sums, in plain numpy.
+"""Numeric kernels: replicate-batched LS fits, the residual pass and the
+error-decomposition sums, in plain numpy.
 
-Every sum is two-pass: the mean first, then the centered products. On the
-widest-range designs in the catalog (geometric base 2, power exponent 3)
-this keeps S_n within 1e-15 relative of the exact rational value, so no
-compensated summation is needed; ``tests/test_design.py`` pins that bound.
+Every sum is two-pass: the mean first, then the centered products.
 
 The batched kernels work on (rows, n) float64 C-contiguous blocks and
 allocate no block of their own: ``fit_batch`` centers its inputs in place,
@@ -25,18 +22,6 @@ import numpy as np
 # in slices of this size: small enough to stay in a 2 MiB L2 next to the
 # rows it reads, and large enough that per-call overhead stays small.
 SLICE = 16384
-
-
-def _as_f64(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def summary_stats(x) -> tuple[float, float, float]:
-    """(mean, sum of squared deviations, max absolute deviation) of ``x``."""
-    x = _as_f64(x)
-    mean = float(np.mean(x))
-    dev = x - mean
-    return mean, float(np.sum(dev * dev)), float(np.max(np.abs(dev)))
 
 
 def slice_scratch(n: int, rows: int | None = None) -> np.ndarray:
@@ -103,15 +88,15 @@ def residual_variance(dxi, deta, beta, scratch=None):
 def decompose_batch(x, xi, eps, delta, scratch=None):
     """Row-wise raw sums feeding the slope-error decomposition.
 
-    ``x`` is the centered design row d(x), one row shared by every row of
-    the block; ``xi`` holds the centered observed regressor rows
-    d(xi) that ``fit_batch`` leaves; ``delta`` is centered in place.
+    ``x`` is the centered design row d(x), a float64 C-contiguous row
+    shared by every row of the block; ``xi`` holds the centered observed
+    regressor rows d(xi) that ``fit_batch`` leaves; ``delta`` is centered
+    in place.
     Returns, per row: sum d(xi)_i eps_i, sum d(x)_i delta_i,
     sum d(x)_i eps_i, sum d(delta)_i^2, sum d(delta)_i eps_i. The fit
     supplies the sixth sum, sum d(xi)_i^2.
     """
     scratch = slice_scratch(xi.shape[1], xi.shape[0]) if scratch is None else scratch
-    x = _as_f64(x)
     s_xi_eps = _row_sum_of_products(xi, eps, scratch)
     s_x_delta = _row_sum_of_products(x, delta, scratch)
     s_x_eps = _row_sum_of_products(x, eps, scratch)

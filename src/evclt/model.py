@@ -603,25 +603,6 @@ class ErrorDistribution:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def moment(dist: ErrorDistribution, order: float, absolute: bool = False) -> float:
-    """Moment of the error law: E|X|^order, or the raw E X^order.
-
-    Raw moments are defined here for integer orders only; odd ones vanish by
-    symmetry of every catalog family.
-    """
-    if order < 1:
-        raise ConfigError("moment order must be >= 1")
-    if absolute:
-        return dist.abs_moment(order)
-    if float(order) != int(order):
-        raise ConfigError("raw (signed) moments need an integer order")
-    if int(order) % 2 == 1:
-        if not dist.moment_exists(order):
-            raise ConfigError(f"moment of order {order} does not exist for {dist.family}")
-        return 0.0
-    return dist.abs_moment(order)
-
-
 @dataclass(frozen=True)
 class EVModelSpec:
     """True parameters plus the two error laws.

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import evclt
 from evclt import asymptotics, cli, harness
 from evclt.asymptotics import LindebergSection, lindeberg_sum
 from evclt.cli import main
@@ -617,6 +619,14 @@ def test_package_import_loads_no_numpy_and_sets_no_threads():
         "print(before, callable(fit), DesignSequence('linear').kind)"
     )
     assert _fresh_python(code) == "(False, None) True linear"
+
+
+def test_every_public_name_resolves_through_the_export_table():
+    # a stale entry in evclt._EXPORTS would fail only where a caller reads it
+    for name in evclt.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"evclt.{evclt._EXPORTS[name]}")
+            assert getattr(evclt, name) is getattr(module, name), name
 
 
 def test_cli_import_freezes_its_objects_and_keeps_the_collector_on():

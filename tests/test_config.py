@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import textwrap
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from evclt import config as config_module
 from evclt.cli import main
 from evclt.config import (
-    DEFAULT_N_GRID,
     AppConfig,
     LindebergSection,
     config_hash,
@@ -18,7 +18,7 @@ from evclt.config import (
 )
 from evclt.design import DesignSequence
 from evclt.errors import ConfigError
-from evclt.harness import DEFAULTS, ExperimentConfig
+from evclt.harness import DEFAULT_N_GRID, DEFAULTS, ExperimentConfig
 from evclt.model import ErrorDistribution, EVModelSpec
 
 from test_harness import _config, _count_grid_points
@@ -51,7 +51,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.experiment.replicates == 1000
     assert config.lindeberg.r_grid == (0.1, 0.5, 1.0)
     # the fixed thresholds are recorded next to every report's verdicts
-    assert config.experiment.to_dict()["defaults"] == DEFAULTS.to_dict()
+    assert config.experiment.to_dict()["defaults"] == dataclasses.asdict(DEFAULTS)
 
 
 def test_full_config_round_trip(tmp_path):
@@ -430,6 +430,76 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _repeat_top_level_seed(text: str) -> str:
+    return text + "seed: 1\nseed: 2\n"
+
+
+def _repeat_model_beta(text: str) -> str:
+    return text.replace("  beta: 2.0\n", "  beta: 2.0\n  beta: 3.0\n", 1)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "simulate", "lindeberg"])
+@pytest.mark.parametrize(
+    "repeat, key, second",
+    [(_repeat_top_level_seed, "seed", "seed: 2"), (_repeat_model_beta, "beta", "  beta: 3.0")],
+    ids=["top-level", "nested"],
+)
+def test_a_repeated_key_exits_2_naming_the_key_and_its_line(
+    tmp_path, capsys, command, repeat, key, second
+):
+    # the YAML safe loader would keep the last value and say nothing
+    text = repeat(yaml.safe_dump(MINIMAL))
+    line = text.splitlines().index(second) + 1
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"repeated key {key!r} on line {line}"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_key_merged_in_may_be_overridden(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """\
+            design: {kind: linear}
+            model:
+              theta: 1.0
+              beta: 2.0
+              eps: &law {family: normal, scale: 1.0}
+              delta: {<<: *law, scale: 2.0}
+            """
+        ),
+        encoding="utf-8",
+    )
+    assert load_config(path).experiment.model.delta_dist == ErrorDistribution("normal", 2.0)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "simulate", "lindeberg"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(tests=["beta-clt", "beta-clt"]), "tests lists 'beta-clt' twice"),
+        (lambda d: d.update(lindeberg={"r_grid": [0.5, 1, 0.5]}), "lindeberg.r_grid lists 0.5 twice"),
+        (lambda d: d.update(lindeberg={"r_grid": [1, 1.0]}), "lindeberg.r_grid lists 1.0 twice"),
+    ],
+    ids=["tests", "r-grid", "r-grid-int-and-float"],
+)
+def test_a_repeated_list_entry_exits_2_naming_it(tmp_path, capsys, command, mutate, message):
+    data = copy.deepcopy(MINIMAL)
+    mutate(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value) == message
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +257,23 @@ def test_plug_in_residual_variance_tracks_truth(standard_spec, linear_design):
     assert gaps[1] < gaps[0]
 
 
+def test_ls_slope_attenuates_on_the_bounded_design(standard_spec):
+    # x_i = sin(i) keeps S_n / n near v = 1/2, so the LS slope tends to
+    # beta v / (v + sigma1^2), not to beta (Fuller 1987, sec. 1.1)
+    design = DesignSequence("bounded", {"scale": 1.0})
+    n, replicates = 2000, 1000
+    slopes = np.array(
+        [
+            fit(draw_sample(standard_spec, design, n, seed=3, replicate=r)).beta_hat
+            for r in range(replicates)
+        ]
+    )
+    v = summarize(design.generate(n)).s_n / n
+    target = standard_spec.beta * v / (v + standard_spec.delta_dist.variance())
+    stderr = slopes.std(ddof=1) / np.sqrt(replicates)
+    assert abs(slopes.mean() - target) < 4 * stderr
+
+
 # --- negligibility ratios --------------------------------------------------------
 
 
@@ -286,9 +305,9 @@ def test_negligible_ratios_constant_design_rejected(standard_spec):
 
 def test_fit_and_decomposition_json_field_names(standard_spec, linear_design):
     sample = draw_sample(standard_spec, linear_design, 30, seed=4, retain_latents=True)
-    fit_record = fit(sample).to_dict()
+    fit_record = asdict(fit(sample))
     assert set(fit_record) == {"beta_hat", "theta_hat", "sxx_obs", "residual_var", "n"}
-    decomp_record = decompose(sample, standard_spec).to_dict()
+    decomp_record = asdict(decompose(sample, standard_spec))
     assert set(decomp_record) == {
         "term_xi_eps",
         "term_x_delta",
@@ -299,7 +318,7 @@ def test_fit_and_decomposition_json_field_names(standard_spec, linear_design):
         "sum_delta_sq",
     }
     summary = summarize(linear_design.generate(30))
-    stats_record = standardize(fit(sample), standard_spec, summary).to_dict()
+    stats_record = asdict(standardize(fit(sample), standard_spec, summary))
     assert set(stats_record) == {"z_beta", "z_theta", "used_variance", "variance_source"}
 
 

@@ -760,5 +760,5 @@ def test_one_ks_per_statistic_and_variance_source(
 
 
 def test_defaults_roundtrip():
-    assert DEFAULTS.to_dict()["ks_critical_coefficient"] == 1.36
-    assert DEFAULTS.to_dict()["coverage_nominal"] == 0.95
+    assert DEFAULTS.ks_critical_coefficient == 1.36
+    assert DEFAULTS.coverage_nominal == 0.95

@@ -21,7 +21,6 @@ from evclt.model import (
     ErrorDistribution,
     EVModelSpec,
     draw_sample,
-    moment,
 )
 from evclt.rng import STREAM_EPS, uniforms
 from evclt.special import gamma_ratio, scaled_gamma_ratio
@@ -300,7 +299,7 @@ def test_other_student_t_df_keep_stdtrit_bits(df):
 
 
 def test_normal_second_moment_is_variance():
-    assert moment(ErrorDistribution("normal", 2.0), 2, absolute=True) == pytest.approx(4.0, rel=1e-14)
+    assert ErrorDistribution("normal", 2.0).abs_moment(2) == pytest.approx(4.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("s", [1.0, 1.3, 0.7, 2.5])
@@ -314,13 +313,13 @@ def test_normal_even_moments_are_exact(s):
 def test_uniform_second_moment_closed_form():
     # integral of x^2 / (2a) over [-a, a] = a^2 / 3
     a = 1.7
-    assert moment(ErrorDistribution("uniform-centered", a), 2, absolute=True) == pytest.approx(
+    assert ErrorDistribution("uniform-centered", a).abs_moment(2) == pytest.approx(
         a * a / 3.0, rel=1e-14
     )
 
 
 def test_normal_third_absolute_moment_with_quadrature_oracle():
-    got = moment(ErrorDistribution("normal", 1.0), 3, absolute=True)
+    got = ErrorDistribution("normal", 1.0).abs_moment(3)
     assert got == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-13)
     quad, _ = integrate.quad(lambda x: 2 * x**3 * stats.norm.pdf(x), 0, np.inf, epsabs=1e-12)
     assert got == pytest.approx(quad, rel=1e-9)
@@ -335,7 +334,7 @@ def test_normal_third_absolute_moment_with_quadrature_oracle():
     ],
 )
 def test_family_moments(dist, order, expected):
-    assert moment(dist, order, absolute=True) == pytest.approx(expected, rel=1e-12)
+    assert dist.abs_moment(order) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -367,12 +366,6 @@ def test_moment_quadrature_cross_check_all_families():
             lambda x: 2 * x**order * ref.pdf(x), 0, ref.support()[1], epsabs=1e-11
         )
         assert dist.abs_moment(order) == pytest.approx(quad, rel=1e-9)
-
-
-def test_raw_odd_moments_vanish():
-    assert moment(ErrorDistribution("laplace", 1.0), 3, absolute=False) == 0.0
-    with pytest.raises(ConfigError):
-        moment(ErrorDistribution("normal", 1.0), 2.5, absolute=False)
 
 
 def test_nonexistent_student_t_moment_rejected():
