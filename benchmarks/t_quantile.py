@@ -6,7 +6,7 @@ against scipy's ``stdtrit``, written to ``benchmarks/BENCH_t-quantile-layer.json
 
 For every even df from 6 to ``--df-max`` it times, on one 2 MiB block of
 keyed uniforms (262144 draws), the closed-form quantile that
-``ErrorDistribution.sample`` uses for df <= ``model.EVEN_T_DF_MAX`` (called
+``ErrorDistribution.sample`` uses for df <= ``tquantile.EVEN_T_DF_MAX`` (called
 directly, so df above the cutoff are timed too), ``stdtrit`` and
 ``ErrorDistribution.sample`` itself. The three run in alternating order in
 each round; the file records the median ns per draw of each. It also
@@ -36,8 +36,9 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.special import stdtrit  # noqa: E402
 
-from evclt import model  # noqa: E402
-from evclt.model import ErrorDistribution, _EvenStudentT  # noqa: E402
+from evclt import tquantile  # noqa: E402
+from evclt.model import ErrorDistribution  # noqa: E402
+from evclt.tquantile import EvenStudentT  # noqa: E402
 from evclt.rng import STREAM_EPS, uniforms  # noqa: E402
 
 BLOCK = 262144  # 2 MiB of float64
@@ -109,7 +110,7 @@ def main() -> int:
     )
     rows = []
     for df in range(6, args.df_max + 1, 2):
-        closed_form = _EvenStudentT.of(df // 2)
+        closed_form = EvenStudentT.of(df // 2)
         law = ErrorDistribution("student-t", 1.0, df=float(df))
         timed = {
             "closed_form": closed_form.quantile,
@@ -140,7 +141,7 @@ def main() -> int:
         "machine": machine_record(),
         "block_draws": BLOCK,
         "rounds": args.rounds,
-        "even_t_df_max": model.EVEN_T_DF_MAX,
+        "even_t_df_max": tquantile.EVEN_T_DF_MAX,
         "rows": rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -87,11 +87,15 @@ class DesignSequence:
         refuses it."""
         if n < 2:
             raise ConfigError(f"design length must be >= 2, got {n}")
+        if self.kind == "gaussian-iid":
+            with np.errstate(over="ignore"):
+                return self.params["sd"] * ndtri(uniforms((self.seed, STREAM_DESIGN), n))
+        return self._at(np.arange(1, n + 1, dtype=np.float64))
+
+    def _at(self, i: np.ndarray) -> np.ndarray:
+        """The values at the float64 indices i of a kind with an index formula."""
         p = self.params
         with np.errstate(over="ignore"):
-            if self.kind == "gaussian-iid":
-                return p["sd"] * ndtri(uniforms((self.seed, STREAM_DESIGN), n))
-            i = np.arange(1, n + 1, dtype=np.float64)
             if self.kind == "linear":
                 return p["slope"] * i
             if self.kind == "power":
@@ -102,7 +106,25 @@ class DesignSequence:
                 return p["base"] ** i
             if self.kind == "bounded":
                 return p["scale"] * np.sin(i)
-            return np.full(n, p["value"])
+            return np.full(i.shape, p["value"])
+
+    def value_range(self, n: int) -> tuple[float, float]:
+        """Bounds lo <= x_i <= hi on the first n values, without forming them.
+
+        linear, power, geometric and constant are monotone in i, and
+        alternating is in |x_i| with alternating signs, so their extremes are
+        among x_1, x_2, x_(n-1) and x_n. The bounds of the other two, +-scale
+        (bounded) and +-sd |ndtri(2^-54)| (gaussian-iid: keyed uniforms reach
+        down to 2^-54), need not be attained.
+        """
+        if self.kind == "gaussian-iid":
+            reach = self.params["sd"] * -float(ndtri(2.0**-54))
+        elif self.kind == "bounded":
+            reach = abs(self.params["scale"])
+        else:
+            ends = self._at(np.array([1.0, 2.0, n - 1.0, float(n)]))
+            return float(ends.min()), float(ends.max())
+        return -reach, reach
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 # Elements of one slice, 128 KiB of float64. The batched kernels form their
-# products in a scratch of one slice, and ``model._EvenStudentT`` samples
+# products in a scratch of one slice, and ``tquantile.EvenStudentT`` samples
 # in slices of this size: small enough to stay in a 2 MiB L2 next to the
 # rows it reads, and large enough that per-call overhead stays small.
 SLICE = 16384

@@ -38,6 +38,21 @@ def test_prefix_property(design):
     assert np.array_equal(short, long[:16])
 
 
+@pytest.mark.parametrize(
+    "design",
+    [*catalog_designs(seed=7), DesignSequence("alternating", {"scale": -3.0}),
+     DesignSequence("constant", {"value": -2.0})],
+    ids=lambda d: f"{d.kind}-{next(iter(d.params.values()))}",
+)
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_value_range_brackets_the_values(design, n):
+    x = design.generate(n)
+    lo, hi = design.value_range(n)
+    assert lo <= x.min() and x.max() <= hi
+    if design.kind not in ("bounded", "gaussian-iid"):
+        assert (lo, hi) == (x.min(), x.max())
+
+
 def test_generator_errors():
     with pytest.raises(ConfigError):
         DesignSequence("unknown-kind")

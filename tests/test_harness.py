@@ -456,7 +456,7 @@ _PINNED_REPORTS = [
         ErrorDistribution("student-t", 1.0, df=6.0),
         "plug-in",
         ("beta-clt", "coverage", "negligibility"),
-        "ea80455bfd1458aecaf7ceb307e68c1fd6b9ed62ae01ce4202ccb1eb43278ab4",
+        "5ebc2c2a9f247dd2dcca654f20fbc162496facac4ab43533e6af3b67eb98e6ef",
     ),
     (
         ErrorDistribution("student-t", 1.2, df=5.0),

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtri, stdtrit
 
-from evclt import model
+from evclt import tquantile
 from evclt.design import DesignSequence
 from evclt.errors import ConfigError
 from evclt.model import (
@@ -216,10 +216,28 @@ def _ulp_errors(mpmath, df, u, t):
     return np.array(errors)
 
 
-@pytest.mark.parametrize("df", _CLOSED_FORM_DF)
+def _table_uniforms():
+    """Uniforms at the edges of the tail's start table: a node and the
+    midpoint of its interval, the table's lower end 2^-56 and the float just
+    below it, and subnormal uniforms below the table."""
+    s0 = math.log(tquantile._TABLE_P_MIN)
+    h = (math.log(0.25) - s0) / tquantile._TABLE_INTERVALS
+    return [
+        math.exp(s0 + 200 * h),
+        math.exp(s0 + 200.5 * h),
+        tquantile._TABLE_P_MIN,
+        np.nextafter(tquantile._TABLE_P_MIN, 0.0),
+        1e-315,
+        1e-320,
+        5e-324,
+    ]
+
+
+# Every even df that takes the closed form, each with its own table.
+@pytest.mark.parametrize("df", [float(df) for df in range(6, EVEN_T_DF_MAX + 1, 2)])
 def test_closed_form_t_quantile_is_within_8_ulp(df):
     mpmath = pytest.importorskip("mpmath")
-    u = np.concatenate([uniforms((7, STREAM_EPS), 400), _EDGE_UNIFORMS])
+    u = np.concatenate([uniforms((7, STREAM_EPS), 400), _EDGE_UNIFORMS, _table_uniforms()])
     draws = ErrorDistribution("student-t", 1.0, df=df).sample(u)
     errors = _ulp_errors(mpmath, df, u, draws)
     assert errors.max() <= 8.0, u[np.argmax(errors)]
@@ -251,6 +269,17 @@ def test_closed_form_t_ends_of_the_unit_interval():
     assert draws.tolist() == [-np.inf, np.inf]
 
 
+def test_closed_form_t_nan_leaves_the_other_draws_alone():
+    # A NaN uniform gives NaN; the ends and the forms below the table still
+    # take their own paths next to it.
+    dist = ErrorDistribution("student-t", 1.0, df=6.0)
+    u = np.array([0.0, 1e-320, 1e-20, 0.1, 0.5, 1.0])
+    expected = dist.sample(u)
+    draws = dist.sample(np.append(u, np.nan))
+    assert np.isnan(draws[-1])
+    assert draws[:-1].tobytes() == expected.tobytes()
+
+
 def test_closed_form_t_writes_a_non_contiguous_out():
     dist = ErrorDistribution("student-t", 1.0, df=8.0)
     u = uniforms((9, STREAM_EPS), 3000).reshape(1000, 3)
@@ -272,18 +301,48 @@ def test_closed_form_t_memory_is_a_few_slices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * model._T_SLICE * 8
+    assert peak < 5 * tquantile._T_SLICE * 8
+
+
+def test_closed_form_t_table_is_built_on_the_first_draw_of_a_df():
+    # In a fresh interpreter: importing the CLI builds no table, and a df's
+    # table is built once, however often that df is sampled.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """
+import numpy as np
+import evclt.cli
+from evclt.model import ErrorDistribution
+from evclt.tquantile import EvenStudentT
+
+assert EvenStudentT._cache == {}
+built = []
+start_table = EvenStudentT._start_table
+EvenStudentT._start_table = lambda self: built.append(self.m) or start_table(self)
+u = np.linspace(0.01, 0.99, 99)
+for df in (6.0, 6.0, 8.0, 8.0):
+    ErrorDistribution("student-t", 1.0, df=df).sample(u)
+print(built)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[3, 4]"
 
 
 def test_closed_form_t_bits_are_pinned():
-    # sha256 of the draws of every even df up to EVEN_T_DF_MAX, taken before
-    # the quantile was reordered to keep fewer temporaries alive; the same
-    # expressions must give the same bits.
+    # sha256 of the draws of every even df up to EVEN_T_DF_MAX, taken when
+    # the tail form first started from the table; the same expressions must
+    # give the same bits.
     digest = hashlib.sha256()
     for df in range(6, EVEN_T_DF_MAX + 1, 2):
         u = np.concatenate([uniforms((df, STREAM_EPS), 40000), _EDGE_UNIFORMS])
         digest.update(ErrorDistribution("student-t", 1.0, df=float(df)).sample(u).tobytes())
-    assert digest.hexdigest() == "db75768cb302c6b1bfd683286e366b4f399773bd226ac79d05418ecf4891241b"
+    assert digest.hexdigest() == "daa606f327c33cb3620e8089fa08221235575bd5a4f861c5f8e1f90eecf55413"
 
 
 @pytest.mark.parametrize("df", [5.0, 7.5, float(EVEN_T_DF_MAX + 2)])
