@@ -20,6 +20,7 @@ calls.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -394,6 +395,21 @@ class EVModelSpec:
     def nu_bound(self) -> float:
         """Almost-sure bound on |eps - beta * delta| (inf if unbounded)."""
         return self.eps_dist.support_bound() + abs(self.beta) * self.delta_dist.support_bound()
+
+    def check_sums(self, design: DesignSequence, n: int) -> None:
+        """Refuses a theta or beta at which the sums of n values of
+        eta = theta + beta x_i + eps_i can overflow float64: n max |theta +
+        beta x_i| past half the float64 maximum. The design's range stands
+        in for its values, which a command forms later; a design whose own
+        values overflow is the design summaries' to refuse."""
+        lo, hi = design.value_range(n)
+        if math.isfinite(lo) and math.isfinite(hi):
+            largest = max(abs(self.theta + self.beta * lo), abs(self.theta + self.beta * hi))
+            if n * largest > sys.float_info.max / 2:
+                raise ConfigError(
+                    f"theta + beta x_i reaches {largest:g} by n = {n}, so sums of n "
+                    "values of eta can overflow float64"
+                )
 
     def to_dict(self) -> dict:
         return {

@@ -7,6 +7,7 @@ several times cheaper than scipy's ``stdtrit``, which
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,7 +20,7 @@ from .kernels import SLICE
 # (written by ``benchmarks/t_quantile.py``), taken when the tail form started
 # from Hill's approximation: 3.6x to 5.9x faster than stdtrit and within 5.3
 # ulp up to df 40; above, its gain fell toward 2.2x and its error rose to 11
-# ulp (past 8 from df 72). With the tabulated start it is 5.4x to 8.8x faster
+# ulp (past 8 from df 72). With the tabulated start it is 5.0x to 8.2x faster
 # up to df 40 (``benchmarks/BENCH_t-quantile-table.json``).
 EVEN_T_DF_MAX = 40
 # Elements per slice of ``EvenStudentT.quantile``, the kernels' slice: each
@@ -35,9 +36,10 @@ _T_SLICE = SLICE
 # per df.
 _TABLE_P_MIN = 2.0**-56
 _TABLE_INTERVALS = 512
-# The smallest normal float64: below it p is scaled by a power of two
-# (``EvenStudentT._subnormal_tail``).
-_P_NORMAL = 2.0**-1022
+# The smallest normal float64, 2^-1022: below it p is scaled by a power of
+# two (``EvenStudentT._subnormal_tail``). Written as 2.0**-1022, its constant
+# folding alone faulted in 64 KiB of libm at every import.
+_P_NORMAL = sys.float_info.min
 
 
 def _horner(coefficients: tuple[float, ...], y: np.ndarray) -> np.ndarray:
@@ -138,7 +140,9 @@ class EvenStudentT:
         """
         s0 = math.log(_TABLE_P_MIN)
         h = (math.log(0.25) - s0) / _TABLE_INTERVALS
-        t = self._hill_tail(np.exp(s0 + h * np.arange(_TABLE_INTERVALS + 1)))
+        # float nodes: an integer arange would take numpy's cast loop, 64 KiB
+        # of code that no other draw touches
+        t = self._hill_tail(np.exp(s0 + h * np.arange(_TABLE_INTERVALS + 1.0)))
         nu = self.nu
         y = nu / (nu + t * t)
         x = t / np.sqrt(nu + t * t)
